@@ -1,11 +1,28 @@
-"""Extreme eigenpairs of spiked sparse matrices and the empirical recovery
-observables derived from them.
+"""Extreme eigenpairs of spiked sparse matrices and the recovery observables
+read off them.
 
-The workhorse is a restarted Lanczos iteration with full reorthogonalization
-driven only by matrix-vector products. Near the recovery threshold the top
-two eigenvalues nearly cross, which is exactly where plain power iteration
-stalls; full reorthogonalization keeps the residual contract valid across
-the phase boundary.
+Each instance makes one call to ARPACK's implicitly restarted Lanczos
+(Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl. 17, 1996), through
+``scipy.sparse.linalg.eigsh(k=2 or 1, which="LA")``, on a
+``LinearOperator`` around ``matvec``: the rank-one spike is never formed
+and every product goes through ``SpikedMatrix.matvec``. The start vector
+and any restart vectors come from the caller's generator, so results
+repeat exactly across reruns and worker counts. ``max_iter`` is a budget
+of matrix-vector products, and ``iterations`` counts them: the solve's
+own plus one explicit residual check ||Av - lambda v|| / |lambda| per
+returned pair, which must not exceed ``tol``.
+
+Below 2k+1 rows ARPACK has no room for the Krylov space it needs (scipy
+refuses k >= N outright), so those sizes use the dense eigendecomposition.
+
+A single start vector sees one copy of an exactly repeated eigenvalue;
+ARPACK usually recovers the other copies from rounding, but not always, so
+an exact tie at the top (for example identical disconnected components)
+can report the next distinct eigenvalue as the second one.
+
+``scipy.sparse.linalg`` is imported inside the solve, not at module top:
+it costs about 0.15 s and 10 MB per process, which the modes that make no
+eigensolve (analytic, popdyn, densities) would otherwise pay.
 """
 
 from __future__ import annotations
@@ -26,7 +43,8 @@ class EigReport:
     """Converged top / second eigenpair data for one instance.
 
     ``v_top`` is scaled so that ||v||^2 = N and gauge-fixed so the overlap
-    with the spike is non-negative.
+    with the spike is non-negative. ``iterations`` counts matrix-vector
+    products.
     """
 
     lambda_top: float
@@ -41,155 +59,88 @@ class EigReport:
 
 
 def _as_operator(a):
+    """(matvec, N, dense) for a spiked or sparse matrix or a square ndarray;
+    ``dense()`` builds the full matrix."""
     if isinstance(a, (SpikedMatrix, SparseSymmetric)):
-        return a.matvec, a.n
+        return a.matvec, a.n, a.to_dense
     arr = np.asarray(a, dtype=float)
     if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        return (lambda v: arr @ v), arr.shape[0]
+        return arr.__matmul__, arr.shape[0], lambda: arr
     raise TypeError("expected SpikedMatrix, SparseSymmetric, or a square ndarray")
 
 
-def _extreme_pair(op, n, tol, max_iter, rng, deflate=None, block=None):
-    """Largest-algebraic Ritz pair by restarted, fully reorthogonalized Lanczos.
+def _top_pairs(a, k, tol, max_iter, rng):
+    """The k largest-algebraic eigenpairs, in descending order.
 
-    ``deflate`` is a list of unit vectors kept out of the Krylov space; the
-    returned pair then belongs to their orthogonal complement.
+    Returns (eigenvalues, unit eigenvectors as columns, relative residuals,
+    matvec count). Raises NotConverged when the matvec budget runs out,
+    ARPACK fails, or an explicit residual exceeds ``tol``.
     """
-    if n < 1:
-        raise ValueError("empty operator")
-    deflate = [] if deflate is None else [d / np.linalg.norm(d) for d in deflate]
-    if block is None:
-        block = min(n, 300)
-    block = max(2, min(block, n - len(deflate)))  # Krylov space lives in the complement
-
-    def project_out(w):
-        for d in deflate:
-            w -= d * (d @ w)
-        return w
-
-    def residual_of(lam, vec):
-        r = op(vec) - lam * vec
-        r = project_out(r)
-        return float(np.linalg.norm(r)) / max(abs(lam), 1e-30)
-
-    v = project_out(rng.standard_normal(n))
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise NotConverged("start vector vanished under deflation")
-    v /= nv
-
-    matvecs = 0
-    best_res = np.inf
-    stagnant = 0
-    lam = 0.0
-    while matvecs < max_iter:
-        m = min(block, max_iter - matvecs)
-        if m < 2:
-            break
-        q = np.zeros((n, m))
-        alphas = np.zeros(m)
-        betas = np.zeros(m)
-        q[:, 0] = v
-        j = 0
-        while j < m:
-            w = op(q[:, j])
-            matvecs += 1
-            alphas[j] = q[:, j] @ w
-            w = project_out(w)
-            w -= q[:, : j + 1] @ (q[:, : j + 1].T @ w)
-            w -= q[:, : j + 1] @ (q[:, : j + 1].T @ w)  # second pass for safety
-            beta = np.linalg.norm(w)
-            if j + 1 == m:
-                break
-            if beta < 1e-14 * max(1.0, abs(alphas[j])):
-                # invariant subspace: continue in a fresh random direction
-                w = project_out(rng.standard_normal(n))
-                w -= q[:, : j + 1] @ (q[:, : j + 1].T @ w)
-                beta = np.linalg.norm(w)
-                if beta < 1e-8 * np.sqrt(n):
-                    # reachable space exhausted (roundoff residue only)
-                    m = j + 1
-                    break
-                betas[j] = 0.0
-            else:
-                betas[j] = beta
-            q[:, j + 1] = w / beta
-            j += 1
-
-        t = np.diag(alphas[:m]) + np.diag(betas[: m - 1], 1) + np.diag(betas[: m - 1], -1)
-        evals, evecs = np.linalg.eigh(t)
-        lam = float(evals[-1])
-        v = q[:, :m] @ evecs[:, -1]
-        v = project_out(v)
-        v /= np.linalg.norm(v)
-        res = residual_of(lam, v)
-        matvecs += 1
-        if res <= tol:
-            return lam, v, res, matvecs
-        if res > 0.9 * best_res:
-            # a full restart block that buys <10% is a stall, not slow progress
-            stagnant += 1
-            if stagnant >= 4:
-                raise NotConverged(
-                    f"residual stagnated at {res:.3e} (tol {tol:.1e}); "
-                    "top eigenvalue may be degenerate"
-                )
-        else:
-            stagnant = 0
-        best_res = min(best_res, res)
-    raise NotConverged(f"residual {best_res:.3e} after {matvecs} matvecs (tol {tol:.1e})")
-
-
-def top_eigenpair(a, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER, rng=None):
-    """Top (largest algebraic) eigenpair; eigenvector rescaled to ||v||^2 = N."""
-    op, n = _as_operator(a)
+    matvec, n, dense = _as_operator(a)
     if n < 2:
         raise ValueError("need N >= 2")
     if rng is None:
         rng = np.random.default_rng(0x5EED)
-    lam, v, res, iters = _extreme_pair(op, n, tol, max_iter, rng)
-    return lam, v * np.sqrt(n), res, iters
+    matvecs = 0
+
+    def counted(v):
+        nonlocal matvecs
+        if matvecs >= max_iter:
+            raise NotConverged(f"matvec budget {max_iter} spent before reaching tol {tol:.1e}")
+        matvecs += 1
+        return matvec(v)
+
+    if n <= 2 * k:
+        evals, evecs = np.linalg.eigh(dense())
+    else:
+        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+        op = LinearOperator((n, n), matvec=counted, dtype=float)
+        try:
+            evals, evecs = eigsh(op, k=k, which="LA", v0=rng.standard_normal(n),
+                                 tol=tol, maxiter=max_iter, rng=rng)
+        except ArpackError as exc:
+            raise NotConverged(f"ARPACK after {matvecs} matvecs: {exc}") from exc
+    order = np.argsort(evals)[::-1][:k]
+    evals, evecs = evals[order], evecs[:, order]
+    residuals = [
+        float(np.linalg.norm(counted(v) - lam * v)) / max(abs(lam), 1e-30)
+        for lam, v in zip(evals, evecs.T)
+    ]
+    worst = max(residuals)
+    if worst > tol:
+        raise NotConverged(f"residual {worst:.3e} after {matvecs} matvecs (tol {tol:.1e})")
+    return evals, evecs, residuals, matvecs
 
 
-def second_eigenvalue(a, v_top: np.ndarray, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER, rng=None) -> float:
-    """Second-largest eigenvalue via Lanczos on the deflated operator.
+def top_eigenpair(a, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER, rng=None):
+    """Top (largest algebraic) eigenpair; eigenvector rescaled to ||v||^2 = N.
 
-    Deflation is enforced by keeping the Krylov space orthogonal to v_top,
-    which acts as A - lambda_top (v v^T / N) restricted to the complement.
+    Returns (lambda, v, relative residual, matvecs).
     """
-    lam2, _, _, _ = _second_details(a, v_top, tol, max_iter, rng)
-    return lam2
-
-
-def _second_details(a, v_top, tol=_DEFAULT_TOL, max_iter=_DEFAULT_MAX_ITER, rng=None):
-    op, n = _as_operator(a)
-    if rng is None:
-        rng = np.random.default_rng(0x5EED ^ 0xFF)
-    lam2, v2, res, iters = _extreme_pair(op, n, tol, max_iter, rng, deflate=[np.asarray(v_top, float)])
-    return lam2, v2 * np.sqrt(n), res, iters
+    evals, evecs, residuals, matvecs = _top_pairs(a, 1, tol, max_iter, rng)
+    n = evecs.shape[0]
+    return float(evals[0]), evecs[:, 0] * np.sqrt(n), residuals[0], matvecs
 
 
 def full_spectrum(a, cap: int = 3000) -> np.ndarray:
     """All eigenvalues (ascending) by dense symmetric eigendecomposition."""
-    op, n = _as_operator(a)
+    _, n, dense = _as_operator(a)
     if n > cap:
         raise CapExceeded(f"N={n} exceeds dense-path cap {cap}")
-    if isinstance(a, (SpikedMatrix, SparseSymmetric)):
-        dense = a.to_dense()
-    else:
-        dense = np.asarray(a, dtype=float)
-    return np.linalg.eigvalsh(dense)
+    return np.linalg.eigvalsh(dense())
 
 
 def analyze_instance(a: SpikedMatrix, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER, rng=None, want_second: bool = True) -> EigReport:
-    """Solve one instance end to end: top pair, deflated second eigenvalue,
-    gauge-fixed overlap statistics."""
-    lam, v, res, iters = top_eigenpair(a, tol=tol, max_iter=max_iter, rng=rng)
+    """Solve one instance end to end: top and second eigenpairs from one
+    solve, gauge-fixed overlap statistics."""
+    evals, evecs, residuals, matvecs = _top_pairs(a, 2 if want_second else 1, tol, max_iter, rng)
+    n = a.n
+    lam = float(evals[0])
+    v = evecs[:, 0] * np.sqrt(n)
     lam2 = res2 = None
     if want_second:
-        lam2, _, res2, it2 = _second_details(a, v, tol=tol, max_iter=max_iter, rng=rng)
-        iters += it2
-    n = a.n
+        lam2, res2 = float(evals[1]), residuals[1]
     ip = float(a.x @ v)
     if ip < 0:
         v = -v
@@ -202,28 +153,8 @@ def analyze_instance(a: SpikedMatrix, tol: float = _DEFAULT_TOL, max_iter: int =
         v_top=v,
         overlap=overlap,
         overlap_sq=overlap**2,
-        residual_top=res,
+        residual_top=residuals[0],
         residual_second=res2,
-        iterations=iters,
+        iterations=matvecs,
         near_degenerate=near,
     )
-
-
-def empirical_observables(a: SpikedMatrix, report: EigReport) -> dict:
-    """Recovery observables of a solved instance.
-
-    Gauge: the eigenvector sign is fixed by <x, v> >= 0 (below threshold the
-    sign is noise; the absolute value keeps estimators comparable).
-    """
-    v = report.v_top
-    ip = float(a.x @ v)
-    if ip < 0:
-        v = -v
-        ip = -ip
-    overlap = ip / a.n
-    return {
-        "overlap": overlap,
-        "overlap_sq": overlap**2,
-        "component_samples": v,
-        "overlap_component_samples": a.x * v,
-    }

@@ -197,6 +197,14 @@ class TestMainExitCodes:
         )
         assert cli.main([path]) == 3
 
+    def test_eigensolver_budget_exhausted(self, tmp_path):
+        # 3 matvecs cannot converge: NotConverged reaches main as a solver failure
+        path = write_config(
+            tmp_path, mode="diag", degree=RR4, theta=[2.0], n=200, instances=1,
+            eig_max_iter=3, out_dir=str(tmp_path / "out"),
+        )
+        assert cli.main([path]) == 3
+
     def test_success_and_overrides(self, tmp_path, capsys):
         path = write_config(tmp_path, mode="analytic", degree=RR4, theta=[4.0])
         out_dir = tmp_path / "cli_out"

@@ -1,10 +1,12 @@
-"""Lanczos eigensolver contracts: dense-oracle equivalence, deflation,
-variational dominance, and the empirical recovery observables."""
+"""Eigensolver contracts: dense-oracle equivalence, the small-N dense path,
+the matvec budget, variational dominance, and the empirical recovery
+observables."""
 
 import numpy as np
 import pytest
 
 from sparsespike import ensembles, graphgen, spectral
+from sparsespike.cli import derive_rng
 from sparsespike.errors import CapExceeded, NotConverged
 from conftest import make_instance
 
@@ -38,10 +40,11 @@ class TestTopEigenpair:
         a = small_instance(seed)
         dense = a.to_dense()
         evals = np.linalg.eigvalsh(dense)
-        lam, v, _, _ = spectral.top_eigenpair(a)
+        lam, _, _, _ = spectral.top_eigenpair(a)
         assert abs(lam - evals[-1]) < 1e-9
-        lam2 = spectral.second_eigenvalue(a, v)
-        assert abs(lam2 - evals[-2]) < 1e-9
+        rep = spectral.analyze_instance(a)
+        assert abs(rep.lambda_top - evals[-1]) < 1e-9
+        assert abs(rep.lambda_second - evals[-2]) < 1e-9
 
     def test_not_converged(self):
         a = small_instance(0, n=200)
@@ -58,10 +61,14 @@ class TestTopEigenpair:
 
 class TestSecondEigenvalue:
     def test_diagonal_two_by_two(self):
-        a = np.diag([2.0, 1.0])
-        lam, v, _, _ = spectral.top_eigenpair(a)
-        assert abs(lam - 2.0) < 1e-12
-        assert abs(spectral.second_eigenvalue(a, v) - 1.0) < 1e-10
+        # edge weight -1 cancels the off-diagonal spike term: A = diag(2, 0.5)
+        noise = graphgen.SparseSymmetric(n=2, edge_u=np.array([0]), edge_v=np.array([1]),
+                                         edge_w=np.array([-1.0]))
+        a = graphgen.SpikedMatrix(noise=noise, x=np.array([2.0, 1.0]), theta=1.0)
+        assert np.array_equal(a.to_dense(), np.diag([2.0, 0.5]))
+        rep = spectral.analyze_instance(a)
+        assert abs(rep.lambda_top - 2.0) < 1e-12
+        assert abs(rep.lambda_second - 0.5) < 1e-10
 
     def test_rr_structural_second(self):
         # above threshold the structural value c=4 becomes the second eigenvalue
@@ -73,10 +80,11 @@ class TestSecondEigenvalue:
 
     def test_deflation_consistency(self):
         a = small_instance(2)
-        lam, v, _, _ = spectral.top_eigenpair(a)
-        lam2, v2, res2, _ = spectral._second_details(a, v)
-        assert abs(v2 @ v) / a.n <= 1e-8
-        assert lam >= lam2
+        evals = np.linalg.eigvalsh(a.to_dense())
+        rep = spectral.analyze_instance(a)
+        assert rep.lambda_top >= rep.lambda_second
+        assert abs(rep.lambda_top - evals[-1]) < 1e-9
+        assert abs(rep.lambda_second - evals[-2]) < 1e-9
 
     def test_degenerate_top_flagged(self):
         # two disjoint unit edges: eigenvalues {1, 1, -1, -1}
@@ -91,6 +99,59 @@ class TestSecondEigenvalue:
         assert abs(rep.lambda_top - 1.0) < 1e-10
         assert abs(rep.lambda_second - 1.0) < 1e-10
         assert rep.near_degenerate
+
+
+class TestSmallN:
+    """N <= 2k has no room for ARPACK's Krylov space: the dense path answers."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_dense_path_matches_oracle(self, n):
+        rng = np.random.default_rng(n)
+        u, v = np.triu_indices(n, 1)
+        noise = graphgen.SparseSymmetric(n=n, edge_u=u, edge_v=v, edge_w=rng.standard_normal(u.size))
+        a = graphgen.SpikedMatrix(noise=noise, x=rng.standard_normal(n), theta=1.5)
+        evals = np.linalg.eigvalsh(a.to_dense())
+        rep = spectral.analyze_instance(a)
+        assert abs(rep.lambda_top - evals[-1]) < 1e-12
+        assert abs(rep.lambda_second - evals[-2]) < 1e-12
+        assert max(rep.residual_top, rep.residual_second) <= 1e-10
+        assert rep.iterations == 2  # the two residual checks only
+
+    def test_top_only_at_two(self):
+        # [[1, 2], [2, 1]]: top pair (3, (1, 1)), overlap with x = (1, 1) is 1
+        noise = graphgen.SparseSymmetric(n=2, edge_u=np.array([0]), edge_v=np.array([1]),
+                                         edge_w=np.array([1.0]))
+        a = graphgen.SpikedMatrix(noise=noise, x=np.array([1.0, 1.0]), theta=2.0)
+        rep = spectral.analyze_instance(a, want_second=False)
+        assert abs(rep.lambda_top - 3.0) < 1e-12
+        assert rep.lambda_second is None and rep.residual_second is None
+        assert not rep.near_degenerate
+        assert abs(rep.overlap - 1.0) < 1e-12
+        assert rep.iterations == 1
+
+
+class TestMatvecBudget:
+    @pytest.mark.parametrize("theta", [1.5, 4.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rr4_single_solve(self, theta, seed, monkeypatch):
+        # one k=2 solve stays below 602 products, the cost of two separate
+        # 300-vector Lanczos blocks plus their residual checks
+        a = make_instance(ensembles.regular(4), ensembles.constant_weight(1.0),
+                          ensembles.gaussian_spike(1.0), 4000, theta, seed)
+        calls = 0
+        matvec = graphgen.SpikedMatrix.matvec
+
+        def counted(self, v):
+            nonlocal calls
+            calls += 1
+            return matvec(self, v)
+
+        monkeypatch.setattr(graphgen.SpikedMatrix, "matvec", counted)
+        rep = spectral.analyze_instance(a, rng=derive_rng(seed, 0, "eig"))
+        assert rep.iterations == calls
+        assert rep.iterations < 600
+        assert rep.residual_top <= 1e-10
+        assert rep.residual_second <= 1e-10
 
 
 class TestFullSpectrum:
@@ -145,9 +206,8 @@ class TestObservables:
         x *= np.sqrt(n) / np.linalg.norm(x)
         a = graphgen.SpikedMatrix(noise=noise, x=x, theta=5.0)
         rep = spectral.analyze_instance(a, want_second=False)
-        obs = spectral.empirical_observables(a, rep)
-        assert abs(obs["overlap"] - float(x @ x) / n) < 1e-8
-        assert abs(obs["overlap"] - 1.0) < 1e-8
+        assert abs(rep.overlap - float(x @ x) / n) < 1e-8
+        assert abs(rep.overlap - 1.0) < 1e-8
 
     def test_gauge_non_negative(self):
         for seed in range(5):
@@ -158,7 +218,6 @@ class TestObservables:
     def test_component_products(self):
         a = small_instance(9)
         rep = spectral.analyze_instance(a, want_second=False)
-        obs = spectral.empirical_observables(a, rep)
-        assert np.array_equal(obs["overlap_component_samples"],
-                              a.x * obs["component_samples"])
-        assert abs(obs["component_samples"] @ obs["component_samples"] - a.n) < 1e-8 * a.n
+        products = a.x * rep.v_top
+        assert abs(products.mean() - rep.overlap) < 1e-12
+        assert abs(rep.v_top @ rep.v_top - a.n) < 1e-8 * a.n
