@@ -19,37 +19,67 @@ from .errors import NegativeDenominator, NoConvergence, NonPositiveDenominator, 
 from .popdyn import Population, _cavity_draws
 
 
-def solve_m(
-    lam: float,
-    degree_model: DegreeModel,
-    e_w2: float,
-    damping: float = 0.5,
-    tol: float = 1e-13,
-    max_iter: int = 200_000,
-) -> float:
-    """Stable branch of  m = <<1 / (lambda - (k-1) E[W^2] m)>>_r.
+def _bisect(above, lo: float, hi: float, tol: float = 0.0) -> tuple[float, float]:
+    """Shrink [lo, hi], with the predicate ``above`` false at lo and true at
+    hi (neither end is evaluated), to width ``tol`` or to adjacent floats."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
-    Damped fixed-point iteration from m0 = 1/lambda, which is continuously
-    connected to the lambda -> infinity asymptote 1/lambda and therefore
-    selects the physical (smaller) root. Fails with NegativeDenominator or
-    NoConvergence when lambda is below the admissible region.
+
+def _lambda_of_x(x: float, r: np.ndarray, a: np.ndarray) -> float:
+    return float(x * np.sqrt((r / (x - a)).sum()))
+
+
+def _branch(degree_model: DegreeModel, e_w2: float):
+    """(r_k, a_k, x_e, lambda(x_e)): the stable branch of the m equation.
+
+    With x = lambda/m and a_k = (k-1) E[W^2], over the k with r_k > 0, the
+    m equation reads m^2 = S0(x) = sum_k r_k / (x - a_k), so
+    lambda(x) = x sqrt(S0(x)) and d(lambda^2)/dx = x h(x) with
+    h(x) = sum_k r_k (x - 2 a_k) / (x - a_k)^2. h > 0 is the stability of
+    the fixed point, and on (a_max, inf) h has a single root x*, in
+    (a_max, 2 a_max]: h / S0 = 1 - sum_k r_k a_k / (x - a_k)^2 / S0 grows
+    with x by Chebyshev's sum inequality. Q's sum runs to the largest k
+    with p_k > 0, one term past the m equation, so the edge is
+    x_e = max(x*, k_max E[W^2]).
     """
-    if lam <= 0:
-        raise NegativeDenominator("lambda must be positive")
-    r = degree_model.r
-    km1 = np.arange(r.size, dtype=float) - 1.0
-    mask = r > 0
-    m = 1.0 / lam
-    for _ in range(max_iter):
-        den = lam - km1 * e_w2 * m
-        if np.any(den[mask] <= 0):
-            raise NegativeDenominator(f"denominator crossed zero at lambda={lam:g}")
-        m_next = float((r[mask] / den[mask]).sum())
-        m_new = (1.0 - damping) * m + damping * m_next
-        if abs(m_new - m) < tol:
-            return m_new
-        m = m_new
-    raise NoConvergence(f"m fixed point not converged at lambda={lam:g}")
+    mask = degree_model.r > 0
+    r = degree_model.r[mask]
+    a = (np.flatnonzero(mask) - 1.0) * e_w2
+    x_star = a[-1]
+    if x_star > 0:
+        def stable(x):
+            return float((r * (x - 2.0 * a) / (x - a) ** 2).sum()) > 0
+
+        _, x_star = _bisect(stable, a[-1], 2.0 * a[-1])
+    x_e = max(x_star, np.flatnonzero(degree_model.probs)[-1] * e_w2)
+    return r, a, x_e, _lambda_of_x(x_e, r, a)
+
+
+def _solve_x(lam: float, degree_model: DegreeModel, e_w2: float) -> float:
+    """x = lambda/m on the stable branch, bisected on [x_e, lambda^2]
+    (lambda(x) >= sqrt(x) because every a_k >= 0)."""
+    r, a, x_e, lam_e = _branch(degree_model, e_w2)
+    if not lam >= lam_e:
+        raise NegativeDenominator(f"lambda={lam:g} is below the spectral edge {lam_e:.12g}")
+    if lam == lam_e:
+        return x_e
+    return _bisect(lambda x: _lambda_of_x(x, r, a) >= lam, x_e, max(lam * lam, x_e))[1]
+
+
+def solve_m(lam: float, degree_model: DegreeModel, e_w2: float) -> float:
+    """Stable branch of  m = <<1 / (lambda - (k-1) E[W^2] m)>>_r, the one
+    continuously connected to the lambda -> infinity asymptote 1/lambda,
+    solved in x = lambda/m (``_branch``). Raises NegativeDenominator below
+    the spectral edge ``admissible_lambda_floor``; the edge is accepted."""
+    return lam / _solve_x(lam, degree_model, e_w2)
 
 
 def _m_prime(lam: float, degree_model: DegreeModel, e_w2: float, m: float) -> float:
@@ -67,21 +97,20 @@ def _m_prime(lam: float, degree_model: DegreeModel, e_w2: float, m: float) -> fl
     return -s1 / denom
 
 
-def q_tilde(lam: float, degree_model: DegreeModel, e_w2: float, max_iter: int = 200_000) -> float:
+def q_tilde(lam: float, degree_model: DegreeModel, e_w2: float) -> float:
     """Threshold function Q(lambda) = sum_k p_k / (lambda - k E[W^2] m(lambda)).
 
     For a truncated Poisson table this reduces exactly to
     (c/cbar) m + p_{k_max} / (lambda - k_max E[W^2] m); for a regular model
-    it collapses to the single-branch closed form.
+    it collapses to the single-branch closed form. Each denominator is
+    m (x - k E[W^2]) with x = lambda/m; at an edge set by k_max E[W^2]
+    (see ``_branch``) the last one vanishes and Q is +inf.
     """
-    m = solve_m(lam, degree_model, e_w2, max_iter=max_iter)
+    x = _solve_x(lam, degree_model, e_w2)
     p = degree_model.probs
-    k = np.arange(p.size, dtype=float)
-    den = lam - k * e_w2 * m
-    mask = p > 0
-    if np.any(den[mask] <= 0):
-        raise NegativeDenominator(f"Q denominator crossed zero at lambda={lam:g}")
-    return float((p[mask] / den[mask]).sum())
+    k = np.flatnonzero(p > 0)
+    with np.errstate(divide="ignore"):
+        return float((p[k] / (x - k * e_w2)).sum()) * x / lam
 
 
 def q_tilde_prime(lam: float, degree_model: DegreeModel, e_w2: float, fd_check: bool = True) -> float:
@@ -109,50 +138,12 @@ def gershgorin_bound(degree_model: DegreeModel, weight_model: WeightModel) -> fl
     return degree_model.k_max * weight_model.zeta
 
 
-def admissible_lambda_floor(
-    degree_model: DegreeModel,
-    e_w2: float,
-    hi: float | None = None,
-    resolution: float = 1e-9,
-) -> float:
-    """Smallest lambda at which the m fixed point converges with positive
-    denominators, located by geometric backtracking from an upper bound and
-    bisection refinement. This is the spectral-edge proxy used to bracket
-    root finding."""
-    if hi is None:
-        hi = max(2.0 * degree_model.k_max * np.sqrt(max(e_w2, 1e-300)), 1.0)
-
-    def ok(lam):
-        # Q itself must be evaluable: its sum runs to k_max, one term past
-        # the k_max - 1 reached inside the m equation. The iteration cap is
-        # reduced here: critical slowing at the edge marks inadmissibility
-        # just as well as a sign crossing, and only shifts the floor up.
-        try:
-            q_tilde(lam, degree_model, e_w2, max_iter=30_000)
-            return True
-        except (NegativeDenominator, NoConvergence):
-            return False
-
-    good = float(hi)
-    while not ok(good):
-        good *= 2.0
-        if good > 1e12:
-            raise NoConvergence("no admissible lambda found below 1e12")
-    bad = good * 0.7
-    while ok(bad):
-        good = bad
-        bad *= 0.7
-        if bad < 1e-12:
-            return bad  # admissible all the way down
-    for _ in range(200):
-        if good - bad <= resolution * max(1.0, good):
-            break
-        mid = 0.5 * (good + bad)
-        if ok(mid):
-            good = mid
-        else:
-            bad = mid
-    return good
+def admissible_lambda_floor(degree_model: DegreeModel, e_w2: float) -> float:
+    """Spectral edge of the resolvent route, lambda(x_e) (``_branch``): the
+    smallest lambda with a stable m fixed point and non-negative Q
+    denominators, and the lower end of every root bracket here. For
+    c-regular noise it is the bulk edge 2 sqrt((c-1) E[W^2])."""
+    return _branch(degree_model, e_w2)[3]
 
 
 def lambda_signal(
@@ -174,11 +165,7 @@ def lambda_signal(
     e_w2 = weight_model.second_moment_w
     target = 1.0 / (theta * spike_model.sigma_x2)
     lo = admissible_lambda_floor(degree_model, e_w2)
-    try:
-        q_lo = q_tilde(lo, degree_model, e_w2)
-    except (NegativeDenominator, NoConvergence):
-        lo *= 1.0 + 1e-9
-        q_lo = q_tilde(lo, degree_model, e_w2)
+    q_lo = q_tilde(lo, degree_model, e_w2)
     if q_lo <= target:
         raise RootNotBracketed(
             f"Q at the spectral edge ({q_lo:g}) does not exceed 1/(theta sigma^2)={target:g}; "
@@ -189,18 +176,21 @@ def lambda_signal(
         hi *= 2.0
         if hi > 1e12:
             raise NoConvergence("failed to bracket the signal eigenvalue from above")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        try:
-            val = q_tilde(mid, degree_model, e_w2)
-        except (NegativeDenominator, NoConvergence):
-            lo = mid
-            continue
-        if val > target:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda lam: q_tilde(lam, degree_model, e_w2) <= target, lo, hi, tol)
     return 0.5 * (lo + hi)
+
+
+def signal_and_overlap(
+    theta: float,
+    degree_model: DegreeModel,
+    weight_model: WeightModel,
+    spike_model: SpikeModel,
+) -> tuple[float, float]:
+    """(lambda_theta, squared overlap) from one root solve: ``lambda_signal``
+    and  -1 / (sigma_x^2 theta^2 Q'(lambda_theta))."""
+    lam = lambda_signal(theta, degree_model, weight_model, spike_model)
+    qp = q_tilde_prime(lam, degree_model, weight_model.second_moment_w)
+    return lam, -1.0 / (spike_model.sigma_x2 * theta**2 * qp)
 
 
 def overlap_sq(
@@ -210,9 +200,7 @@ def overlap_sq(
     spike_model: SpikeModel,
 ) -> float:
     """Typical squared overlap  -1 / (sigma_x^2 theta^2 Q'(lambda_theta))."""
-    lam = lambda_signal(theta, degree_model, weight_model, spike_model)
-    qp = q_tilde_prime(lam, degree_model, weight_model.second_moment_w)
-    return -1.0 / (spike_model.sigma_x2 * theta**2 * qp)
+    return signal_and_overlap(theta, degree_model, weight_model, spike_model)[1]
 
 
 def q_general(
@@ -382,8 +370,7 @@ def poisson_report(
     t_crit = theta_crit(degree_model, weight_model, spike_model, lambda_structural)
     edge = admissible_lambda_floor(degree_model, e_w2)
     if theta > t_crit:
-        lam = lambda_signal(theta, degree_model, weight_model, spike_model)
-        ov = overlap_sq(theta, degree_model, weight_model, spike_model)
+        lam, ov = signal_and_overlap(theta, degree_model, weight_model, spike_model)
         lam_top = lam
     else:
         try:

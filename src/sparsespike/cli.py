@@ -327,6 +327,18 @@ def _aggregate(rows: list, cfg: ExperimentConfig) -> list:
     return out
 
 
+def _warm_start(cfg: ExperimentConfig, theta: float, degree_model, weight_model, spike_model):
+    """(lambda, q) from the resolvent route to start popdyn.solve at, or None
+    when warm starts are off or the route has no signal root."""
+    if not cfg.warm_start:
+        return None
+    try:
+        lam, ov = analytic.signal_and_overlap(theta, degree_model, weight_model, spike_model)
+    except SolverError:
+        return None
+    return lam, float(np.sqrt(ov))
+
+
 POPDYN_FIELDS = [
     "theta", "c", "lambda", "q", "overlap_sq", "alpha1", "alpha2", "alpha1_se", "alpha2_se",
     "sweeps", "rescale_rounds",
@@ -338,17 +350,10 @@ def run_popdyn(cfg: ExperimentConfig) -> list:
     pconf = popdyn_config(cfg)
     rows = []
     for i, theta in enumerate(cfg.theta):
-        warm = None
-        if cfg.warm_start:
-            try:
-                lam = analytic.lambda_signal(theta, degree_model, weight_model, spike_model)
-                q = float(np.sqrt(analytic.overlap_sq(theta, degree_model, weight_model, spike_model)))
-                warm = (lam, q)
-            except SolverError:
-                warm = None
         pop, q, lam, diag = popdyn.solve(
             theta, degree_model, weight_model, spike_model, pconf,
-            derive_rng(cfg.seed, i, "popdyn"), warm_start=warm,
+            derive_rng(cfg.seed, i, "popdyn"),
+            warm_start=_warm_start(cfg, theta, degree_model, weight_model, spike_model),
         )
         last = diag["history"][-1]
         rows.append({
@@ -372,17 +377,10 @@ def run_densities(cfg: ExperimentConfig) -> dict:
     if cfg.checkpoint:
         pop = popdyn.load_population(cfg.checkpoint)
     else:
-        warm = None
-        if cfg.warm_start:
-            try:
-                lam = analytic.lambda_signal(theta, degree_model, weight_model, spike_model)
-                q = float(np.sqrt(analytic.overlap_sq(theta, degree_model, weight_model, spike_model)))
-                warm = (lam, q)
-            except SolverError:
-                warm = None
         pop, _, _, _ = popdyn.solve(
             theta, degree_model, weight_model, spike_model, popdyn_config(cfg),
-            derive_rng(cfg.seed, 0, "popdyn"), warm_start=warm,
+            derive_rng(cfg.seed, 0, "popdyn"),
+            warm_start=_warm_start(cfg, theta, degree_model, weight_model, spike_model),
         )
     header = (f"config: {cfg.canonical()}", f"seed: {cfg.seed}")
     top = observables.rho_top(pop, degree_model, weight_model, spike_model,

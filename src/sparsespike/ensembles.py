@@ -227,7 +227,8 @@ class SpikeModel:
 
     Construction rejects non-centered laws: every implemented threshold
     formula assumes E[X] = 0, and a silently shifted spike would produce
-    wrong thresholds rather than an error.
+    wrong thresholds rather than an error. For the same reason a custom
+    table's ``sigma_x2`` must be its variance (to 1e-12 relative).
     """
 
     kind: str
@@ -246,6 +247,9 @@ class SpikeModel:
             mean = float((v * p).sum())
             if abs(mean) > 1e-12:
                 raise ValueError(f"SpikeModel: law must be centered, got E[X]={mean:g}")
+            var = float((v * v * p).sum()) - mean**2
+            if abs(self.sigma_x2 - var) > 1e-12 * var:
+                raise ValueError(f"SpikeModel: sigma_x2={self.sigma_x2:g} but the table's variance is {var:g}")
             v = v.copy()
             v.flags.writeable = False
             object.__setattr__(self, "values", v)

@@ -9,8 +9,10 @@ and every product goes through ``SpikedMatrix.matvec``. The start vector
 and any restart vectors come from the caller's generator, so results
 repeat exactly across reruns and worker counts. ``max_iter`` is a budget
 of matrix-vector products, and ``iterations`` counts them: the solve's
-own plus one explicit residual check ||Av - lambda v|| / |lambda| per
-returned pair, which must not exceed ``tol``.
+own plus one explicit residual check ||Av - lambda v|| / max|lambda| per
+returned pair (the largest |eigenvalue| returned, as an exact zero one has
+no relative residual), which must not exceed ``tol``. ARPACK cannot start
+on the zero operator (A v0 = 0); its spectrum is set exactly.
 
 Below 2k+1 rows ARPACK has no room for the Krylov space it needs (scipy
 refuses k >= N outright), so those sizes use the dense eigendecomposition.
@@ -59,13 +61,15 @@ class EigReport:
 
 
 def _as_operator(a):
-    """(matvec, N, dense) for a spiked or sparse matrix or a square ndarray;
-    ``dense()`` builds the full matrix."""
-    if isinstance(a, (SpikedMatrix, SparseSymmetric)):
-        return a.matvec, a.n, a.to_dense
+    """(matvec, N, dense, zero) for a spiked or sparse matrix or a square
+    ndarray; ``dense()`` builds the full matrix, ``zero`` says it is 0."""
+    if isinstance(a, SpikedMatrix):
+        return a.matvec, a.n, a.to_dense, a.theta == 0.0 and not a.noise.edge_w.any()
+    if isinstance(a, SparseSymmetric):
+        return a.matvec, a.n, a.to_dense, not a.edge_w.any()
     arr = np.asarray(a, dtype=float)
     if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        return arr.__matmul__, arr.shape[0], lambda: arr
+        return arr.__matmul__, arr.shape[0], lambda: arr, not arr.any()
     raise TypeError("expected SpikedMatrix, SparseSymmetric, or a square ndarray")
 
 
@@ -76,7 +80,7 @@ def _top_pairs(a, k, tol, max_iter, rng):
     matvec count). Raises NotConverged when the matvec budget runs out,
     ARPACK fails, or an explicit residual exceeds ``tol``.
     """
-    matvec, n, dense = _as_operator(a)
+    matvec, n, dense, zero = _as_operator(a)
     if n < 2:
         raise ValueError("need N >= 2")
     if rng is None:
@@ -92,6 +96,9 @@ def _top_pairs(a, k, tol, max_iter, rng):
 
     if n <= 2 * k:
         evals, evecs = np.linalg.eigh(dense())
+    elif zero:
+        # every eigenvalue is 0 and any orthonormal vectors are eigenvectors
+        evals, evecs = np.zeros(k), np.eye(n, k)
     else:
         from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -103,8 +110,9 @@ def _top_pairs(a, k, tol, max_iter, rng):
             raise NotConverged(f"ARPACK after {matvecs} matvecs: {exc}") from exc
     order = np.argsort(evals)[::-1][:k]
     evals, evecs = evals[order], evecs[:, order]
+    scale = max(float(np.abs(evals).max()), 1e-30)
     residuals = [
-        float(np.linalg.norm(counted(v) - lam * v)) / max(abs(lam), 1e-30)
+        float(np.linalg.norm(counted(v) - lam * v)) / scale
         for lam, v in zip(evals, evecs.T)
     ]
     worst = max(residuals)
@@ -125,7 +133,7 @@ def top_eigenpair(a, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITE
 
 def full_spectrum(a, cap: int = 3000) -> np.ndarray:
     """All eigenvalues (ascending) by dense symmetric eigendecomposition."""
-    _, n, dense = _as_operator(a)
+    _, n, dense, _ = _as_operator(a)
     if n > cap:
         raise CapExceeded(f"N={n} exceeds dense-path cap {cap}")
     return np.linalg.eigvalsh(dense())

@@ -253,10 +253,68 @@ class TestDenseLimit:
         assert abs(rep["overlap_sq"] - fd) < 1e-8
 
 
+def stability_margin(lam, degree_model, e_w2):
+    """1 - E[W^2] s2, the denominator of m'(lambda) in ``_m_prime``: zero
+    where the stable branch of the m equation turns back."""
+    m = analytic.solve_m(lam, degree_model, e_w2)
+    r = degree_model.r
+    km1 = np.arange(r.size) - 1.0
+    mask = r > 0
+    g = 1.0 / (lam - km1[mask] * e_w2 * m)
+    return 1.0 - e_w2 * float((r[mask] * km1[mask] * g * g).sum())
+
+
 class TestFloor:
     def test_rr_floor_is_bulk_edge(self):
         floor = analytic.admissible_lambda_floor(ensembles.regular(4), 1.0)
-        assert abs(floor - 2 * np.sqrt(3)) < 1e-6
+        assert abs(floor - 2 * np.sqrt(3)) < 1e-12
+
+    @pytest.mark.parametrize("c", [3, 4, 10, 200])
+    def test_rr_edge_closed_form(self, c):
+        dm = ensembles.regular(c)
+        for wm in (W1, ensembles.rademacher_weight(1.0 / np.sqrt(c))):
+            e_w2 = wm.second_moment_w
+            edge = analytic.admissible_lambda_floor(dm, e_w2)
+            assert abs(edge - 2.0 * np.sqrt((c - 1) * e_w2)) < 1e-12
+
+    def test_tangency_edge_poisson(self):
+        # truncated Poisson(3, 8): the edge is where the stable branch turns
+        dm = ensembles.truncated_poisson(3.0, 8)
+        edge = analytic.admissible_lambda_floor(dm, 1.0)
+        assert abs(edge - 3.8374444562) < 1e-9
+        assert abs(stability_margin(edge, dm, 1.0)) < 1e-9
+
+    def test_cap_edge_poisson(self):
+        # truncated Poisson(4, 20): Q's k_max term sets the edge first,
+        # lambda = k_max E[W^2] m, where the branch is still stable
+        dm = ensembles.truncated_poisson(4.0, 20)
+        edge = analytic.admissible_lambda_floor(dm, 1.0)
+        assert abs(edge - dm.k_max * analytic.solve_m(edge, dm, 1.0)) < 1e-12
+        assert stability_margin(edge, dm, 1.0) > 1e-3
+        assert analytic.q_tilde(edge, dm, 1.0) == np.inf
+
+    # the plain iteration contracts slowly next to a tangency edge
+    @pytest.mark.parametrize("factor,iters", [(1.0 + 1e-6, 100_000), (1.001, 5000), (1.1, 2000), (2.0, 2000)])
+    def test_solve_m_above_edge_matches_brute(self, factor, iters):
+        for dm in (ensembles.truncated_poisson(3.0, 8), ensembles.truncated_poisson(4.0, 20),
+                   ensembles.regular(4)):
+            lam = factor * analytic.admissible_lambda_floor(dm, 1.0)
+            assert abs(analytic.solve_m(lam, dm, 1.0) - brute_m(lam, dm, 1.0, iters)) < 1e-10
+
+    def test_edge_is_accepted_and_below_rejected(self):
+        dm = ensembles.truncated_poisson(3.0, 8)
+        edge = analytic.admissible_lambda_floor(dm, 1.0)
+        assert np.isfinite(analytic.q_tilde(edge, dm, 1.0))
+        with pytest.raises(NegativeDenominator):
+            analytic.solve_m(edge * (1.0 - 1e-12), dm, 1.0)
+
+    def test_degenerate_tables(self):
+        # floors of the former convergence-probing search, to its 1e-9 resolution
+        assert abs(analytic.admissible_lambda_floor(ensembles.degree_table([0, 1]), 1.0) - 1.0) < 1e-9
+        t = ensembles.degree_table([0.2, 0.3, 0.5])
+        assert abs(analytic.admissible_lambda_floor(t, 1.0) - 1.88107988) < 1e-8
+        # both are cap-bound: lambda = 2 sqrt(S0(2)) with r = (0.3, 1) / 1.3
+        assert abs(analytic.admissible_lambda_floor(t, 1.0) - 2.0 * np.sqrt(1.15 / 1.3)) < 1e-12
 
     def test_floor_below_signal_lambda(self):
         dm = ensembles.truncated_poisson(4.0, 20)

@@ -1,6 +1,10 @@
 """Config parsing, seed derivation, mode execution, determinism, and exit codes."""
 
+import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -111,6 +115,22 @@ class TestDiagMode:
         csv_b = (out_b / "diag.csv").read_text().replace(str(out_b), "OUT").replace('"workers": 3', "W")
         assert csv_a == csv_b
 
+    def test_edgeless_graph(self, tmp_path):
+        # all degree mass at 0: theta = 0 is the zero operator, theta = 1 a lone rank-one spike
+        out = tmp_path / "out"
+        path = write_config(tmp_path, mode="diag", degree={"kind": "table", "probs": [1.0]},
+                            theta=[0, 1], n=50, instances=2, out_dir=str(out))
+        assert cli.main([path]) == 0
+        with open(out / "diag.csv") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        assert len(rows) == 4
+        for row in rows:
+            lam, lam2 = float(row["lambda_top"]), float(row["lambda_second"])
+            if float(row["theta"]) == 0.0:
+                assert lam == 0.0 and lam2 == 0.0
+            else:
+                assert lam > 0.1 and abs(lam2) < 1e-12
+
 
 class TestSweepMode:
     def test_grid_rows_and_analytic_columns(self, tmp_path):
@@ -211,3 +231,14 @@ class TestMainExitCodes:
         assert cli.main([path, "--out-dir", str(out_dir), "--seed", "123"]) == 0
         header = (out_dir / "analytic.csv").read_text().splitlines()
         assert header[1] == "# seed: 123"
+
+
+def test_cli_import_skips_optimize_and_arpack():
+    # importing scipy.optimize costs about 0.4 s and 27 MB, scipy.sparse.linalg
+    # about 0.15 s and 10 MB; the modes without eigensolves must not pay for them
+    code = ("import sys, sparsespike.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.sparse.linalg') if m in sys.modules])")
+    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

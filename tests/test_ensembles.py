@@ -202,3 +202,12 @@ class TestSpikeModel:
     def test_bad_variance_rejected(self):
         with pytest.raises(ValueError):
             ensembles.gaussian_spike(0.0)
+
+    def test_custom_variance_must_match_table(self):
+        with pytest.raises(ValueError, match="variance"):
+            ensembles.SpikeModel(kind="custom", sigma_x2=5.0,
+                                 values=np.array([-1.0, 1.0]), probs=np.array([0.5, 0.5]))
+        # a relative mismatch within 1e-12 is rounding, not a different law
+        model = ensembles.SpikeModel(kind="custom", sigma_x2=1.0 + 5e-13,
+                                     values=np.array([-1.0, 1.0]), probs=np.array([0.5, 0.5]))
+        assert model.sigma_x2 == 1.0 + 5e-13
