@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import DegreeModel, SpikeModel, WeightModel
+from .ensembles import DegreeModel, SpikeModel, WeightModel, regular_constant_weight
 from .errors import NegativeDenominator, NoConvergence, NonPositiveDenominator, RootNotBracketed
-from .popdyn import Population, _cavity_draws
+from .popdyn import Population, _node_draws
 
 
 def _bisect(above, lo: float, hi: float, tol: float = 0.0) -> tuple[float, float]:
@@ -214,7 +214,7 @@ def q_general(
     1/(lambda - {W^2/omega}_k) > over an equilibrated population."""
     total = 0.0
     count = 0
-    for _, s_w2, _ in _cavity_draws(population.omega, None, degree_model, weight_model, samples, rng):
+    for _, s_w2, _ in _node_draws(population.omega, None, degree_model, weight_model, samples, rng):
         den = population.lam - s_w2
         if den.min() <= 0:
             raise NonPositiveDenominator(f"min denominator {den.min():g}")
@@ -240,19 +240,15 @@ def theta_crit(
     structural eigenvalue from a theta=0 population run, the closed form c
     for regular noise, or the spectral edge when no outlier exists).
     """
+    w = regular_constant_weight(degree_model, weight_model)
     if population is not None:
         if rng is None:
             raise ValueError("q_general route needs an rng")
         q0 = q_general(population, degree_model, weight_model, rng, samples)
-    elif (
-        degree_model.kind == "regular"
-        and weight_model.values.size == 1
-        and weight_model.values[0] > 0
-    ):
+    elif w is not None:
         # closed form w c(c-2) / (sigma^2 (c-1)); also covers the marginal
         # chain c = 2, where the resolvent route degenerates (double root)
         c = degree_model.mean_c
-        w = float(weight_model.values[0])
         return w * c * (c - 2.0) / (spike_model.sigma_x2 * (c - 1.0))
     elif degree_model.kind in ("truncated_poisson", "regular"):
         q0 = q_tilde(lambda_structural, degree_model, weight_model.second_moment_w)

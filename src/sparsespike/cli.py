@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -66,6 +66,15 @@ class ExperimentConfig:
         return json.dumps(asdict(self), sort_keys=True)
 
 
+def _require_ints(cls, raw: dict, prefix: str) -> None:
+    """Reject a value that is not an int (1.0 included) in an int field of ``cls``."""
+    for f in fields(cls):
+        if f.type in (int, "int") and f.name in raw:
+            value = raw[f.name]
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{prefix}{f.name} must be an integer, got {value!r}")
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -79,6 +88,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"mode must be one of {MODES}, got {raw['mode']!r}")
     if "degree" not in raw or not isinstance(raw["degree"], dict):
         raise ConfigError("missing or invalid field 'degree'")
+    _require_ints(ExperimentConfig, raw, "")
+    if isinstance(raw.get("popdyn"), dict):
+        _require_ints(popdyn.PopDynConfig, raw["popdyn"], "popdyn.")
     cfg = ExperimentConfig(**raw)
     if isinstance(cfg.theta, (int, float)):
         cfg.theta = [float(cfg.theta)]
@@ -225,8 +237,9 @@ def structural_for(cfg: ExperimentConfig, degree_model, weight_model) -> float:
     """Structural (theta=0) top eigenvalue for the configured noise."""
     if cfg.lambda_structural is not None:
         return float(cfg.lambda_structural)
-    if degree_model.kind == "regular" and weight_model.values.size == 1 and weight_model.values[0] > 0:
-        return degree_model.mean_c * float(weight_model.values[0])
+    w = ensembles.regular_constant_weight(degree_model, weight_model)
+    if w is not None:
+        return degree_model.mean_c * w
     e_w2 = weight_model.second_moment_w
     floor = analytic.admissible_lambda_floor(degree_model, e_w2)
     if weight_model.values.min() < 0:
@@ -241,11 +254,7 @@ def structural_for(cfg: ExperimentConfig, degree_model, weight_model) -> float:
 
 def analytic_report_for(cfg: ExperimentConfig, theta: float, c_value=None) -> analytic.AnalyticReport:
     degree_model, weight_model, spike_model = build_models(cfg, c_value)
-    if (
-        degree_model.kind == "regular"
-        and weight_model.values.size == 1
-        and float(weight_model.values[0]) == 1.0
-    ):
+    if ensembles.regular_constant_weight(degree_model, weight_model) == 1.0:
         return analytic.rr_report(int(degree_model.mean_c), spike_model.sigma_x2, theta)
     lam_struct = structural_for(cfg, degree_model, weight_model)
     return analytic.poisson_report(degree_model, weight_model, spike_model, theta, lam_struct)

@@ -119,11 +119,6 @@ def degree_table(probs) -> DegreeModel:
     return DegreeModel(kind="table", probs=np.asarray(probs, dtype=float))
 
 
-def degree_corrected(model: DegreeModel) -> np.ndarray:
-    """Size-biased table r_k = k p_k / <k> of a degree model."""
-    return model.r
-
-
 def sample_degree_sequence(model: DegreeModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n i.i.d. degrees and repair parity so the stub count is even.
 
@@ -188,11 +183,6 @@ class WeightModel:
     def _cdf(self) -> np.ndarray:
         return np.cumsum(self.probs)
 
-    @property
-    def is_constant_square(self) -> bool:
-        """True when W^2 is deterministic (constant or two-point symmetric law)."""
-        return bool(np.allclose(self.values**2, self.values[0] ** 2))
-
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray | float:
         if self.values.size == 1:
             w = self.values[0]
@@ -204,6 +194,14 @@ class WeightModel:
 
 def constant_weight(w: float) -> WeightModel:
     return WeightModel(kind="constant", values=np.array([float(w)]), probs=np.array([1.0]))
+
+
+def regular_constant_weight(degree_model: DegreeModel, weight_model: WeightModel) -> float | None:
+    """w when the noise is c-regular with one positive constant weight w
+    (the closed-form ensemble: structural eigenvalue c w), else None."""
+    if degree_model.kind == "regular" and weight_model.values.size == 1 and weight_model.values[0] > 0:
+        return float(weight_model.values[0])
+    return None
 
 
 def rademacher_weight(scale: float) -> WeightModel:

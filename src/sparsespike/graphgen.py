@@ -69,9 +69,6 @@ class SparseSymmetric:
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
 
-    def weight(self, i: int, j: int) -> float:
-        return self.csr[i, j]
-
 
 def _pairing_defects(u: np.ndarray, v: np.ndarray, n: int):
     """Indices of defective pairs in a stub pairing: self-loops plus every
@@ -218,11 +215,6 @@ def assemble_spiked(
     """Sample the spike vector and attach it to a noise matrix."""
     x = spike_model.sample(rng, size=noise.n)
     return SpikedMatrix(noise=noise, x=np.asarray(x, float), theta=float(theta))
-
-
-def matvec(a: SpikedMatrix, v: np.ndarray) -> np.ndarray:
-    """Matrix-free product (C o W) v + (theta/N) x <x, v>, O(nnz + N)."""
-    return a.matvec(v)
 
 
 def dump_instance(a: SpikedMatrix, directory: str, seed: int | None = None) -> None:

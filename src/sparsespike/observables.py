@@ -15,7 +15,7 @@ import numpy as np
 
 from .ensembles import DegreeModel, SpikeModel, WeightModel
 from .errors import NonPositiveDenominator
-from .popdyn import Population, _cavity_draws
+from .popdyn import Population, _node_draws
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,6 @@ class DensityEstimate:
     cdf_y: np.ndarray
     per_degree_counts: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
-
-    def degree_conditional_mass(self, k: int) -> np.ndarray:
-        counts = self.per_degree_counts[k]
-        return counts / counts.sum()
 
 
 def _build_density(samples: np.ndarray, k_tags: np.ndarray, metadata: dict, bins="fd") -> DensityEstimate:
@@ -59,7 +55,7 @@ def _build_density(samples: np.ndarray, k_tags: np.ndarray, metadata: dict, bins
 
 def _component_samples(pop, degree_model, weight_model, spike_model, n_samples, rng, overlap: bool):
     us, ks = [], []
-    for k, s_w2, s_hw in _cavity_draws(pop.omega, pop.h, degree_model, weight_model, n_samples, rng):
+    for k, s_w2, s_hw in _node_draws(pop.omega, pop.h, degree_model, weight_model, n_samples, rng):
         den = pop.lam - s_w2
         if den.min() <= 0:
             raise NonPositiveDenominator(f"min denominator {den.min():g}")

@@ -92,58 +92,40 @@ def init_population(config: PopDynConfig, rng: np.random.Generator, theta: float
     )
 
 
-def update_step(
-    pop: Population,
-    degree_model: DegreeModel,
-    weight_model: WeightModel,
-    spike_model: SpikeModel | None,
-    rng: np.random.Generator,
-) -> None:
-    """One single-member replacement.
+def _gather(omega, h, degree_model, weight_model, b, rng, cavity):
+    """The one gather kernel: b draws of (k, {W^2/omega}, {hW/omega}).
 
-    Draw k from the degree-corrected law, k-1 members with replacement and
-    k-1 weights, form (omega_new, h_new), and overwrite a uniformly chosen
-    member. The spike draw happens only when theta != 0, so the omega
-    dynamics consumes an identical random stream with or without a spike.
+    With ``cavity`` k comes from r_k and the sums run over k-1 members (a
+    cavity update), else k comes from p_k and they run over k (a full node).
+    Members are drawn uniformly with replacement, each with a fresh weight,
+    in the order k, members, weights. ``h=None`` skips the bias sum.
     """
-    k = degree_model.sample_corrected(rng)
-    idx = rng.integers(0, pop.n_pop, k - 1)
-    w = np.atleast_1d(weight_model.sample(rng, size=k - 1))
-    om = pop.omega[idx]
-    omega_new = pop.lam - float((w * w / om).sum())
-    if omega_new <= 0:
-        raise NonPositiveOmega(f"omega_new={omega_new:g} at lambda={pop.lam:g}")
-    h_new = float((pop.h[idx] * w / om).sum())
-    if pop.theta != 0.0 and spike_model is not None:
-        h_new += pop.theta * pop.q * spike_model.sample(rng)
-    target = int(rng.integers(pop.n_pop))
-    pop.omega[target] = omega_new
-    pop.h[target] = h_new
+    k = degree_model.sample_corrected(rng, size=b) if cavity else degree_model.sample(rng, size=b)
+    terms = k - 1 if cavity else k
+    idx = rng.integers(0, omega.size, int(terms.sum()))
+    w = np.asarray(weight_model.sample(rng, size=idx.size), float)
+    om = omega[idx]
+    sid = np.repeat(np.arange(b), terms)
+    s_w2 = np.bincount(sid, weights=w * w / om, minlength=b)
+    s_hw = None if h is None else np.bincount(sid, weights=h[idx] * w / om, minlength=b)
+    return k, s_w2, s_hw
 
 
 def _sweep(pop, degree_model, weight_model, spike_model, rng, chunk):
-    """N_p replacements, processed in batches (see module docstring)."""
+    """N_p replacements, processed in batches (see module docstring). The
+    spike draw happens only when theta != 0, so the omega dynamics consumes
+    an identical random stream with or without a spike."""
     n = pop.n_pop
-    rcdf = degree_model._rcdf
     draw_x = pop.theta != 0.0 and spike_model is not None
     done = 0
     while done < n:
         b = min(chunk, n - done)
-        k = np.searchsorted(rcdf, rng.random(b), side="right")
-        km1 = k - 1
-        tot = int(km1.sum())
-        idx = rng.integers(0, n, tot)
-        w = np.asarray(weight_model.sample(rng, size=tot), float)
-        om = pop.omega[idx]
-        sid = np.repeat(np.arange(b), km1)
-        s_w2 = np.bincount(sid, weights=w * w / om, minlength=b)
-        s_hw = np.bincount(sid, weights=pop.h[idx] * w / om, minlength=b)
+        _, s_w2, h_new = _gather(pop.omega, pop.h, degree_model, weight_model, b, rng, cavity=True)
         omega_new = pop.lam - s_w2
         if omega_new.min() <= 0:
             raise NonPositiveOmega(
                 f"omega_new<=0 encountered at lambda={pop.lam:g} (min {omega_new.min():g})"
             )
-        h_new = s_hw
         if draw_x:
             h_new = h_new + pop.theta * pop.q * np.asarray(spike_model.sample(rng, size=b), float)
         targets = rng.integers(0, n, b)
@@ -218,40 +200,14 @@ def equilibrate(
     raise MaxSweepsExceeded(f"no plateau within {config.max_sweeps} sweeps")
 
 
-def _cavity_draws(
-    omega: np.ndarray,
-    h: np.ndarray | None,
-    degree_model: DegreeModel,
-    weight_model: WeightModel,
-    n_samples: int,
-    rng: np.random.Generator,
-    corrected: bool = False,
-):
-    """Monte Carlo draws of ({W^2/omega}_k, {hW/omega}_k) over k terms.
-
-    k is drawn from p_k (or r_k when ``corrected``); members are resampled
-    from the population with replacement, with fresh weights, per sample.
-    Yields (k, sum_w2_over_omega, sum_hw_over_omega) in blocks.
-    """
-    n_pop = omega.size
-    cdf = degree_model._rcdf if corrected else degree_model._cdf
-    mean_k = max(degree_model.mean_c, 1.0)
-    block = max(1, int(4_000_000 / mean_k))
+def _node_draws(omega, h, degree_model, weight_model, n_samples, rng):
+    """``_gather`` over full nodes (k from p_k, k members), yielded in
+    blocks of about 4e6 members until n_samples draws are made."""
+    block = max(1, int(4_000_000 / max(degree_model.mean_c, 1.0)))
     done = 0
     while done < n_samples:
         b = min(block, n_samples - done)
-        k = np.searchsorted(cdf, rng.random(b), side="right")
-        tot = int(k.sum())
-        idx = rng.integers(0, n_pop, tot)
-        w = np.asarray(weight_model.sample(rng, size=tot), float)
-        om = omega[idx]
-        sid = np.repeat(np.arange(b), k)
-        s_w2 = np.bincount(sid, weights=w * w / om, minlength=b)
-        if h is None:
-            s_hw = None
-        else:
-            s_hw = np.bincount(sid, weights=h[idx] * w / om, minlength=b)
-        yield k, s_w2, s_hw
+        yield _gather(omega, h, degree_model, weight_model, b, rng, cavity=False)
         done += b
 
 
@@ -272,7 +228,7 @@ def alpha_pair(
     alphas a common fixed point.
     """
     a1_parts, a2_parts = [], []
-    for k, s_w2, s_hw in _cavity_draws(pop.omega, pop.h, degree_model, weight_model, samples, rng):
+    for k, s_w2, s_hw in _node_draws(pop.omega, pop.h, degree_model, weight_model, samples, rng):
         den = pop.lam - s_w2
         if den.min() <= 0:
             raise NonPositiveDenominator(f"min denominator {den.min():g} at lambda={pop.lam:g}")
@@ -289,32 +245,6 @@ def alpha_pair(
         float(a2.mean()),
         float(a2.std() / np.sqrt(n)),
     )
-
-
-def alpha1(
-    pop: Population,
-    degree_model: DegreeModel,
-    weight_model: WeightModel,
-    spike_model: SpikeModel,
-    rng: np.random.Generator,
-    samples: int = 1_000_000,
-) -> float:
-    """Normalization estimator; equals 1 on a solved population."""
-    a1, _, _, _ = alpha_pair(pop, degree_model, weight_model, spike_model, rng, samples)
-    return a1
-
-
-def alpha2(
-    pop: Population,
-    degree_model: DegreeModel,
-    weight_model: WeightModel,
-    spike_model: SpikeModel,
-    rng: np.random.Generator,
-    samples: int = 1_000_000,
-) -> float:
-    """theta * sigma_x^2 * Q_hat(lambda); equals 1 at the signal eigenvalue."""
-    _, _, a2, _ = alpha_pair(pop, degree_model, weight_model, spike_model, rng, samples)
-    return a2
 
 
 def solve(
@@ -385,7 +315,6 @@ def structural_lambda(
     if weight_model.values.min() < 0:
         raise ValueError("growth probe requires non-negative weight support")
     n = config.n_pop
-    rcdf = degree_model._rcdf
 
     def probe(lam: float) -> float | None:
         omega = rng.uniform(*config.omega_init, n)
@@ -398,13 +327,7 @@ def structural_lambda(
         h = np.ones(n)
         logs = []
         for gen in range(growth_gens):
-            k = np.searchsorted(rcdf, rng.random(n), side="right")
-            km1 = k - 1
-            tot = int(km1.sum())
-            idx = rng.integers(0, n, tot)
-            w = np.asarray(weight_model.sample(rng, size=tot), float)
-            sid = np.repeat(np.arange(n), km1)
-            h_new = np.bincount(sid, weights=h[idx] * w / pop.omega[idx], minlength=n)
+            _, _, h_new = _gather(pop.omega, h, degree_model, weight_model, n, rng, cavity=True)
             growth = h_new.mean()
             if growth <= 0:
                 return None

@@ -55,6 +55,8 @@ class TestConfigParsing:
         ({"mode": "diag", "degree": RR4, "typo_field": 1}, "typo_field"),
         ({"mode": "diag", "degree": {"kind": "hexagonal"}}, "hexagonal"),
         ({"mode": "diag", "degree": RR4, "theta": [-1.0]}, "theta"),
+        ({"mode": "diag", "degree": RR4, "n": 100.0}, "n must be an integer"),
+        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"n_pop": 2e4}}, "popdyn.n_pop"),
     ])
     def test_rejects_bad_fields(self, raw, fragment):
         with pytest.raises(ConfigError, match=fragment):

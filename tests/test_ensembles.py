@@ -77,10 +77,10 @@ class TestDegreeModel:
             assert abs(lhs - rhs) < 1e-12
 
     def test_degree_corrected_examples(self):
-        assert ensembles.degree_corrected(ensembles.regular(4))[4] == 1.0
-        r = ensembles.degree_corrected(ensembles.degree_table([0.5, 0.5]))
+        assert ensembles.regular(4).r[4] == 1.0
+        r = ensembles.degree_table([0.5, 0.5]).r
         assert r[1] == 1.0
-        rp = ensembles.degree_corrected(ensembles.truncated_poisson(4.0, 20))
+        rp = ensembles.truncated_poisson(4.0, 20).r
         k = np.arange(21, dtype=float)
         expected = k * ensembles.truncated_poisson(4.0, 20).probs
         expected /= expected.sum()

@@ -106,7 +106,7 @@ class TestSpikedMatrix:
     def test_matvec_zero(self):
         g = graphgen.configuration_model(np.full(10, 3), np.random.default_rng(0))
         a = graphgen.assemble_spiked(g, ensembles.gaussian_spike(1.0), 2.0, np.random.default_rng(1))
-        assert np.all(graphgen.matvec(a, np.zeros(10)) == 0.0)
+        assert np.all(a.matvec(np.zeros(10)) == 0.0)
 
     def test_matvec_projector(self):
         n = 8

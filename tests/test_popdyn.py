@@ -41,15 +41,34 @@ class TestInit:
         assert np.array_equal(a.h, b.h)
 
 
+class TestGather:
+    def test_member_counts(self):
+        # p_1 = p_2 = 1/2 (so r_1 = 1/3, r_2 = 2/3), omega = 1 and W = 1:
+        # every term of {W^2/omega} is 1, so the sum counts its members
+        dm = ensembles.degree_table([0.0, 0.5, 0.5])
+        omega = np.ones(100)
+        rng = np.random.default_rng(0)
+        k, s_w2, s_hw = popdyn._gather(omega, None, dm, W1, 5000, rng, cavity=False)
+        assert s_hw is None
+        assert set(np.unique(k)) == {1, 2}
+        assert np.array_equal(s_w2, k.astype(float))
+        k, s_w2, s_hw = popdyn._gather(omega, omega, dm, W1, 5000, rng, cavity=True)
+        assert set(np.unique(k)) == {1, 2}
+        assert np.array_equal(s_w2, k - 1.0)
+        assert np.array_equal(s_hw, s_w2)
+
+
 class TestUpdateStep:
+    """The replacement update of ``_sweep``."""
+
     def test_rr_fixed_point_preserved(self):
         # omega = 3 solves omega = lambda - (c-1)/omega at lambda = c = 4,
         # so any update reproduces omega 3 and a mean of the stored h values
         pop = popdyn.Population(omega=np.full(500, 3.0), h=np.full(500, 0.6),
                                 q=0.5, lam=4.0, theta=0.0)
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            popdyn.update_step(pop, ensembles.regular(4), W1, GAUSS, rng)
+        for _ in range(3):
+            popdyn._sweep(pop, ensembles.regular(4), W1, GAUSS, rng, chunk=64)
         assert np.all(pop.omega == 3.0)
         assert np.allclose(pop.h, 0.6, atol=1e-12)
 
@@ -57,17 +76,15 @@ class TestUpdateStep:
         leaf_only = ensembles.degree_table([0.0, 1.0])
         pop = popdyn.Population(omega=np.full(50, 7.7), h=np.zeros(50),
                                 q=0.5, lam=9.25, theta=2.0)
-        rng = np.random.default_rng(1)
-        for _ in range(500):
-            popdyn.update_step(pop, leaf_only, W1, GAUSS, rng)
+        popdyn._sweep(pop, leaf_only, W1, GAUSS, np.random.default_rng(1), chunk=16)
         assert np.any(pop.omega == 9.25)  # empty sums give omega = lambda bit-exactly
+        assert np.all((pop.omega == 9.25) | (pop.omega == 7.7))
 
     def test_non_positive_omega_raises(self):
         pop = popdyn.Population(omega=np.full(50, 0.1), h=np.zeros(50),
                                 q=0.5, lam=1.0, theta=0.0)
         with pytest.raises(NonPositiveOmega):
-            for _ in range(100):
-                popdyn.update_step(pop, ensembles.regular(4), W1, GAUSS, np.random.default_rng(2))
+            popdyn._sweep(pop, ensembles.regular(4), W1, GAUSS, np.random.default_rng(2), chunk=16)
 
     def test_theta_zero_stream_independent_of_spike_model(self):
         # with theta = 0 no spike draw happens, so omega AND h dynamics are
@@ -135,22 +152,22 @@ class TestAlphas:
         dm, wm, sm = rr_models
         pop = copy.deepcopy(rr_solved["pop"])
         pop.lam *= 2.0
-        a1 = popdyn.alpha1(pop, dm, wm, sm, np.random.default_rng(1), 100_000)
+        a1, _, _, _ = popdyn.alpha_pair(pop, dm, wm, sm, np.random.default_rng(1), 100_000)
         assert a1 < 1.0
 
     def test_alpha2_linear_in_theta(self, rr_solved, rr_models):
         dm, wm, sm = rr_models
         pop = copy.deepcopy(rr_solved["pop"])
-        base = popdyn.alpha2(pop, dm, wm, sm, np.random.default_rng(2), 100_000)
+        _, _, base, _ = popdyn.alpha_pair(pop, dm, wm, sm, np.random.default_rng(2), 100_000)
         pop.theta *= 2.0
-        doubled = popdyn.alpha2(pop, dm, wm, sm, np.random.default_rng(2), 100_000)
+        _, _, doubled, _ = popdyn.alpha_pair(pop, dm, wm, sm, np.random.default_rng(2), 100_000)
         assert abs(doubled - 2.0 * base) < 1e-12
 
     def test_alpha2_vanishes_at_large_lambda(self, rr_solved, rr_models):
         dm, wm, sm = rr_models
         pop = copy.deepcopy(rr_solved["pop"])
         pop.lam = 1e6
-        a2 = popdyn.alpha2(pop, dm, wm, sm, np.random.default_rng(3), 10_000)
+        _, _, a2, _ = popdyn.alpha_pair(pop, dm, wm, sm, np.random.default_rng(3), 10_000)
         assert a2 < 1e-4
 
     def test_non_positive_denominator(self, rr_solved, rr_models):
@@ -158,7 +175,7 @@ class TestAlphas:
         pop = copy.deepcopy(rr_solved["pop"])
         pop.lam = 0.5
         with pytest.raises(NonPositiveDenominator):
-            popdyn.alpha1(pop, dm, wm, sm, np.random.default_rng(4), 10_000)
+            popdyn.alpha_pair(pop, dm, wm, sm, np.random.default_rng(4), 10_000)
 
 
 class TestSolve:
