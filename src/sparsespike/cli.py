@@ -252,11 +252,22 @@ def structural_for(cfg: ExperimentConfig, degree_model, weight_model) -> float:
     return lam
 
 
-def analytic_report_for(cfg: ExperimentConfig, theta: float, c_value=None) -> analytic.AnalyticReport:
-    degree_model, weight_model, spike_model = build_models(cfg, c_value)
+def _analytic_point(cfg: ExperimentConfig, c_value=None) -> tuple:
+    """(models, structural eigenvalue) of one c grid point, shared by all its
+    theta values; the eigenvalue is None for unit-weight regular noise, whose
+    reports are closed forms."""
+    models = build_models(cfg, c_value)
+    degree_model, weight_model, _ = models
     if ensembles.regular_constant_weight(degree_model, weight_model) == 1.0:
+        return models, None
+    return models, structural_for(cfg, degree_model, weight_model)
+
+
+def analytic_report_for(models: tuple, lam_struct: float | None, theta: float) -> analytic.AnalyticReport:
+    """Analytic columns of one (c, theta) grid point from ``_analytic_point``."""
+    degree_model, weight_model, spike_model = models
+    if lam_struct is None:
         return analytic.rr_report(int(degree_model.mean_c), spike_model.sigma_x2, theta)
-    lam_struct = structural_for(cfg, degree_model, weight_model)
     return analytic.poisson_report(degree_model, weight_model, spike_model, theta, lam_struct)
 
 
@@ -270,8 +281,9 @@ def run_analytic(cfg: ExperimentConfig) -> list:
     rows = []
     c_values = cfg.c_grid if cfg.c_grid is not None else [None]
     for c_value in c_values:
+        models, lam_struct = _analytic_point(cfg, c_value)
         for theta in cfg.theta:
-            rep = analytic_report_for(cfg, theta, c_value)
+            rep = analytic_report_for(models, lam_struct, theta)
             row = rep.as_flat_dict()
             row["c"] = c_value if c_value is not None else _degree_param(cfg)
             rows.append(row)
@@ -437,8 +449,9 @@ def run_sweep(cfg: ExperimentConfig) -> list:
     by_point = {(s["theta"], s["c"]): s for s in summary}
     out = []
     for c_value in c_values:
+        models, lam_struct = _analytic_point(cfg, c_value)
         for theta in cfg.theta:
-            rep = analytic_report_for(cfg, theta, c_value)
+            rep = analytic_report_for(models, lam_struct, theta)
             s = by_point[(theta, c_value)]
             s = dict(s)
             s["analytic_lambda_theta"] = rep.lambda_theta

@@ -83,6 +83,18 @@ def _pairing_defects(u: np.ndarray, v: np.ndarray, n: int):
     return np.flatnonzero((u == v) | dup)
 
 
+def _is_simple(u: np.ndarray, v: np.ndarray, n: int) -> bool:
+    """The event ``_pairing_defects(u, v, n).size == 0``, cheapest test first.
+
+    Most rejected pairings hold a self-loop, which one comparison finds;
+    only loop-free pairings pay for sorting the edge codes in place."""
+    if (u == v).any():
+        return False
+    code = np.minimum(u, v).astype(np.int64, copy=False) * n + np.maximum(u, v)
+    code.sort()
+    return not (code[1:] == code[:-1]).any()
+
+
 def configuration_model(
     degrees,
     rng: np.random.Generator,
@@ -92,7 +104,11 @@ def configuration_model(
     """Uniform simple graph with the exact degree sequence, all weights 1.
 
     Stub matching with full-restart rejection: any self-loop or multi-edge
-    discards the whole pairing. Restarting preserves exact uniformity, but
+    discards the whole pairing. Each pairing is tested cheapest first (a
+    self-loop scan, then one in-place sort of the edge codes), which accepts
+    exactly the pairings with no defect and draws nothing from ``rng``, so
+    the graph and the generator's state do not depend on how the test is
+    made. Restarting preserves exact uniformity, but
     the acceptance probability decays like exp(-nu/2 - nu^2/4) with
     nu = <k(k-1)>/<k>, so for dense-ish sequences (nu^2 >> 1) no restart
     budget suffices. ``method="auto"`` switches to degree-preserving
@@ -111,12 +127,13 @@ def configuration_model(
     if total % 2 != 0:
         raise InfeasibleSequence("odd stub count")
 
+    if method not in ("auto", "restart", "repair"):
+        raise ValueError(f"unknown method {method!r}")
+
     stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
     if stubs.size == 0:
         return SparseSymmetric(n=n, edge_u=np.empty(0, np.int64), edge_v=np.empty(0, np.int64), edge_w=np.empty(0, float))
 
-    if method not in ("auto", "restart", "repair"):
-        raise ValueError(f"unknown method {method!r}")
     use_repair = method == "repair"
     if method == "auto":
         nu = float((degrees * (degrees - 1)).sum()) / total
@@ -129,7 +146,7 @@ def configuration_model(
         for _ in range(max_restarts):
             perm = rng.permutation(stubs)
             u, v = perm[0::2], perm[1::2]
-            if _pairing_defects(u, v, n).size == 0:
+            if _is_simple(u, v, n):
                 return _edges_to_graph(n, u, v)
         raise RestartBudgetExhausted(
             f"no simple pairing in {max_restarts} restarts; degree sequence near-infeasible"

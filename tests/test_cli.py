@@ -160,6 +160,31 @@ class TestSweepMode:
         assert csv_a == csv_b
 
 
+@pytest.mark.parametrize("mode", ["analytic", "sweep"])
+def test_structural_eigenvalue_once_per_c(tmp_path, monkeypatch, mode):
+    """The structural eigenvalue does not depend on theta: one call per c."""
+    calls = []
+    structural_for = cli.structural_for
+
+    def counted(cfg, degree_model, weight_model):
+        calls.append(degree_model.mean_c)
+        return structural_for(cfg, degree_model, weight_model)
+
+    monkeypatch.setattr(cli, "structural_for", counted)
+    cfg = cli.parse_config({
+        "mode": mode, "degree": {"kind": "truncated_poisson", "cbar": 3.0, "k_max": 8},
+        "weight": {"kind": "rademacher_scaled", "scale": 0.5},
+        "theta": [2.0, 4.0, 6.0], "c_grid": [3.0, 4.0],
+        "n": 100, "instances": 1, "out_dir": str(tmp_path),
+    })
+    cli.run(cfg)
+    assert len(calls) == 2 and len(set(calls)) == 2
+    csv_name = "analytic.csv" if mode == "analytic" else "sweep.csv"
+    with open(tmp_path / csv_name) as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert len(rows) == 6
+
+
 class TestPopdynMode:
     def test_rr_small(self, tmp_path):
         cfg = cli.parse_config({

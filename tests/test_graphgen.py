@@ -1,7 +1,10 @@
 """Configuration-model generation, weight assignment, and the spiked operator."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from sparsespike import ensembles, graphgen
 from sparsespike.errors import InfeasibleSequence, RestartBudgetExhausted
@@ -59,6 +62,73 @@ class TestConfigurationModel:
         g = graphgen.configuration_model([0, 0, 0], np.random.default_rng(0))
         assert g.n_edges == 0
         assert g.matvec(np.ones(3)).tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("degrees", [[0, 0], [1, 1]])
+    def test_unknown_method(self, degrees):
+        with pytest.raises(ValueError, match="unknown method"):
+            graphgen.configuration_model(degrees, np.random.default_rng(0), method="bogus")
+
+
+class TestSimplePairing:
+    def test_matches_pairing_defects(self):
+        """``_is_simple`` is the event "no defect" on pairings with loops only,
+        multi-edges only, both, and neither."""
+        rng = np.random.default_rng(4)
+        seen = set()
+        for _ in range(2000):
+            n = int(rng.integers(2, 9))
+            degrees = rng.integers(0, 4, size=n)
+            if degrees.sum() % 2:
+                degrees[0] += 1
+            perm = rng.permutation(np.repeat(np.arange(n, dtype=np.int64), degrees))
+            u, v = perm[0::2], perm[1::2]
+            loop = bool((u == v).any())
+            codes = np.minimum(u, v) * n + np.maximum(u, v)
+            multi = np.unique(codes[u != v]).size < int((u != v).sum())
+            seen.add((loop, multi))
+            assert graphgen._is_simple(u, v, n) == (graphgen._pairing_defects(u, v, n).size == 0)
+        assert seen == {(False, False), (True, False), (False, True), (True, True)}
+
+    @pytest.mark.parametrize("model,n", [
+        (ensembles.truncated_poisson(4.0, 20), 2000),
+        (ensembles.regular(4), 4000),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_restart_matches_reference_loop(self, model, n, seed):
+        """Same accepted pairing and same generator state afterwards as a
+        restart loop that tests every pairing with ``_pairing_defects``."""
+        degrees = ensembles.sample_degree_sequence(model, n, np.random.default_rng(100 + seed))
+        stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        ref_rng = np.random.default_rng(seed)
+        while True:
+            perm = ref_rng.permutation(stubs)
+            u, v = perm[0::2], perm[1::2]
+            if graphgen._pairing_defects(u, v, n).size == 0:
+                break
+        ref = graphgen._edges_to_graph(n, u, v)
+        rng = np.random.default_rng(seed)
+        g = graphgen.configuration_model(degrees, rng, method="restart")
+        assert np.array_equal(g.edge_u, ref.edge_u)
+        assert np.array_equal(g.edge_v, ref.edge_v)
+        assert rng.random() == ref_rng.random()
+
+    def test_restart_is_uniform(self):
+        """[3, 3, 2, 2, 1, 1] has 17 labelled simple graphs; full-restart
+        rejection must draw each equally often."""
+        degrees = [3, 3, 2, 2, 1, 1]
+        pairs = list(itertools.combinations(range(6), 2))
+        graphs = []
+        for chosen in itertools.combinations(pairs, sum(degrees) // 2):
+            if np.array_equal(np.bincount(np.ravel(chosen), minlength=6), degrees):
+                graphs.append(chosen)
+        assert len(graphs) == 17
+        index = {g: i for i, g in enumerate(graphs)}
+        rng = np.random.default_rng(8)
+        counts = np.zeros(len(graphs))
+        for _ in range(3400):
+            g = graphgen.configuration_model(degrees, rng, method="restart")
+            counts[index[tuple(zip(g.edge_u.tolist(), g.edge_v.tolist()))]] += 1
+        assert stats.chisquare(counts).pvalue > 1e-3
 
 
 class TestWeights:
