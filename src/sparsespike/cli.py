@@ -206,6 +206,13 @@ def _degree_param(cfg: ExperimentConfig):
     return cfg.degree.get("c", cfg.degree.get("cbar"))
 
 
+def _load_eigensolver() -> None:
+    """Import ``scipy.sparse.linalg`` (and with it ``scipy.sparse``) before
+    ``_farm`` forks, so the workers share its pages instead of each loading
+    it; the package itself never imports scipy."""
+    import scipy.sparse.linalg  # noqa: F401
+
+
 def _farm(cfg: ExperimentConfig, tasks: list) -> list:
     """Run instance tasks, deterministically ordered by task index."""
     if cfg.workers > 1:
@@ -302,6 +309,7 @@ DIAG_FIELDS = [
 
 
 def run_diag(cfg: ExperimentConfig) -> list:
+    _load_eigensolver()
     raw = asdict(cfg)
     tasks = [
         (raw, theta, None, i)
@@ -435,6 +443,7 @@ SWEEP_FIELDS = [
 
 
 def run_sweep(cfg: ExperimentConfig) -> list:
+    _load_eigensolver()
     c_values = cfg.c_grid if cfg.c_grid is not None else [_degree_param(cfg)]
     raw = asdict(cfg)
     tasks = []

@@ -15,6 +15,34 @@ import numpy as np
 
 _TOL = 1e-12
 
+# Cells of the bucketed degree draw. A power of two, so u * _CELLS is exact
+# and u lies in cell floor(u * _CELLS) = j exactly when j/_CELLS <= u < (j+1)/_CELLS.
+_CELLS = 4096
+
+
+def _cell_table(cdf: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, u, side="right")`` for every u in each cell, or -1
+    where a CDF entry lies inside the cell and the answer depends on u."""
+    edges = np.arange(_CELLS + 1) / _CELLS
+    lo = np.searchsorted(cdf, edges[:-1], side="right")
+    table = np.where(np.searchsorted(cdf, edges[1:], side="left") == lo, lo, -1)
+    table.flags.writeable = False
+    return table
+
+
+def _inverse_cdf(cdf: np.ndarray, cells: np.ndarray, rng: np.random.Generator, size):
+    """Inverse-CDF draws, equal to ``searchsorted(cdf, u, side="right")`` on
+    ``u = rng.random(size)``: an array draw reads its cell's answer and
+    searches only where the cell holds a CDF entry."""
+    u = rng.random(size)
+    if size is None:
+        return int(np.searchsorted(cdf, u, side="right"))
+    out = cells[(u * _CELLS).astype(np.intp)]
+    split = out < 0
+    if split.any():
+        out[split] = np.searchsorted(cdf, u[split], side="right")
+    return out
+
 
 def _as_prob_table(p: np.ndarray, what: str) -> np.ndarray:
     p = np.asarray(p, dtype=float)
@@ -75,17 +103,21 @@ class DegreeModel:
     def _rcdf(self) -> np.ndarray:
         return np.cumsum(self.r)
 
+    @cached_property
+    def _cells(self) -> np.ndarray:
+        return _cell_table(self._cdf)
+
+    @cached_property
+    def _rcells(self) -> np.ndarray:
+        return _cell_table(self._rcdf)
+
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray | int:
         """Draw degrees i.i.d. from p_k."""
-        u = rng.random(size)
-        out = np.searchsorted(self._cdf, u, side="right")
-        return out if size is not None else int(out)
+        return _inverse_cdf(self._cdf, self._cells, rng, size)
 
     def sample_corrected(self, rng: np.random.Generator, size=None) -> np.ndarray | int:
         """Draw degrees i.i.d. from the size-biased table r_k."""
-        u = rng.random(size)
-        out = np.searchsorted(self._rcdf, u, side="right")
-        return out if size is not None else int(out)
+        return _inverse_cdf(self._rcdf, self._rcells, rng, size)
 
 
 def truncated_poisson(cbar: float, k_max: int) -> DegreeModel:

@@ -1,5 +1,5 @@
 """Distributional observables of an equilibrated population: component and
-overlap-component densities with their degree decompositions, marginal CDFs
+overlap-component densities with the degree of each sample, marginal CDFs
 of omega and h, and overlap moments.
 
 Sampling is read-only over a frozen population, so one checkpoint serves
@@ -8,7 +8,6 @@ every observable.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,37 +19,20 @@ from .popdyn import Population, _node_draws
 
 @dataclass(frozen=True)
 class DensityEstimate:
-    """Monte Carlo density sample with histogram, CDF grid, and per-degree split."""
+    """Monte Carlo density sample, each sample tagged with its degree k, and
+    its histogram."""
 
     samples: np.ndarray
     k_tags: np.ndarray
     bin_edges: np.ndarray
     masses: np.ndarray
-    cdf_x: np.ndarray
-    cdf_y: np.ndarray
-    per_degree_counts: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
 
 def _build_density(samples: np.ndarray, k_tags: np.ndarray, metadata: dict, bins="fd") -> DensityEstimate:
     counts, edges = np.histogram(samples, bins=bins)
-    masses = counts / counts.sum()
-    order = np.sort(samples)
-    cdf_y = np.arange(1, order.size + 1) / order.size
-    per_degree = {}
-    for k in np.unique(k_tags):
-        sub, _ = np.histogram(samples[k_tags == k], bins=edges)
-        per_degree[int(k)] = sub
-    return DensityEstimate(
-        samples=samples,
-        k_tags=k_tags,
-        bin_edges=edges,
-        masses=masses,
-        cdf_x=order,
-        cdf_y=cdf_y,
-        per_degree_counts=per_degree,
-        metadata=metadata,
-    )
+    return DensityEstimate(samples=samples, k_tags=k_tags, bin_edges=edges,
+                           masses=counts / counts.sum(), metadata=metadata)
 
 
 def _component_samples(pop, degree_model, weight_model, spike_model, n_samples, rng, overlap: bool):
@@ -79,7 +61,7 @@ def rho_top(
     bins="fd",
 ) -> DensityEstimate:
     """Top-eigenvector component density: u = ({hW/w}_k + theta q X) / (lambda - {W^2/w}_k),
-    with k drawn from p_k and tagged for the degree decomposition."""
+    with k drawn from p_k and kept as the sample's tag."""
     u, k = _component_samples(pop, degree_model, weight_model, spike_model, n_samples, rng, overlap=False)
     meta = {"kind": "rho_top", "theta": pop.theta, "lambda": pop.lam, "q": pop.q, "n_samples": u.size}
     return _build_density(u, k, meta, bins)
@@ -156,31 +138,28 @@ def overlap_moments(density: DensityEstimate) -> OverlapMoments:
     )
 
 
-def write_histogram_csv(density: DensityEstimate, path: str, header_lines=()) -> None:
+def _write_rows(path: str, header_lines, names: tuple, columns: tuple) -> None:
+    """What ``csv.writer`` writes for these columns, in one write: a "# "
+    line per header line, the column names, then a row per entry of the
+    shortest column, each ended by its "\r\n". Float and int fields are
+    written by ``repr``; none of them ever needs quoting."""
+    row = ",".join(["{!r}"] * len(names)) + "\r\n"
+    head = "".join(f"# {line}\n" for line in header_lines) + ",".join(names) + "\r\n"
     with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "mass"])
-        for left, right, mass in zip(density.bin_edges[:-1], density.bin_edges[1:], density.masses):
-            writer.writerow([repr(float(left)), repr(float(right)), repr(float(mass))])
+        fh.write(head + "".join(map(row.format, *(c.tolist() for c in columns))))
+
+
+def write_histogram_csv(density: DensityEstimate, path: str, header_lines=()) -> None:
+    edges = np.asarray(density.bin_edges, float)
+    _write_rows(path, header_lines, ("bin_left", "bin_right", "mass"),
+                (edges[:-1], edges[1:], np.asarray(density.masses, float)))
 
 
 def write_samples_csv(density: DensityEstimate, path: str, cap: int = 100_000, header_lines=()) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["u", "k"])
-        for u, k in zip(density.samples[:cap], density.k_tags[:cap]):
-            writer.writerow([repr(float(u)), int(k)])
+    _write_rows(path, header_lines, ("u", "k"),
+                (np.asarray(density.samples[:cap], float), np.asarray(density.k_tags[:cap]).astype(np.int64)))
 
 
 def write_cdf_csv(xs: np.ndarray, ys: np.ndarray, path: str, header_lines=(), stride: int = 1) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["x", "cdf"])
-        for x, y in zip(xs[::stride], ys[::stride]):
-            writer.writerow([repr(float(x)), repr(float(y))])
+    _write_rows(path, header_lines, ("x", "cdf"),
+                (np.asarray(xs, float)[::stride], np.asarray(ys, float)[::stride]))

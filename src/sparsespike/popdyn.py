@@ -98,12 +98,17 @@ def _gather(omega, h, degree_model, weight_model, b, rng, cavity):
     With ``cavity`` k comes from r_k and the sums run over k-1 members (a
     cavity update), else k comes from p_k and they run over k (a full node).
     Members are drawn uniformly with replacement, each with a fresh weight,
-    in the order k, members, weights. ``h=None`` skips the bias sum.
+    in the order k, members, weights. ``h=None`` skips the bias sum. A
+    one-point weight law draws nothing, and its value as a scalar gives the
+    same doubles as an array of it.
     """
     k = degree_model.sample_corrected(rng, size=b) if cavity else degree_model.sample(rng, size=b)
     terms = k - 1 if cavity else k
     idx = rng.integers(0, omega.size, int(terms.sum()))
-    w = np.asarray(weight_model.sample(rng, size=idx.size), float)
+    if weight_model.values.size == 1:
+        w = float(weight_model.values[0])
+    else:
+        w = weight_model.sample(rng, size=idx.size)
     om = omega[idx]
     sid = np.repeat(np.arange(b), terms)
     s_w2 = np.bincount(sid, weights=w * w / om, minlength=b)

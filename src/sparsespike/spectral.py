@@ -24,7 +24,9 @@ can report the next distinct eigenvalue as the second one.
 
 ``scipy.sparse.linalg`` is imported inside the solve, not at module top:
 it costs about 0.15 s and 10 MB per process, which the modes that make no
-eigensolve (analytic, popdyn, densities) would otherwise pay.
+eigensolve (analytic, popdyn, densities) would otherwise pay. The ``diag``
+and ``sweep`` modes import it before their instance farm forks, so the
+workers share the parent's copy.
 """
 
 from __future__ import annotations

@@ -260,12 +260,45 @@ class TestMainExitCodes:
         assert header[1] == "# seed: 123"
 
 
-def test_cli_import_skips_optimize_and_arpack():
-    # importing scipy.optimize costs about 0.4 s and 27 MB, scipy.sparse.linalg
-    # about 0.15 s and 10 MB; the modes without eigensolves must not pay for them
-    code = ("import sys, sparsespike.cli; "
-            "print([m for m in ('scipy.optimize', 'scipy.sparse.linalg') if m in sys.modules])")
+def _python(code: str, *args: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this package."""
     src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+                         check=True)
+    return out.stdout.strip()
+
+
+SCIPY_LOADED = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
+
+
+def test_cli_import_skips_optimize_and_arpack():
+    # scipy.optimize costs about 0.4 s and 27 MB, scipy.sparse.linalg about
+    # 0.15 s and 10 MB, scipy.sparse alone about 0.25 s and 22 MB: the modes
+    # without graphs or eigensolves must not pay for any of them
+    assert _python(f"import sys, sparsespike.cli; print({SCIPY_LOADED})") == "[]"
+
+
+def test_densities_run_loads_no_scipy(tmp_path):
+    path = write_config(
+        tmp_path, mode="densities", degree=RR4, theta=[4.0], out_dir=str(tmp_path / "out"),
+        density_samples=5_000,
+        popdyn={"n_pop": 2000, "alpha_samples": 20_000, "alpha_tol": 0.1, "plateau_tol": 1e-2},
+    )
+    code = ("import sys; from sparsespike import cli; "
+            f"assert cli.main(sys.argv[1:]) == 0; print({SCIPY_LOADED})")
+    assert _python(code, path).splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("mode", ["diag", "sweep"])
+def test_farm_forks_after_eigensolver_import(tmp_path, mode):
+    # farm workers must share the parent's scipy pages, not each load their own
+    path = write_config(tmp_path, mode=mode, degree=RR4, theta=[4.0], n=100, instances=2, workers=2,
+                        out_dir=str(tmp_path / "out"))
+    code = ("import sys; from sparsespike import cli; farm = cli._farm\n"
+            "def wrapped(cfg, tasks):\n"
+            "    print('scipy.sparse.linalg' in sys.modules)\n"
+            "    return farm(cfg, tasks)\n"
+            "cli._farm = wrapped\n"
+            "assert cli.main(sys.argv[1:]) == 0")
+    assert _python(code, path) == "True"

@@ -113,6 +113,66 @@ class TestDegreeModel:
         assert pvalue > 1e-3
 
 
+class _FixedUniforms:
+    """Stands in for a Generator whose ``random(size)`` returns given values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, float)
+
+    def random(self, size=None):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+def _adversarial_uniforms(cdf):
+    """0, the largest double below 1, every CDF entry and every cell edge
+    j/4096 with both floating-point neighbours, clipped to [0, 1)."""
+    points = np.concatenate([cdf, np.arange(4096) / 4096])
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], points,
+                        np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+    return np.unique(u[(u >= 0.0) & (u < 1.0)])
+
+
+EXACT_DRAW_MODELS = {
+    "poisson_3_8": lambda: ensembles.truncated_poisson(3.0, 8),
+    "poisson_4_20": lambda: ensembles.truncated_poisson(4.0, 20),
+    "regular_4": lambda: ensembles.regular(4),
+    "zero_entries": lambda: ensembles.degree_table([0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.25]),
+    "cumsum_below_one": lambda: ensembles.degree_table([0.1] * 10),
+}
+
+
+class TestBucketedDraw:
+    """Array draws read a per-cell table; they must equal the plain
+    inverse-CDF search on the same uniforms, bit for bit."""
+
+    @pytest.mark.parametrize("name", EXACT_DRAW_MODELS)
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_adversarial_uniforms(self, name, corrected):
+        model = EXACT_DRAW_MODELS[name]()
+        cdf = np.cumsum(model.r if corrected else model.probs)
+        if name == "cumsum_below_one":
+            assert cdf[-1] < 1.0
+        u = _adversarial_uniforms(cdf)
+        draw = model.sample_corrected if corrected else model.sample
+        got = draw(_FixedUniforms(u), size=u.size)
+        expected = np.searchsorted(cdf, u, side="right")
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("name", EXACT_DRAW_MODELS)
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_same_draws_and_generator_state(self, name, corrected):
+        model = EXACT_DRAW_MODELS[name]()
+        cdf = np.cumsum(model.r if corrected else model.probs)
+        draw = model.sample_corrected if corrected else model.sample
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        for size in (0, 1, 16_384):
+            assert np.array_equal(draw(rng, size=size), np.searchsorted(cdf, ref.random(size), side="right"))
+        assert draw(rng) == int(np.searchsorted(cdf, ref.random(), side="right"))
+        assert rng.random() == ref.random()
+
+
 class TestDegreeSequence:
     def test_regular_sequence(self):
         model = ensembles.regular(4)

@@ -1,6 +1,8 @@
 """Component and overlap densities, marginals, and overlap moments from
 equilibrated populations."""
 
+import csv
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -146,7 +148,6 @@ class TestOverlapMoments:
         density = observables.DensityEstimate(
             samples=samples, k_tags=np.zeros(100, int),
             bin_edges=np.array([0.6, 0.8]), masses=np.array([1.0]),
-            cdf_x=np.sort(samples), cdf_y=np.linspace(0.01, 1.0, 100),
         )
         moments = observables.overlap_moments(density)
         assert moments.mean == pytest.approx(0.7)
@@ -175,3 +176,63 @@ class TestExports:
         path = tmp_path / "samples.csv"
         observables.write_samples_csv(density, str(path), cap=100)
         assert len(path.read_text().splitlines()) == 101  # header + cap
+
+
+def _csv_writer_reference(path, header_lines, names, rows):
+    """The exporters' format written row by row with ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for row in rows:
+            writer.writerow(row)
+
+
+EDGE_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324, 1e308,
+               -1e308, 0.1, 1 / 3, 2.5e-17, 123456789.125]
+
+
+class TestWriterBytes:
+    """Each exporter writes exactly the bytes of a csv.writer reference."""
+
+    HEADER = ("config: {\"a\": [1, 2]}", "seed: 7")
+
+    @pytest.fixture
+    def density(self):
+        rng = np.random.default_rng(2)
+        samples = np.concatenate([EDGE_FLOATS, rng.standard_normal(40)])
+        edges = np.concatenate([[-np.inf, -0.0], np.sort(rng.standard_normal(8)), [5e-324, 1e308]])
+        masses = np.concatenate([[0.0, -0.0, float("nan")], rng.random(8)])
+        return observables.DensityEstimate(
+            samples=samples, k_tags=np.arange(samples.size) % 21,
+            bin_edges=edges, masses=masses,
+        )
+
+    @pytest.mark.parametrize("header", [(), HEADER])
+    def test_histogram(self, tmp_path, density, header):
+        observables.write_histogram_csv(density, str(tmp_path / "got.csv"), header)
+        rows = [[repr(float(a)), repr(float(b)), repr(float(m))]
+                for a, b, m in zip(density.bin_edges[:-1], density.bin_edges[1:], density.masses)]
+        _csv_writer_reference(tmp_path / "ref.csv", header, ["bin_left", "bin_right", "mass"], rows)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("cap", [7, 100_000])
+    def test_samples(self, tmp_path, density, cap):
+        observables.write_samples_csv(density, str(tmp_path / "got.csv"), cap=cap, header_lines=self.HEADER)
+        rows = [[repr(float(u)), int(k)] for u, k in zip(density.samples[:cap], density.k_tags[:cap])]
+        _csv_writer_reference(tmp_path / "ref.csv", self.HEADER, ["u", "k"], rows)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        assert got.count(b"\r\n") == 1 + min(cap, density.samples.size)
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_cdf(self, tmp_path, stride):
+        xs = np.concatenate([EDGE_FLOATS, np.linspace(-2.0, 2.0, 20)])
+        ys = np.arange(1, xs.size + 1) / xs.size
+        observables.write_cdf_csv(xs, ys, str(tmp_path / "got.csv"), self.HEADER, stride)
+        rows = [[repr(float(x)), repr(float(y))] for x, y in zip(xs[::stride], ys[::stride])]
+        _csv_writer_reference(tmp_path / "ref.csv", self.HEADER, ["x", "cdf"], rows)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        assert got.count(b"\r\n") == 1 + -(-xs.size // stride)

@@ -57,6 +57,28 @@ class TestGather:
         assert np.array_equal(s_w2, k - 1.0)
         assert np.array_equal(s_hw, s_w2)
 
+    @pytest.mark.parametrize("w", [1.0, -0.7])
+    @pytest.mark.parametrize("cavity", [True, False])
+    def test_constant_weight_matches_full_weight_arrays(self, w, cavity):
+        # a one-point law is applied as a scalar; the sums and the random
+        # stream must equal those of the kernel with an array of weights
+        dm = ensembles.truncated_poisson(3.0, 8)
+        setup = np.random.default_rng(5)
+        omega = setup.uniform(0.5, 3.0, 1000)
+        h = setup.standard_normal(1000)
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        k, s_w2, s_hw = popdyn._gather(omega, h, dm, ensembles.constant_weight(w), 4000, rng, cavity)
+
+        k_ref = dm.sample_corrected(ref, size=4000) if cavity else dm.sample(ref, size=4000)
+        terms = k_ref - 1 if cavity else k_ref
+        idx = ref.integers(0, omega.size, int(terms.sum()))
+        w_arr = np.full(idx.size, w)
+        sid = np.repeat(np.arange(4000), terms)
+        assert np.array_equal(k, k_ref)
+        assert np.array_equal(s_w2, np.bincount(sid, weights=w_arr * w_arr / omega[idx], minlength=4000))
+        assert np.array_equal(s_hw, np.bincount(sid, weights=h[idx] * w_arr / omega[idx], minlength=4000))
+        assert rng.random() == ref.random()
+
 
 class TestUpdateStep:
     """The replacement update of ``_sweep``."""
