@@ -18,19 +18,21 @@ from .ensembles import DegreeModel, SpikeModel, WeightModel, regular_constant_we
 from .errors import NegativeDenominator, NoConvergence, NonPositiveDenominator, RootNotBracketed
 from .popdyn import Population, _node_draws
 
+# Degree kinds whose threshold ``theta_crit`` reads off the resolvent route.
+RESOLVENT_KINDS = ("truncated_poisson", "regular")
 
-def _bisect(above, lo: float, hi: float, tol: float = 0.0) -> tuple[float, float]:
+
+def _bisect(above, lo: float, hi: float) -> float:
     """Shrink [lo, hi], with the predicate ``above`` false at lo and true at
-    hi (neither end is evaluated), to width ``tol`` or to adjacent floats."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
+    hi (neither end is evaluated), to adjacent floats; return hi."""
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if above(mid):
             hi = mid
         else:
             lo = mid
-    return lo, hi
+        mid = 0.5 * (lo + hi)
+    return hi
 
 
 def _lambda_of_x(x: float, r: np.ndarray, a: np.ndarray) -> float:
@@ -58,7 +60,7 @@ def _branch(degree_model: DegreeModel, e_w2: float):
         def stable(x):
             return float((r * (x - 2.0 * a) / (x - a) ** 2).sum()) > 0
 
-        _, x_star = _bisect(stable, a[-1], 2.0 * a[-1])
+        x_star = _bisect(stable, a[-1], 2.0 * a[-1])
     x_e = max(x_star, np.flatnonzero(degree_model.probs)[-1] * e_w2)
     return r, a, x_e, _lambda_of_x(x_e, r, a)
 
@@ -71,7 +73,7 @@ def _solve_x(lam: float, degree_model: DegreeModel, e_w2: float) -> float:
         raise NegativeDenominator(f"lambda={lam:g} is below the spectral edge {lam_e:.12g}")
     if lam == lam_e:
         return x_e
-    return _bisect(lambda x: _lambda_of_x(x, r, a) >= lam, x_e, max(lam * lam, x_e))[1]
+    return _bisect(lambda x: _lambda_of_x(x, r, a) >= lam, x_e, max(lam * lam, x_e))
 
 
 def solve_m(lam: float, degree_model: DegreeModel, e_w2: float) -> float:
@@ -80,21 +82,6 @@ def solve_m(lam: float, degree_model: DegreeModel, e_w2: float) -> float:
     solved in x = lambda/m (``_branch``). Raises NegativeDenominator below
     the spectral edge ``admissible_lambda_floor``; the edge is accepted."""
     return lam / _solve_x(lam, degree_model, e_w2)
-
-
-def _m_prime(lam: float, degree_model: DegreeModel, e_w2: float, m: float) -> float:
-    """dm/dlambda by implicit differentiation of the m fixed point."""
-    r = degree_model.r
-    km1 = np.arange(r.size, dtype=float) - 1.0
-    mask = r > 0
-    g = np.zeros_like(r)
-    g[mask] = 1.0 / (lam - km1[mask] * e_w2 * m)
-    s1 = float((r * g * g).sum())
-    s2 = float((r * km1 * g * g).sum())
-    denom = 1.0 - e_w2 * s2
-    if denom <= 0:
-        raise NegativeDenominator("m'(lambda) undefined: at or below the spectral edge")
-    return -s1 / denom
 
 
 def q_tilde(lam: float, degree_model: DegreeModel, e_w2: float) -> float:
@@ -113,24 +100,27 @@ def q_tilde(lam: float, degree_model: DegreeModel, e_w2: float) -> float:
         return float((p[k] / (x - k * e_w2)).sum()) * x / lam
 
 
-def q_tilde_prime(lam: float, degree_model: DegreeModel, e_w2: float, fd_check: bool = True) -> float:
-    """dQ/dlambda by implicit differentiation, cross-checked against a
-    centered finite difference (required to agree within 1e-6 relative)."""
-    m = solve_m(lam, degree_model, e_w2)
-    mp = _m_prime(lam, degree_model, e_w2, m)
-    p = degree_model.probs
-    k = np.arange(p.size, dtype=float)
-    mask = p > 0
-    den = lam - k * e_w2 * m
-    qp = float((-(p[mask]) * (1.0 - k[mask] * e_w2 * mp) / den[mask] ** 2).sum())
-    if fd_check:
-        step = 1e-6 * max(abs(lam), 1.0)
-        fd = (q_tilde(lam + step, degree_model, e_w2) - q_tilde(lam - step, degree_model, e_w2)) / (2 * step)
-        if abs(fd - qp) > 1e-6 * max(abs(qp), 1e-300):
-            raise NoConvergence(
-                f"implicit Q' ({qp:.12g}) and finite difference ({fd:.12g}) disagree"
-            )
-    return qp
+def _sums(x: float, w: np.ndarray, poles: np.ndarray) -> tuple[float, float]:
+    """(sum w / (x - poles), sum w / (x - poles)^2); +inf at a pole."""
+    with np.errstate(divide="ignore"):
+        g = 1.0 / (x - poles)
+    return float((w * g).sum()), float((w * g * g).sum())
+
+
+def q_tilde_prime(lam: float, degree_model: DegreeModel, e_w2: float) -> float:
+    """dQ/dlambda in closed form. With S0, S1 = sum_k r_k / (x - a_k)^{1,2}
+    (``_branch``) and P0, P1 the same sums over p_k with poles at k E[W^2],
+    Q = P0 / sqrt(S0) and d lambda/dx = (2 S0 - x S1) / (2 sqrt(S0)), where
+    2 S0 - x S1 is ``_branch``'s h, so
+    Q' = (P0 S1 - 2 P1 S0) / (S0 (2 S0 - x S1)). Unbounded at the edge."""
+    x = _solve_x(lam, degree_model, e_w2)
+    r, a, x_e, _ = _branch(degree_model, e_w2)
+    if x == x_e:
+        raise NegativeDenominator(f"Q'(lambda) is unbounded at the spectral edge {lam:.12g}")
+    k = np.flatnonzero(degree_model.probs)
+    s0, s1 = _sums(x, r, a)
+    p0, p1 = _sums(x, degree_model.probs[k], k * e_w2)
+    return (p0 * s1 - 2.0 * p1 * s0) / (s0 * (2.0 * s0 - x * s1))
 
 
 def gershgorin_bound(degree_model: DegreeModel, weight_model: WeightModel) -> float:
@@ -151,33 +141,37 @@ def lambda_signal(
     degree_model: DegreeModel,
     weight_model: WeightModel,
     spike_model: SpikeModel,
-    tol: float = 1e-10,
 ) -> float:
-    """Signal eigenvalue: the unique root of Q(lambda) = 1/(theta sigma_x^2).
-
-    Q is strictly decreasing and positive above the admissible edge, so
-    bisection between the edge and a Gershgorin-padded upper bound is
-    unconditionally robust. The root exists down to the detachment point
-    (theta_b in the regular case), where the branch meets the spectral
-    edge; between there and theta_crit it describes the second eigenvalue
-    rather than the top one. Below detachment RootNotBracketed is raised.
-    """
+    """Signal eigenvalue: the unique root of Q(lambda) = 1/(theta sigma_x^2),
+    bisected once in x = lambda/m, where Q = P0 / sqrt(S0) (``q_tilde_prime``)
+    decreases strictly, on [x_e, lambda_hi^2] with lambda_hi a Gershgorin-padded
+    bound (lambda(x) >= sqrt(x), ``_solve_x``). The root exists down to the
+    detachment point (theta_b in the regular case), where the branch meets
+    the spectral edge; between there and theta_crit it describes the second
+    eigenvalue rather than the top one. Below detachment RootNotBracketed is
+    raised."""
     e_w2 = weight_model.second_moment_w
     target = 1.0 / (theta * spike_model.sigma_x2)
-    lo = admissible_lambda_floor(degree_model, e_w2)
-    q_lo = q_tilde(lo, degree_model, e_w2)
+    r, a, x_e, lam_e = _branch(degree_model, e_w2)
+    k = np.flatnonzero(degree_model.probs)
+    p, b = degree_model.probs[k], k * e_w2
+
+    def q_of_x(x):
+        return _sums(x, p, b)[0] / np.sqrt(_sums(x, r, a)[0])
+
+    q_lo = q_of_x(x_e)
     if q_lo <= target:
         raise RootNotBracketed(
             f"Q at the spectral edge ({q_lo:g}) does not exceed 1/(theta sigma^2)={target:g}; "
             "theta is at or below the recovery threshold"
         )
-    hi = max(gershgorin_bound(degree_model, weight_model) + 2.0 * theta * spike_model.sigma_x2, lo * 2)
-    while q_tilde(hi, degree_model, e_w2) >= target:
-        hi *= 2.0
-        if hi > 1e12:
+    lam_hi = max(gershgorin_bound(degree_model, weight_model) + 2.0 * theta * spike_model.sigma_x2, lam_e * 2)
+    while q_of_x(lam_hi * lam_hi) >= target:
+        lam_hi *= 2.0
+        if lam_hi > 1e12:
             raise NoConvergence("failed to bracket the signal eigenvalue from above")
-    lo, hi = _bisect(lambda lam: q_tilde(lam, degree_model, e_w2) <= target, lo, hi, tol)
-    return 0.5 * (lo + hi)
+    x = _bisect(lambda x: q_of_x(x) <= target, x_e, lam_hi * lam_hi)
+    return _lambda_of_x(x, r, a)
 
 
 def signal_and_overlap(
@@ -228,32 +222,21 @@ def theta_crit(
     weight_model: WeightModel,
     spike_model: SpikeModel,
     lambda_structural: float,
-    population: Population | None = None,
-    rng: np.random.Generator | None = None,
-    samples: int = 1_000_000,
 ) -> float:
-    """Recovery threshold 1 / (sigma_x^2 Q(lambda_{theta=0})).
-
-    Q is evaluated from the resolvent-moment route for truncated-Poisson and
-    regular tables, and from a theta=0 population (``q_general``) for
-    generic ones. ``lambda_structural`` must be supplied by the caller (the
-    structural eigenvalue from a theta=0 population run, the closed form c
-    for regular noise, or the spectral edge when no outlier exists).
-    """
+    """Recovery threshold 1 / (sigma_x^2 Q(lambda_{theta=0})), Q from the
+    resolvent-moment route (``RESOLVENT_KINDS`` degree tables only).
+    ``lambda_structural`` must be supplied by the caller (the structural
+    eigenvalue from a theta=0 population run, the closed form c for
+    regular noise, or the spectral edge when no outlier exists)."""
     w = regular_constant_weight(degree_model, weight_model)
-    if population is not None:
-        if rng is None:
-            raise ValueError("q_general route needs an rng")
-        q0 = q_general(population, degree_model, weight_model, rng, samples)
-    elif w is not None:
+    if w is not None:
         # closed form w c(c-2) / (sigma^2 (c-1)); also covers the marginal
         # chain c = 2, where the resolvent route degenerates (double root)
         c = degree_model.mean_c
         return w * c * (c - 2.0) / (spike_model.sigma_x2 * (c - 1.0))
-    elif degree_model.kind in ("truncated_poisson", "regular"):
-        q0 = q_tilde(lambda_structural, degree_model, weight_model.second_moment_w)
-    else:
-        raise ValueError("generic degree tables need an equilibrated theta=0 population")
+    if degree_model.kind not in RESOLVENT_KINDS:
+        raise ValueError(f"no theta_crit route for {degree_model.kind!r} degree tables")
+    q0 = q_tilde(lambda_structural, degree_model, weight_model.second_moment_w)
     return 1.0 / (spike_model.sigma_x2 * q0)
 
 

@@ -118,7 +118,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("density_samples must be >= 1")
     try:
         for c_value in cfg.c_grid if cfg.c_grid is not None else [None]:
-            build_models(cfg, c_value)
+            kind = build_models(cfg, c_value)[0].kind
+            if cfg.mode in ("analytic", "sweep") and kind not in analytic.RESOLVENT_KINDS:
+                raise ConfigError(f"{cfg.mode} mode has no theta_crit route for a {kind!r} degree table")
         popdyn_config(cfg)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc

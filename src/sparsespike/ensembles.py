@@ -20,6 +20,16 @@ _TOL = 1e-12
 _CELLS = 4096
 
 
+def _cdf_table(p: np.ndarray) -> np.ndarray:
+    """Inverse-CDF table of p. A cumsum can end one ulp below 1.0, where a
+    uniform draw would land past the table, so the entries from the last
+    positive p_k on are set to exactly 1.0; no other draw changes."""
+    cdf = np.cumsum(p)
+    cdf[np.flatnonzero(p)[-1]:] = 1.0
+    cdf.flags.writeable = False
+    return cdf
+
+
 def _cell_table(cdf: np.ndarray) -> np.ndarray:
     """``searchsorted(cdf, u, side="right")`` for every u in each cell, or -1
     where a CDF entry lies inside the cell and the answer depends on u."""
@@ -97,11 +107,11 @@ class DegreeModel:
 
     @cached_property
     def _cdf(self) -> np.ndarray:
-        return np.cumsum(self.probs)
+        return _cdf_table(self.probs)
 
     @cached_property
     def _rcdf(self) -> np.ndarray:
-        return np.cumsum(self.r)
+        return _cdf_table(self.r)
 
     @cached_property
     def _cells(self) -> np.ndarray:
@@ -213,7 +223,7 @@ class WeightModel:
 
     @cached_property
     def _cdf(self) -> np.ndarray:
-        return np.cumsum(self.probs)
+        return _cdf_table(self.probs)
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray | float:
         if self.values.size == 1:
@@ -287,7 +297,7 @@ class SpikeModel:
 
     @cached_property
     def _cdf(self) -> np.ndarray:
-        return np.cumsum(self.probs)
+        return _cdf_table(self.probs)
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray | float:
         if self.kind == "gaussian":

@@ -78,12 +78,21 @@ class TestQTilde:
         assert abs(qhat - qfix) / qfix < 3e-3
 
     def test_prime_matches_finite_difference(self):
-        dm = ensembles.truncated_poisson(4.0, 20)
-        qp = analytic.q_tilde_prime(6.0, dm, 1.0)  # built-in FD cross-check active
-        step = 1e-5
-        fd = (analytic.q_tilde(6.0 + step, dm, 1.0) - analytic.q_tilde(6.0 - step, dm, 1.0)) / (2 * step)
-        assert abs(qp - fd) < 1e-7 * abs(qp)
-        assert qp < 0
+        # the grid reaches edge (1 + 1e-4), next to the cap-bound (4, 20) and
+        # the tangency-bound (3, 8) edge; the step shrinks with the distance
+        for dm in (ensembles.truncated_poisson(4.0, 20), ensembles.truncated_poisson(3.0, 8)):
+            edge = analytic.admissible_lambda_floor(dm, 1.0)
+            for lam in (edge * (1.0 + 1e-4), edge * (1.0 + 1e-3), edge * 1.05, 6.0, 8.0, 12.0):
+                qp = analytic.q_tilde_prime(lam, dm, 1.0)
+                step = 1e-4 * (lam - edge)
+                fd = (analytic.q_tilde(lam + step, dm, 1.0) - analytic.q_tilde(lam - step, dm, 1.0)) / (2 * step)
+                assert abs(qp - fd) < 1e-7 * abs(qp)
+                assert qp < 0
+
+    def test_prime_unbounded_at_edge(self):
+        for dm in (ensembles.truncated_poisson(4.0, 20), ensembles.truncated_poisson(3.0, 8)):
+            with pytest.raises(NegativeDenominator):
+                analytic.q_tilde_prime(analytic.admissible_lambda_floor(dm, 1.0), dm, 1.0)
 
 
 class TestQGeneral:
@@ -94,13 +103,6 @@ class TestQGeneral:
                                 q=0.0, lam=4.0, theta=0.0)
         qhat = analytic.q_general(pop, ensembles.regular(4), W1, np.random.default_rng(0), 20_000)
         assert abs(qhat - 0.375) < 1e-12
-
-    def test_theta_crit_from_population(self):
-        pop = popdyn.Population(omega=np.full(1000, 3.0), h=np.zeros(1000),
-                                q=0.0, lam=4.0, theta=0.0)
-        tc = analytic.theta_crit(ensembles.regular(4), W1, GAUSS, 4.0,
-                                 population=pop, rng=np.random.default_rng(1), samples=20_000)
-        assert abs(tc - 8.0 / 3.0) < 1e-12
 
     def test_large_lambda(self):
         pop = popdyn.Population(omega=np.full(1000, 3.0), h=np.zeros(1000),
@@ -151,6 +153,15 @@ class TestLambdaSignal:
         # (the second eigenvalue), matching the closed form
         lam = analytic.lambda_signal(2.0, ensembles.regular(4), W1, GAUSS)
         assert abs(lam - analytic.rr_report(4, 1.0, 2.0).lambda_theta) < 1e-8
+
+    @pytest.mark.parametrize("cbar", [3.5, 4.0])
+    def test_root_next_to_cap_edge(self, cbar):
+        # at theta = 2 the root of truncated Poisson(cbar, 20) lies within
+        # 1e-8 relative of the cap-bound edge, where the overlap is tiny
+        dm = ensembles.truncated_poisson(cbar, 20)
+        lam, ov = analytic.signal_and_overlap(2.0, dm, W1, GAUSS)
+        assert lam >= analytic.admissible_lambda_floor(dm, 1.0)
+        assert 0.0 < ov < 1e-6
 
     def test_poisson_vs_popdyn(self, poisson_solved):
         lam_an = poisson_solved["lambda_analytic"]
@@ -213,6 +224,18 @@ class TestRRReport:
             assert rep.lambda_theta > rep.lambda_structural
             assert 0 < rep.overlap_sq <= 1.0
 
+    @pytest.mark.parametrize("c", [3, 4, 10])
+    def test_generic_route_matches_closed_forms(self, c):
+        # the resolvent route against the closed forms to near machine
+        # precision: the branch above theta_b, the overlap above theta_crit
+        dm = ensembles.regular(c)
+        rep = analytic.rr_report(c, 1.0, 0.0)
+        for theta in rep.theta_b * np.array([1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0]):
+            closed = analytic.rr_report(c, 1.0, theta)
+            assert abs(analytic.lambda_signal(theta, dm, W1, GAUSS) - closed.lambda_theta) < 1e-12
+            if theta > closed.theta_crit:
+                assert abs(analytic.overlap_sq(theta, dm, W1, GAUSS) - closed.overlap_sq) < 1e-12
+
     def test_rr_vs_generic_pipeline(self):
         # closed forms against the generic resolvent machinery, 1e-6
         rep = analytic.rr_report(4, 1.0, 4.0)
@@ -254,8 +277,10 @@ class TestDenseLimit:
 
 
 def stability_margin(lam, degree_model, e_w2):
-    """1 - E[W^2] s2, the denominator of m'(lambda) in ``_m_prime``: zero
-    where the stable branch of the m equation turns back."""
+    """1 - E[W^2] sum_k r_k (k-1) / (lambda - (k-1) E[W^2] m)^2, the
+    denominator of dm/dlambda by implicit differentiation (``_branch``'s
+    h / S0, written in lambda): zero where the stable branch of the m
+    equation turns back."""
     m = analytic.solve_m(lam, degree_model, e_w2)
     r = degree_model.r
     km1 = np.arange(r.size) - 1.0

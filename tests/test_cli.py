@@ -57,6 +57,8 @@ class TestConfigParsing:
         ({"mode": "diag", "degree": RR4, "theta": [-1.0]}, "theta"),
         ({"mode": "diag", "degree": RR4, "n": 100.0}, "n must be an integer"),
         ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"n_pop": 2e4}}, "popdyn.n_pop"),
+        ({"mode": "analytic", "degree": {"kind": "table", "probs": [0.2, 0.3, 0.5]}}, "'table' degree table"),
+        ({"mode": "sweep", "degree": {"kind": "table", "probs": [0.2, 0.3, 0.5]}}, "'table' degree table"),
     ])
     def test_rejects_bad_fields(self, raw, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -79,6 +81,18 @@ class TestAnalyticMode:
         header = (tmp_path / "analytic.csv").read_text().splitlines()
         assert header[0].startswith("# config: ")
         assert header[1] == "# seed: 0"
+
+    def test_signal_root_next_to_cap_edge(self, tmp_path):
+        # lambda_structural at the spectral edge gives theta_crit = 0; the
+        # signal root at theta = 2 then lies within 1e-8 relative of the edge
+        path = write_config(
+            tmp_path, mode="analytic", theta=[2.0], lambda_structural=4.958878571839817,
+            degree={"kind": "truncated_poisson", "cbar": 3.5, "k_max": 20},
+        )
+        assert cli.main([path, "--out-dir", str(tmp_path)]) == 0
+        rows = list(csv.DictReader(line for line in open(tmp_path / "analytic.csv") if not line.startswith("#")))
+        assert float(rows[0]["theta_crit"]) == 0.0
+        assert 0.0 < float(rows[0]["overlap_sq"]) < 1e-6
 
 
 class TestDiagMode:

@@ -144,19 +144,21 @@ EXACT_DRAW_MODELS = {
 
 class TestBucketedDraw:
     """Array draws read a per-cell table; they must equal the plain
-    inverse-CDF search on the same uniforms, bit for bit."""
+    inverse-CDF search on the same uniforms, bit for bit, except that no
+    draw lands past the last degree of positive mass."""
 
     @pytest.mark.parametrize("name", EXACT_DRAW_MODELS)
     @pytest.mark.parametrize("corrected", [False, True])
     def test_adversarial_uniforms(self, name, corrected):
         model = EXACT_DRAW_MODELS[name]()
-        cdf = np.cumsum(model.r if corrected else model.probs)
+        table = model.r if corrected else model.probs
+        cdf = np.cumsum(table)
         if name == "cumsum_below_one":
             assert cdf[-1] < 1.0
         u = _adversarial_uniforms(cdf)
         draw = model.sample_corrected if corrected else model.sample
         got = draw(_FixedUniforms(u), size=u.size)
-        expected = np.searchsorted(cdf, u, side="right")
+        expected = np.minimum(np.searchsorted(cdf, u, side="right"), np.flatnonzero(table)[-1])
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
 
@@ -171,6 +173,41 @@ class TestBucketedDraw:
             assert np.array_equal(draw(rng, size=size), np.searchsorted(cdf, ref.random(size), side="right"))
         assert draw(rng) == int(np.searchsorted(cdf, ref.random(), side="right"))
         assert rng.random() == ref.random()
+
+
+class _TopUniform:
+    """Stands in for a Generator whose ``random`` returns the largest double
+    below 1, which a cumsum ending one ulp short of 1.0 would not cover."""
+
+    U = 1.0 - 2.0**-53
+
+    def random(self, size=None):
+        return self.U if size is None else np.full(size, self.U)
+
+
+class TestCdfEndsAtOne:
+    @pytest.mark.parametrize("model", [
+        ensembles.truncated_poisson(3.0, 8),
+        ensembles.truncated_poisson(4.0, 20),
+        ensembles.degree_table([0.1] * 10),
+        ensembles.degree_table([0.1] * 10 + [0.0, 0.0]),
+    ], ids=["poisson_3_8", "poisson_4_20", "tenths", "tenths_zero_tail"])
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_degree_draws(self, model, corrected):
+        # scalar draws search the CDF, array draws read the cell table
+        table = model.r if corrected else model.probs
+        last = np.flatnonzero(table)[-1]
+        draw = model.sample_corrected if corrected else model.sample
+        assert draw(_TopUniform()) == last
+        assert np.array_equal(draw(_TopUniform(), size=3), [last] * 3)
+
+    def test_weight_and_spike_draws(self):
+        assert np.cumsum([0.1] * 10)[-1] < 1.0
+        values = np.arange(10.0) - 4.5
+        for model in (ensembles.weight_table(values, [0.1] * 10),
+                      ensembles.custom_spike(values, [0.1] * 10)):
+            assert model.sample(_TopUniform()) == 4.5
+            assert np.array_equal(model.sample(_TopUniform(), size=3), [4.5] * 3)
 
 
 class TestDegreeSequence:
