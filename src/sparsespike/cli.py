@@ -402,11 +402,22 @@ def run_popdyn(cfg: ExperimentConfig) -> list:
     return rows
 
 
+def _load_checkpoint(path: str, theta: float) -> popdyn.Population:
+    """The population saved at ``path``, which must have been solved at theta."""
+    try:
+        pop = popdyn.load_population(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load checkpoint {path!r}: {exc}") from exc
+    if pop.theta != theta:
+        raise ConfigError(f"checkpoint {path!r} was solved at theta={pop.theta!r}, config has theta={theta!r}")
+    return pop
+
+
 def run_densities(cfg: ExperimentConfig) -> dict:
     degree_model, weight_model, spike_model = build_models(cfg)
     theta = cfg.theta[0]
     if cfg.checkpoint:
-        pop = popdyn.load_population(cfg.checkpoint)
+        pop = _load_checkpoint(cfg.checkpoint, theta)
     else:
         pop, _, _, _ = popdyn.solve(
             theta, degree_model, weight_model, spike_model, popdyn_config(cfg),

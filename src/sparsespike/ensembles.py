@@ -40,17 +40,28 @@ def _cell_table(cdf: np.ndarray) -> np.ndarray:
     return table
 
 
+# Draws per piece of an array draw's temporaries (the degree cell lookup
+# here, the gather's member terms in popdyn): they are formed this many
+# draws at a time, so their memory does not grow with the draw.
+_PIECE = 1 << 15
+
+
 def _inverse_cdf(cdf: np.ndarray, cells: np.ndarray, rng: np.random.Generator, size):
     """Inverse-CDF draws, equal to ``searchsorted(cdf, u, side="right")`` on
     ``u = rng.random(size)``: an array draw reads its cell's answer and
-    searches only where the cell holds a CDF entry."""
+    searches only where the cell holds a CDF entry, ``_PIECE`` draws at a
+    time."""
     u = rng.random(size)
     if size is None:
         return int(np.searchsorted(cdf, u, side="right"))
-    out = cells[(u * _CELLS).astype(np.intp)]
-    split = out < 0
-    if split.any():
-        out[split] = np.searchsorted(cdf, u[split], side="right")
+    out = np.empty(u.size, np.intp)
+    for lo in range(0, u.size, _PIECE):
+        up = u[lo:lo + _PIECE]
+        op = out[lo:lo + _PIECE]
+        cells.take((up * _CELLS).astype(np.intp), out=op)
+        split = op < 0
+        if split.any():
+            op[split] = np.searchsorted(cdf, up[split], side="right")
     return out
 
 

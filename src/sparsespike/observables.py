@@ -14,7 +14,7 @@ import numpy as np
 
 from .ensembles import DegreeModel, SpikeModel, WeightModel
 from .errors import NonPositiveDenominator
-from .popdyn import Population, _node_draws
+from .popdyn import Population, _joined, _node_draws
 
 
 @dataclass(frozen=True)
@@ -36,19 +36,26 @@ def _build_density(samples: np.ndarray, k_tags: np.ndarray, metadata: dict, bins
 
 
 def _component_samples(pop, degree_model, weight_model, spike_model, n_samples, rng, overlap: bool):
+    """Samples of u and their degrees. The formulas overwrite each block's
+    gathered sums, keeping the written formula's operation order."""
     us, ks = [], []
     for k, s_w2, s_hw in _node_draws(pop.omega, pop.h, degree_model, weight_model, n_samples, rng):
-        den = pop.lam - s_w2
+        den = np.subtract(pop.lam, s_w2, out=s_w2)
         if den.min() <= 0:
             raise NonPositiveDenominator(f"min denominator {den.min():g}")
         x = np.asarray(spike_model.sample(rng, size=k.size), float)
-        if overlap:
-            u = (x * s_hw + pop.theta * pop.q * x * x) / den
-        else:
-            u = (s_hw + pop.theta * pop.q * x) / den
-        us.append(u)
+        if overlap:  # x {hW/w} + ((theta q) x) x
+            s_hw *= x
+            tqxx = np.multiply(pop.theta * pop.q, x)
+            tqxx *= x
+            s_hw += tqxx
+        else:  # {hW/w} + (theta q) x
+            x *= pop.theta * pop.q
+            s_hw += x
+        s_hw /= den
+        us.append(s_hw)
         ks.append(k)
-    return np.concatenate(us), np.concatenate(ks)
+    return _joined(us), _joined(ks)
 
 
 def rho_top(
@@ -138,15 +145,21 @@ def overlap_moments(density: DensityEstimate) -> OverlapMoments:
     )
 
 
+# Rows per write of a CSV exporter: the row text exists this many rows at a time.
+_ROWS = 8192
+
+
 def _write_rows(path: str, header_lines, names: tuple, columns: tuple) -> None:
-    """What ``csv.writer`` writes for these columns, in one write: a "# "
-    line per header line, the column names, then a row per entry of the
-    shortest column, each ended by its "\r\n". Float and int fields are
-    written by ``repr``; none of them ever needs quoting."""
+    """What ``csv.writer`` writes for these columns: a "# " line per header
+    line, the column names, then a row per entry of the shortest column,
+    each ended by its "\r\n", written ``_ROWS`` rows at a time. Float and
+    int fields are written by ``repr``; none of them ever needs quoting."""
     row = ",".join(["{!r}"] * len(names)) + "\r\n"
-    head = "".join(f"# {line}\n" for line in header_lines) + ",".join(names) + "\r\n"
+    n = min(len(c) for c in columns)
     with open(path, "w", newline="") as fh:
-        fh.write(head + "".join(map(row.format, *(c.tolist() for c in columns))))
+        fh.write("".join(f"# {line}\n" for line in header_lines) + ",".join(names) + "\r\n")
+        for lo in range(0, n, _ROWS):
+            fh.write("".join(map(row.format, *(c[lo:lo + _ROWS].tolist() for c in columns))))
 
 
 def write_histogram_csv(density: DensityEstimate, path: str, header_lines=()) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import DegreeModel, SpikeModel, WeightModel
+from .ensembles import _PIECE, DegreeModel, SpikeModel, WeightModel
 from .errors import (
     MaxRescalesExceeded,
     MaxSweepsExceeded,
@@ -98,21 +98,35 @@ def _gather(omega, h, degree_model, weight_model, b, rng, cavity):
     With ``cavity`` k comes from r_k and the sums run over k-1 members (a
     cavity update), else k comes from p_k and they run over k (a full node).
     Members are drawn uniformly with replacement, each with a fresh weight,
-    in the order k, members, weights. ``h=None`` skips the bias sum. A
-    one-point weight law draws nothing, and its value as a scalar gives the
-    same doubles as an array of it.
+    in the order k, members, weights, each in one call. ``h=None`` skips
+    the bias sum. A one-point weight law draws nothing, and its value as a
+    scalar gives the same doubles as an array of it.
+
+    The terms and sums are formed ``_PIECE`` (2^15) draws at a time, so
+    their memory is bounded by a piece, not the block; a sweep's 16,384-draw
+    chunk is one piece. Each piece sums its own members with a local
+    repeat/bincount. A draw's members never span two pieces, so every sum
+    adds the same terms in the same order as one bincount over the block.
     """
     k = degree_model.sample_corrected(rng, size=b) if cavity else degree_model.sample(rng, size=b)
     terms = k - 1 if cavity else k
     idx = rng.integers(0, omega.size, int(terms.sum()))
-    if weight_model.values.size == 1:
-        w = float(weight_model.values[0])
-    else:
-        w = weight_model.sample(rng, size=idx.size)
-    om = omega[idx]
-    sid = np.repeat(np.arange(b), terms)
-    s_w2 = np.bincount(sid, weights=w * w / om, minlength=b)
-    s_hw = None if h is None else np.bincount(sid, weights=h[idx] * w / om, minlength=b)
+    scalar_w = weight_model.values.size == 1
+    w = float(weight_model.values[0]) if scalar_w else weight_model.sample(rng, size=idx.size)
+    s_w2 = np.empty(b)
+    s_hw = None if h is None else np.empty(b)
+    end = 0
+    for lo in range(0, b, _PIECE):
+        hi = min(lo + _PIECE, b)
+        n = terms[lo:hi]
+        start, end = end, end + int(n.sum())
+        members = idx[start:end]
+        wp = w if scalar_w else w[start:end]
+        om = omega.take(members)
+        sid = np.repeat(np.arange(hi - lo), n)
+        s_w2[lo:hi] = np.bincount(sid, weights=wp * wp / om, minlength=hi - lo)
+        if h is not None:
+            s_hw[lo:hi] = np.bincount(sid, weights=h.take(members) * wp / om, minlength=hi - lo)
     return k, s_w2, s_hw
 
 
@@ -207,13 +221,20 @@ def equilibrate(
 
 def _node_draws(omega, h, degree_model, weight_model, n_samples, rng):
     """``_gather`` over full nodes (k from p_k, k members), yielded in
-    blocks of about 4e6 members until n_samples draws are made."""
+    blocks of about 4e6 members until n_samples draws are made. Each block
+    draws its members in one call and sums them ``_PIECE`` draws at a time,
+    so a block's memory beyond its member indices is bounded by a piece."""
     block = max(1, int(4_000_000 / max(degree_model.mean_c, 1.0)))
     done = 0
     while done < n_samples:
         b = min(block, n_samples - done)
         yield _gather(omega, h, degree_model, weight_model, b, rng, cavity=False)
         done += b
+
+
+def _joined(parts: list) -> np.ndarray:
+    """The blocks as one array; a single block is returned as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def alpha_pair(
@@ -230,19 +251,23 @@ def alpha_pair(
     theta * sigma_x^2 * Q_hat(lambda), whose target is also 1: the raw
     appendix-style estimator E[X^2 / (lambda - {W^2/omega}_k)] targets
     1/theta instead, so the theta factor is folded in here to give both
-    alphas a common fixed point.
+    alphas a common fixed point. The formulas overwrite each block's
+    gathered sums, in the same operation order as the written formula.
     """
     a1_parts, a2_parts = [], []
     for k, s_w2, s_hw in _node_draws(pop.omega, pop.h, degree_model, weight_model, samples, rng):
-        den = pop.lam - s_w2
+        den = np.subtract(pop.lam, s_w2, out=s_w2)
         if den.min() <= 0:
             raise NonPositiveDenominator(f"min denominator {den.min():g} at lambda={pop.lam:g}")
         x = np.asarray(spike_model.sample(rng, size=k.size), float)
-        num = s_hw + pop.theta * pop.q * x
-        a1_parts.append((num / den) ** 2)
-        a2_parts.append(1.0 / den)
-    a1 = np.concatenate(a1_parts)
-    a2 = pop.theta * spike_model.sigma_x2 * np.concatenate(a2_parts)
+        x *= pop.theta * pop.q
+        s_hw += x
+        s_hw /= den
+        a1_parts.append(np.square(s_hw, out=s_hw))  # ((s_hw + theta q x) / den)^2
+        a2_parts.append(np.divide(1.0, den, out=den))
+    a1 = _joined(a1_parts)
+    a2 = _joined(a2_parts)
+    a2 *= pop.theta * spike_model.sigma_x2
     n = a1.size
     return (
         float(a1.mean()),
@@ -381,12 +406,12 @@ def save_population(pop: Population, path: str, seed: int | None = None) -> None
 
 
 def load_population(path: str) -> Population:
-    data = np.load(path)
-    return Population(
-        omega=data["omega"].copy(),
-        h=data["h"].copy(),
-        q=float(data["q"]),
-        lam=float(data["lam"]),
-        theta=float(data["theta"]),
-        sweep_count=int(data["sweep_count"]),
-    )
+    with np.load(path) as data:
+        return Population(
+            omega=data["omega"],
+            h=data["h"],
+            q=float(data["q"]),
+            lam=float(data["lam"]),
+            theta=float(data["theta"]),
+            sweep_count=int(data["sweep_count"]),
+        )

@@ -6,9 +6,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from sparsespike import cli
+from sparsespike import cli, popdyn
 from sparsespike.errors import ConfigError
 
 
@@ -229,6 +230,36 @@ class TestDensitiesMode:
         hist = (tmp_path / "rho_top_hist.csv").read_text().splitlines()
         mass = sum(float(line.split(",")[2]) for line in hist if not line.startswith(("#", "bin")))
         assert abs(mass - 1.0) < 1e-9
+
+
+class TestDensitiesCheckpoint:
+    @staticmethod
+    def _checkpoint(tmp_path, theta):
+        rng = np.random.default_rng(0)
+        pop = popdyn.Population(omega=rng.uniform(2.0, 4.0, 500), h=rng.standard_normal(500),
+                                q=0.9, lam=20.0, theta=theta)
+        path = str(tmp_path / f"population_theta{theta:g}.npz")
+        popdyn.save_population(pop, path, seed=0)
+        return path
+
+    def _run(self, tmp_path, checkpoint, theta):
+        path = write_config(tmp_path, mode="densities", degree=RR4, theta=[theta], checkpoint=checkpoint,
+                            density_samples=1000, out_dir=str(tmp_path / "out"))
+        return cli.main([path])
+
+    def test_matching_theta_loads(self, tmp_path, capsys):
+        assert self._run(tmp_path, self._checkpoint(tmp_path, 6.0), 6.0) == 0
+        assert (tmp_path / "out" / "rho_top_samples.csv").exists()
+
+    def test_theta_mismatch_is_config_error(self, tmp_path, capsys):
+        # a theta = 6 population must not be written under a theta = 3 header
+        assert self._run(tmp_path, self._checkpoint(tmp_path, 6.0), 3.0) == 2
+        assert "theta=6.0" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "rho_top_samples.csv").exists()
+
+    def test_missing_checkpoint_is_config_error(self, tmp_path, capsys):
+        assert self._run(tmp_path, str(tmp_path / "absent.npz"), 6.0) == 2
+        assert "absent.npz" in capsys.readouterr().err
 
 
 class TestMainExitCodes:

@@ -155,7 +155,8 @@ class TestBucketedDraw:
         cdf = np.cumsum(table)
         if name == "cumsum_below_one":
             assert cdf[-1] < 1.0
-        u = _adversarial_uniforms(cdf)
+        u = np.tile(_adversarial_uniforms(cdf), 8)  # past 2^16 draws: several lookup pieces
+        assert u.size > 2**16
         draw = model.sample_corrected if corrected else model.sample
         got = draw(_FixedUniforms(u), size=u.size)
         expected = np.minimum(np.searchsorted(cdf, u, side="right"), np.flatnonzero(table)[-1])
@@ -169,7 +170,7 @@ class TestBucketedDraw:
         cdf = np.cumsum(model.r if corrected else model.probs)
         draw = model.sample_corrected if corrected else model.sample
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-        for size in (0, 1, 16_384):
+        for size in (0, 1, 16_384, 3 * 2**15 + 7):
             assert np.array_equal(draw(rng, size=size), np.searchsorted(cdf, ref.random(size), side="right"))
         assert draw(rng) == int(np.searchsorted(cdf, ref.random(), side="right"))
         assert rng.random() == ref.random()

@@ -80,6 +80,66 @@ class TestGather:
         assert rng.random() == ref.random()
 
 
+def _gather_one_bincount(omega, h, dm, wm, b, rng, cavity):
+    """The gather as one repeat/bincount over the whole block, with k found
+    by a plain search of the CDF and the weights as an array."""
+    k = np.searchsorted(dm._rcdf if cavity else dm._cdf, rng.random(b), side="right")
+    terms = k - 1 if cavity else k
+    idx = rng.integers(0, omega.size, int(terms.sum()))
+    w = np.full(idx.size, wm.values[0]) if wm.values.size == 1 else wm.sample(rng, size=idx.size)
+    sid = np.repeat(np.arange(b), terms)
+    s_w2 = np.bincount(sid, weights=w * w / omega[idx], minlength=b)
+    return k, s_w2, np.bincount(sid, weights=h[idx] * w / omega[idx], minlength=b)
+
+
+RADEMACHER = ensembles.rademacher_weight(0.5)
+PIECE = 1 << 15
+
+
+class TestGatherPieces:
+    """A block is summed a piece of draws at a time; every sum, and the
+    random stream, must equal one bincount over the whole block."""
+
+    @staticmethod
+    def _check(dm, wm, b, seed, cavity):
+        setup = np.random.default_rng(11)
+        omega = setup.uniform(0.5, 3.0, 1000)
+        h = setup.standard_normal(1000)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        k, s_w2, s_hw = popdyn._gather(omega, h, dm, wm, b, rng, cavity)
+        k_ref, s_w2_ref, s_hw_ref = _gather_one_bincount(omega, h, dm, wm, b, ref, cavity)
+        assert np.array_equal(k, k_ref)
+        assert s_w2.tobytes() == s_w2_ref.tobytes()
+        assert s_hw.tobytes() == s_hw_ref.tobytes()
+        assert rng.random() == ref.random()
+        return k
+
+    @pytest.mark.parametrize("wm", [W1, RADEMACHER], ids=["constant", "rademacher"])
+    @pytest.mark.parametrize("cavity", [True, False])
+    def test_three_pieces_and_a_remainder(self, wm, cavity):
+        self._check(ensembles.truncated_poisson(3.0, 8), wm, 3 * PIECE + 7, 12, cavity)
+
+    @pytest.mark.parametrize("wm", [W1, RADEMACHER], ids=["constant", "rademacher"])
+    @pytest.mark.parametrize("cavity", [True, False])
+    def test_zero_member_draws_on_piece_edges(self, wm, cavity):
+        # degree 0 (a full node) or 1 (a cavity) has no members; pick the
+        # first seed whose draws on both sides of each piece edge have none
+        dm = ensembles.degree_table([0.0, 0.9, 0.0, 0.1] if cavity else [0.9, 0.0, 0.0, 0.1])
+        b = 3 * PIECE + 7
+        edges = np.array([PIECE - 1, PIECE, 2 * PIECE - 1, 2 * PIECE, 3 * PIECE - 1, 3 * PIECE])
+        empty = 1 if cavity else 0
+        draw = dm.sample_corrected if cavity else dm.sample
+        seed = next(s for s in range(1000)
+                    if np.all(draw(np.random.default_rng(s), size=b)[edges] == empty))
+        k = self._check(dm, wm, b, seed, cavity)
+        assert np.all(k[edges] == empty)
+
+    def test_block_without_members(self):
+        leaf_only = ensembles.degree_table([0.0, 1.0])
+        k = self._check(leaf_only, RADEMACHER, 2 * PIECE + 3, 0, cavity=True)
+        assert np.all(k == 1)
+
+
 class TestUpdateStep:
     """The replacement update of ``_sweep``."""
 
