@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensembles import DegreeModel, SpikeModel, WeightModel, regular_constant_weight
-from .errors import NegativeDenominator, NoConvergence, NonPositiveDenominator, RootNotBracketed
-from .popdyn import Population, _node_draws
+from .errors import NegativeDenominator, NoConvergence, RootNotBracketed
+from .popdyn import Population, _full_nodes
 
 # Degree kinds whose threshold ``theta_crit`` reads off the resolvent route.
 RESOLVENT_KINDS = ("truncated_poisson", "regular")
@@ -208,11 +208,8 @@ def q_general(
     1/(lambda - {W^2/omega}_k) > over an equilibrated population."""
     total = 0.0
     count = 0
-    for _, s_w2, _ in _node_draws(population.omega, None, degree_model, weight_model, samples, rng):
-        den = population.lam - s_w2
-        if den.min() <= 0:
-            raise NonPositiveDenominator(f"min denominator {den.min():g}")
-        total += float((1.0 / den).sum())
+    for _, den, _ in _full_nodes(population, degree_model, weight_model, samples, rng, bias=False):
+        total += float(np.divide(1.0, den, out=den).sum())
         count += den.size
     return total / count
 
@@ -287,8 +284,8 @@ def rr_report(c: int, sigma_x2: float, theta: float) -> AnalyticReport:
     theta.
     """
     c = int(c)
-    if c <= 2:
-        raise ValueError("random-regular closed forms need c > 2")
+    if c < 2:
+        raise ValueError("random-regular closed forms need c >= 2")
     if theta < 0:
         raise ValueError("theta must be non-negative")
     ts = theta * sigma_x2

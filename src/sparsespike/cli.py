@@ -75,6 +75,17 @@ def _require_ints(cls, raw: dict, prefix: str) -> None:
                 raise ConfigError(f"{prefix}{f.name} must be an integer, got {value!r}")
 
 
+def _numbers(value, name: str) -> list:
+    """A number or a list of numbers as a list; each must be a finite real
+    number that is not a bool."""
+    items = value if isinstance(value, list) else [value]
+    for item in items:
+        # the bound rejects NaN, the infinities and an int too large for a double
+        if isinstance(item, bool) or not isinstance(item, (int, float)) or not abs(item) <= sys.float_info.max:
+            raise ConfigError(f"{name} entries must be finite numbers, got {item!r}")
+    return items
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -92,16 +103,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if isinstance(raw.get("popdyn"), dict):
         _require_ints(popdyn.PopDynConfig, raw["popdyn"], "popdyn.")
     cfg = ExperimentConfig(**raw)
-    if isinstance(cfg.theta, (int, float)):
-        cfg.theta = [float(cfg.theta)]
-    cfg.theta = [float(t) for t in cfg.theta]
+    cfg.theta = [float(t) for t in _numbers(cfg.theta, "theta")]
     if not cfg.theta:
         raise ConfigError("theta grid is empty")
     if any(t < 0 for t in cfg.theta):
         raise ConfigError("theta values must be non-negative")
     if cfg.c_grid is not None:
-        if isinstance(cfg.c_grid, (int, float)):
-            cfg.c_grid = [cfg.c_grid]
+        cfg.c_grid = _numbers(cfg.c_grid, "c_grid")
         if not cfg.c_grid:
             raise ConfigError("c_grid is empty")
     if cfg.mode in ("popdyn", "densities") and any(t <= 0 for t in cfg.theta):
@@ -396,16 +404,19 @@ def run_popdyn(cfg: ExperimentConfig) -> list:
         })
         if cfg.save_checkpoint:
             popdyn.save_population(
-                pop, os.path.join(cfg.out_dir, f"population_theta{theta:g}.npz"), seed=cfg.seed
+                pop, os.path.join(cfg.out_dir, f"population_theta{theta:g}.npz"),
+                (degree_model, weight_model, spike_model), seed=cfg.seed,
             )
     _write_csv(os.path.join(cfg.out_dir, "popdyn.csv"), POPDYN_FIELDS, rows, cfg)
     return rows
 
 
-def _load_checkpoint(path: str, theta: float) -> popdyn.Population:
-    """The population saved at ``path``, which must have been solved at theta."""
+def _load_checkpoint(cfg: ExperimentConfig, theta: float, models: tuple) -> popdyn.Population:
+    """The population saved at the configured checkpoint, which must have
+    been solved for the config's ensemble ``models`` at theta."""
+    path = cfg.checkpoint
     try:
-        pop = popdyn.load_population(path)
+        pop = popdyn.load_population(path, models)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load checkpoint {path!r}: {exc}") from exc
     if pop.theta != theta:
@@ -417,7 +428,7 @@ def run_densities(cfg: ExperimentConfig) -> dict:
     degree_model, weight_model, spike_model = build_models(cfg)
     theta = cfg.theta[0]
     if cfg.checkpoint:
-        pop = _load_checkpoint(cfg.checkpoint, theta)
+        pop = _load_checkpoint(cfg, theta, (degree_model, weight_model, spike_model))
     else:
         pop, _, _, _ = popdyn.solve(
             theta, degree_model, weight_model, spike_model, popdyn_config(cfg),

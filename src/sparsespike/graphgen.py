@@ -9,8 +9,6 @@ CSR operator is built, so importing this module does not load scipy.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -242,35 +240,3 @@ def assemble_spiked(
     x = spike_model.sample(rng, size=noise.n)
     return SpikedMatrix(noise=noise, x=np.asarray(x, float), theta=float(theta))
 
-
-def dump_instance(a: SpikedMatrix, directory: str, seed: int | None = None) -> None:
-    """Write an instance for cross-implementation replay.
-
-    ``edges.txt``: one edge per line, "i j w" with i < j, 0-indexed.
-    ``spike.json``: spike vector, theta, N, and the generating seed.
-    """
-    os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "edges.txt"), "w") as fh:
-        for i, j, w in zip(a.noise.edge_u, a.noise.edge_v, a.noise.edge_w):
-            fh.write(f"{int(i)} {int(j)} {float(w)!r}\n")
-    side = {"n": a.n, "theta": a.theta, "seed": seed, "x": a.x.tolist()}
-    with open(os.path.join(directory, "spike.json"), "w") as fh:
-        json.dump(side, fh)
-
-
-def load_instance(directory: str) -> SpikedMatrix:
-    with open(os.path.join(directory, "spike.json")) as fh:
-        side = json.load(fh)
-    n = int(side["n"])
-    edge_path = os.path.join(directory, "edges.txt")
-    data = np.loadtxt(edge_path, ndmin=2) if os.path.getsize(edge_path) else np.empty((0, 3))
-    if data.size:
-        u = data[:, 0].astype(np.int64)
-        v = data[:, 1].astype(np.int64)
-        w = data[:, 2].astype(float)
-    else:
-        u = np.empty(0, np.int64)
-        v = np.empty(0, np.int64)
-        w = np.empty(0, float)
-    noise = SparseSymmetric(n=n, edge_u=u, edge_v=v, edge_w=w)
-    return SpikedMatrix(noise=noise, x=np.asarray(side["x"], float), theta=float(side["theta"]))

@@ -8,13 +8,12 @@ every observable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ensembles import DegreeModel, SpikeModel, WeightModel
-from .errors import NonPositiveDenominator
-from .popdyn import Population, _joined, _node_draws
+from .popdyn import Population, _full_nodes, _joined, _top_u
 
 
 @dataclass(frozen=True)
@@ -26,33 +25,27 @@ class DensityEstimate:
     k_tags: np.ndarray
     bin_edges: np.ndarray
     masses: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
 
-def _build_density(samples: np.ndarray, k_tags: np.ndarray, metadata: dict, bins="fd") -> DensityEstimate:
-    counts, edges = np.histogram(samples, bins=bins)
-    return DensityEstimate(samples=samples, k_tags=k_tags, bin_edges=edges,
-                           masses=counts / counts.sum(), metadata=metadata)
+def _build_density(samples: np.ndarray, k_tags: np.ndarray) -> DensityEstimate:
+    counts, edges = np.histogram(samples, bins="fd")
+    return DensityEstimate(samples=samples, k_tags=k_tags, bin_edges=edges, masses=counts / counts.sum())
 
 
 def _component_samples(pop, degree_model, weight_model, spike_model, n_samples, rng, overlap: bool):
     """Samples of u and their degrees. The formulas overwrite each block's
     gathered sums, keeping the written formula's operation order."""
     us, ks = [], []
-    for k, s_w2, s_hw in _node_draws(pop.omega, pop.h, degree_model, weight_model, n_samples, rng):
-        den = np.subtract(pop.lam, s_w2, out=s_w2)
-        if den.min() <= 0:
-            raise NonPositiveDenominator(f"min denominator {den.min():g}")
+    for k, den, s_hw in _full_nodes(pop, degree_model, weight_model, n_samples, rng):
         x = np.asarray(spike_model.sample(rng, size=k.size), float)
-        if overlap:  # x {hW/w} + ((theta q) x) x
+        if overlap:  # (x {hW/w} + ((theta q) x) x) / den
             s_hw *= x
             tqxx = np.multiply(pop.theta * pop.q, x)
             tqxx *= x
             s_hw += tqxx
-        else:  # {hW/w} + (theta q) x
-            x *= pop.theta * pop.q
-            s_hw += x
-        s_hw /= den
+            s_hw /= den
+        else:
+            _top_u(pop, x, den, s_hw)
         us.append(s_hw)
         ks.append(k)
     return _joined(us), _joined(ks)
@@ -65,13 +58,11 @@ def rho_top(
     spike_model: SpikeModel,
     n_samples: int,
     rng: np.random.Generator,
-    bins="fd",
 ) -> DensityEstimate:
     """Top-eigenvector component density: u = ({hW/w}_k + theta q X) / (lambda - {W^2/w}_k),
     with k drawn from p_k and kept as the sample's tag."""
     u, k = _component_samples(pop, degree_model, weight_model, spike_model, n_samples, rng, overlap=False)
-    meta = {"kind": "rho_top", "theta": pop.theta, "lambda": pop.lam, "q": pop.q, "n_samples": u.size}
-    return _build_density(u, k, meta, bins)
+    return _build_density(u, k)
 
 
 def rho_ov(
@@ -81,12 +72,10 @@ def rho_ov(
     spike_model: SpikeModel,
     n_samples: int,
     rng: np.random.Generator,
-    bins="fd",
 ) -> DensityEstimate:
     """Overlap-component density: u = (X {hW/w}_k + theta q X^2) / (lambda - {W^2/w}_k)."""
     u, k = _component_samples(pop, degree_model, weight_model, spike_model, n_samples, rng, overlap=True)
-    meta = {"kind": "rho_ov", "theta": pop.theta, "lambda": pop.lam, "q": pop.q, "n_samples": u.size}
-    return _build_density(u, k, meta, bins)
+    return _build_density(u, k)
 
 
 def marginals(pop: Population) -> dict:

@@ -14,6 +14,7 @@ trajectories bit for bit.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,26 +54,35 @@ class Population:
         }
 
 
+# Fixed settings of the solver: the initial population and parameters, the
+# plateau window in sweeps, the replacements per batch of a sweep, the
+# lambda inflation on a non-positive omega, and the growth probe's sweeps,
+# generations and relative bisection tolerance.
+_OMEGA_INIT = (5.0, 20.0)
+_H_INIT = (0.0, 10.0)
+_Q_INIT = 0.5
+_PLATEAU_WINDOW = 20
+_CHUNK = 16_384
+_LAMBDA_BUMP = 1.5
+_PROBE_SWEEPS = 60
+_GROWTH_GENS = 30
+_LAM_TOL = 2e-3
+
+
 @dataclass(frozen=True)
 class PopDynConfig:
     n_pop: int = 200_000
-    omega_init: tuple = (5.0, 20.0)
-    h_init: tuple = (0.0, 10.0)
-    q_init: float = 0.5
     lambda_init: float = 10.0
-    plateau_window: int = 20
     plateau_tol: float = 1e-3
     alpha_tol: float = 1e-2
     max_rescales: int = 50
     alpha_samples: int = 1_000_000
     max_sweeps: int = 600
-    chunk: int = 16_384
-    lambda_bump: float = 1.5
 
     def __post_init__(self):
-        if self.n_pop < 2 or self.plateau_window < 1 or self.chunk < 1:
-            raise ValueError("population sizes and windows must be positive")
-        for name in ("plateau_tol", "alpha_tol", "lambda_init", "lambda_bump"):
+        if self.n_pop < 2:
+            raise ValueError("n_pop must be at least 2")
+        for name in ("plateau_tol", "alpha_tol", "lambda_init"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_rescales < 1 or self.max_sweeps < 1 or self.alpha_samples < 1:
@@ -80,13 +90,11 @@ class PopDynConfig:
 
 
 def init_population(config: PopDynConfig, rng: np.random.Generator, theta: float = 0.0) -> Population:
-    """Uniformly initialized population with the configured (q, lambda)."""
-    lo_o, hi_o = config.omega_init
-    lo_h, hi_h = config.h_init
+    """Uniformly initialized population with the configured lambda."""
     return Population(
-        omega=rng.uniform(lo_o, hi_o, config.n_pop),
-        h=rng.uniform(lo_h, hi_h, config.n_pop),
-        q=config.q_init,
+        omega=rng.uniform(*_OMEGA_INIT, config.n_pop),
+        h=rng.uniform(*_H_INIT, config.n_pop),
+        q=_Q_INIT,
         lam=config.lambda_init,
         theta=float(theta),
     )
@@ -130,7 +138,7 @@ def _gather(omega, h, degree_model, weight_model, b, rng, cavity):
     return k, s_w2, s_hw
 
 
-def _sweep(pop, degree_model, weight_model, spike_model, rng, chunk):
+def _sweep(pop, degree_model, weight_model, spike_model, rng):
     """N_p replacements, processed in batches (see module docstring). The
     spike draw happens only when theta != 0, so the omega dynamics consumes
     an identical random stream with or without a spike."""
@@ -138,7 +146,7 @@ def _sweep(pop, degree_model, weight_model, spike_model, rng, chunk):
     draw_x = pop.theta != 0.0 and spike_model is not None
     done = 0
     while done < n:
-        b = min(chunk, n - done)
+        b = min(_CHUNK, n - done)
         _, s_w2, h_new = _gather(pop.omega, pop.h, degree_model, weight_model, b, rng, cavity=True)
         omega_new = pop.lam - s_w2
         if omega_new.min() <= 0:
@@ -187,7 +195,7 @@ def equilibrate(
 
     Equilibrium is declared when, for mean/var of omega and h, consecutive
     window-averaged blocks agree to the relative plateau tolerance. On a
-    NonPositiveOmega event lambda is inflated by the configured factor, the
+    NonPositiveOmega event lambda is inflated by a factor 1.5, the
     moment traces reset, and equilibration restarts (omega > 0 defines the
     admissible lambda region, so the only safe move is up).
     """
@@ -196,12 +204,12 @@ def equilibrate(
     sweeps = 0
     while sweeps < config.max_sweeps:
         try:
-            _sweep(pop, degree_model, weight_model, spike_model, rng, config.chunk)
+            _sweep(pop, degree_model, weight_model, spike_model, rng)
         except NonPositiveOmega:
             bumps += 1
             if bumps > 60:
                 raise
-            pop.lam *= config.lambda_bump
+            pop.lam *= _LAMBDA_BUMP
             for key in MOMENT_KEYS:
                 traces[key].clear()
             continue
@@ -209,7 +217,7 @@ def equilibrate(
         mom = pop.moments()
         for key in MOMENT_KEYS:
             traces[key].append(mom[key])
-        if _plateaued(traces, config.plateau_window, config.plateau_tol):
+        if _plateaued(traces, _PLATEAU_WINDOW, config.plateau_tol):
             return {
                 "sweeps": sweeps,
                 "lambda_bumps": bumps,
@@ -219,17 +227,32 @@ def equilibrate(
     raise MaxSweepsExceeded(f"no plateau within {config.max_sweeps} sweeps")
 
 
-def _node_draws(omega, h, degree_model, weight_model, n_samples, rng):
-    """``_gather`` over full nodes (k from p_k, k members), yielded in
-    blocks of about 4e6 members until n_samples draws are made. Each block
-    draws its members in one call and sums them ``_PIECE`` draws at a time,
-    so a block's memory beyond its member indices is bounded by a piece."""
+def _full_nodes(pop, degree_model, weight_model, n_samples, rng, bias=True):
+    """The one loop of the full-node estimators: ``_gather`` over full nodes
+    (k from p_k, k members) in blocks of about 4e6 members until n_samples
+    draws are made. Each block yields (k, den, s_hw), with the denominator
+    den = lambda - {W^2/omega}_k written over the gathered sum and checked
+    positive here; ``s_hw`` is {hW/omega}_k, or None without ``bias``."""
     block = max(1, int(4_000_000 / max(degree_model.mean_c, 1.0)))
+    h = pop.h if bias else None
     done = 0
     while done < n_samples:
         b = min(block, n_samples - done)
-        yield _gather(omega, h, degree_model, weight_model, b, rng, cavity=False)
+        k, s_w2, s_hw = _gather(pop.omega, h, degree_model, weight_model, b, rng, cavity=False)
+        den = np.subtract(pop.lam, s_w2, out=s_w2)
+        if den.min() <= 0:
+            raise NonPositiveDenominator(f"min denominator {den.min():g} at lambda={pop.lam:g}")
+        yield k, den, s_hw
         done += b
+
+
+def _top_u(pop, x, den, s_hw):
+    """Top-eigenvector components u = ({hW/omega}_k + (theta q) x) / den,
+    written over ``s_hw``; ``x`` is scaled in place."""
+    x *= pop.theta * pop.q
+    s_hw += x
+    s_hw /= den
+    return s_hw
 
 
 def _joined(parts: list) -> np.ndarray:
@@ -251,19 +274,15 @@ def alpha_pair(
     theta * sigma_x^2 * Q_hat(lambda), whose target is also 1: the raw
     appendix-style estimator E[X^2 / (lambda - {W^2/omega}_k)] targets
     1/theta instead, so the theta factor is folded in here to give both
-    alphas a common fixed point. The formulas overwrite each block's
-    gathered sums, in the same operation order as the written formula.
+    alphas a common fixed point. alpha1's terms are the squares of the
+    components u that ``rho_top`` samples. The formulas overwrite each
+    block's gathered sums, in the same operation order as the written
+    formula.
     """
     a1_parts, a2_parts = [], []
-    for k, s_w2, s_hw in _node_draws(pop.omega, pop.h, degree_model, weight_model, samples, rng):
-        den = np.subtract(pop.lam, s_w2, out=s_w2)
-        if den.min() <= 0:
-            raise NonPositiveDenominator(f"min denominator {den.min():g} at lambda={pop.lam:g}")
+    for k, den, s_hw in _full_nodes(pop, degree_model, weight_model, samples, rng):
         x = np.asarray(spike_model.sample(rng, size=k.size), float)
-        x *= pop.theta * pop.q
-        s_hw += x
-        s_hw /= den
-        a1_parts.append(np.square(s_hw, out=s_hw))  # ((s_hw + theta q x) / den)^2
+        a1_parts.append(np.square(_top_u(pop, x, den, s_hw), out=s_hw))
         a2_parts.append(np.divide(1.0, den, out=den))
     a1 = _joined(a1_parts)
     a2 = _joined(a2_parts)
@@ -328,9 +347,6 @@ def structural_lambda(
     rng: np.random.Generator,
     lam_lo: float,
     lam_hi: float,
-    probe_sweeps: int = 60,
-    growth_gens: int = 30,
-    lam_tol: float = 2e-3,
 ) -> tuple[float, dict]:
     """Structural top eigenvalue of the unspiked noise (theta = 0 reduction).
 
@@ -347,22 +363,22 @@ def structural_lambda(
     n = config.n_pop
 
     def probe(lam: float) -> float | None:
-        omega = rng.uniform(*config.omega_init, n)
+        omega = rng.uniform(*_OMEGA_INIT, n)
         pop = Population(omega=omega, h=np.zeros(n), q=0.0, lam=lam, theta=0.0)
         try:
-            for _ in range(probe_sweeps):
-                _sweep(pop, degree_model, weight_model, None, rng, config.chunk)
+            for _ in range(_PROBE_SWEEPS):
+                _sweep(pop, degree_model, weight_model, None, rng)
         except NonPositiveOmega:
             return None
         h = np.ones(n)
         logs = []
-        for gen in range(growth_gens):
+        for gen in range(_GROWTH_GENS):
             _, _, h_new = _gather(pop.omega, h, degree_model, weight_model, n, rng, cavity=True)
             growth = h_new.mean()
             if growth <= 0:
                 return None
             h = h_new / growth
-            if gen >= growth_gens // 3:
+            if gen >= _GROWTH_GENS // 3:
                 logs.append(np.log(growth))
         return float(np.exp(np.mean(logs)))
 
@@ -380,7 +396,7 @@ def structural_lambda(
         # no outlier above the spectral edge: the edge is the top eigenvalue
         diag["no_outlier"] = True
         return lo, diag
-    while hi - lo > lam_tol * max(1.0, abs(lo)):
+    while hi - lo > _LAM_TOL * max(1.0, abs(lo)):
         mid = 0.5 * (lo + hi)
         g = probe(mid)
         diag["probes"].append((mid, g))
@@ -391,8 +407,17 @@ def structural_lambda(
     return 0.5 * (lo + hi), diag
 
 
-def save_population(pop: Population, path: str, seed: int | None = None) -> None:
-    """Checkpoint (omega, h) plus parameters; reloadable without re-equilibration."""
+def _law(models: tuple) -> dict:
+    """The normal form of a (degree, weight, spike) ensemble: the tables its
+    models hold, so two configs that build the same models have equal laws."""
+    degree, weight, spike = models
+    spike_law = [spike.kind, spike.sigma_x2, *(t if t is None else t.tolist() for t in (spike.values, spike.probs))]
+    return {"degree": degree.probs.tolist(), "weight": [weight.values.tolist(), weight.probs.tolist()], "spike": spike_law}
+
+
+def save_population(pop: Population, path: str, models: tuple, seed: int | None = None) -> None:
+    """Checkpoint (omega, h) plus parameters and the law of the ensemble ``models``
+    = (degree, weight, spike) it was solved for; reloadable without re-equilibration."""
     np.savez(
         path,
         omega=pop.omega,
@@ -402,11 +427,20 @@ def save_population(pop: Population, path: str, seed: int | None = None) -> None
         theta=pop.theta,
         sweep_count=pop.sweep_count,
         seed=-1 if seed is None else seed,
+        law=json.dumps(_law(models)),
     )
 
 
-def load_population(path: str) -> Population:
+def load_population(path: str, models: tuple) -> Population:
+    """The checkpointed population; a ValueError unless it was saved under
+    the law of ``models``."""
     with np.load(path) as data:
+        saved = json.loads(str(data["law"])) if "law" in data.files else None
+        if not isinstance(saved, dict):
+            raise ValueError("the checkpoint names no ensemble law")
+        differ = [part for part, law in _law(models).items() if saved.get(part) != law]
+        if differ:
+            raise ValueError(f"the checkpoint was solved under another {'/'.join(differ)} law than the config's")
         return Population(
             omega=data["omega"],
             h=data["h"],

@@ -224,13 +224,15 @@ class TestRRReport:
             assert rep.lambda_theta > rep.lambda_structural
             assert 0 < rep.overlap_sq <= 1.0
 
-    @pytest.mark.parametrize("c", [3, 4, 10])
+    @pytest.mark.parametrize("c", [2, 3, 4, 10])
     def test_generic_route_matches_closed_forms(self, c):
         # the resolvent route against the closed forms to near machine
-        # precision: the branch above theta_b, the overlap above theta_crit
+        # precision: the branch above theta_b, the overlap above theta_crit;
+        # theta_b is 0 for the chain c = 2, so its grid is positive thetas
         dm = ensembles.regular(c)
         rep = analytic.rr_report(c, 1.0, 0.0)
-        for theta in rep.theta_b * np.array([1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0]):
+        scale = rep.theta_b if rep.theta_b > 0 else 0.1
+        for theta in scale * np.array([1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0]):
             closed = analytic.rr_report(c, 1.0, theta)
             assert abs(analytic.lambda_signal(theta, dm, W1, GAUSS) - closed.lambda_theta) < 1e-12
             if theta > closed.theta_crit:

@@ -60,6 +60,18 @@ class TestConfigParsing:
         ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"n_pop": 2e4}}, "popdyn.n_pop"),
         ({"mode": "analytic", "degree": {"kind": "table", "probs": [0.2, 0.3, 0.5]}}, "'table' degree table"),
         ({"mode": "sweep", "degree": {"kind": "table", "probs": [0.2, 0.3, 0.5]}}, "'table' degree table"),
+        ({"mode": "analytic", "degree": RR4, "theta": None}, "theta"),
+        ({"mode": "analytic", "degree": RR4, "theta": ["x"]}, "theta"),
+        ({"mode": "analytic", "degree": RR4, "theta": "12"}, "theta"),
+        ({"mode": "analytic", "degree": RR4, "theta": [float("nan")]}, "theta"),
+        ({"mode": "analytic", "degree": RR4, "theta": [float("inf")]}, "theta"),
+        ({"mode": "analytic", "degree": RR4, "theta": [True]}, "theta"),
+        ({"mode": "analytic", "degree": RR4, "theta": [10**400]}, "theta"),
+        ({"mode": "analytic", "degree": RR4, "c_grid": [None]}, "c_grid"),
+        ({"mode": "analytic", "degree": RR4, "c_grid": [float("nan")]}, "c_grid"),
+        ({"mode": "analytic", "degree": RR4, "c_grid": "4"}, "c_grid"),
+        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"chunk": 4096}}, "chunk"),
+        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"plateau_window": 10}}, "plateau_window"),
     ])
     def test_rejects_bad_fields(self, raw, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -82,6 +94,16 @@ class TestAnalyticMode:
         header = (tmp_path / "analytic.csv").read_text().splitlines()
         assert header[0].startswith("# config: ")
         assert header[1] == "# seed: 0"
+
+    @pytest.mark.parametrize("mode", ["analytic", "sweep"])
+    def test_regular_chain_closed_forms(self, tmp_path, mode):
+        # c = 2 unit-weight noise (a union of cycles): theta_b = theta_crit = 0
+        path = write_config(tmp_path, mode=mode, degree={"kind": "regular", "c": 2}, theta=[1.0],
+                            n=60, instances=1)
+        assert cli.main([path, "--out-dir", str(tmp_path)]) == 0
+        rows = list(csv.DictReader(line for line in open(tmp_path / f"{mode}.csv") if not line.startswith("#")))
+        assert float(rows[0]["theta_crit"]) == 0.0
+        assert float(rows[0]["theta_b"]) == 0.0
 
     def test_signal_root_next_to_cap_edge(self, tmp_path):
         # lambda_structural at the spectral edge gives theta_crit = 0; the
@@ -234,12 +256,14 @@ class TestDensitiesMode:
 
 class TestDensitiesCheckpoint:
     @staticmethod
-    def _checkpoint(tmp_path, theta):
+    def _checkpoint(tmp_path, theta, **law):
+        # saved under the ensemble of an RR4 densities config with ``law``'s fields
+        cfg = cli.parse_config({"mode": "densities", "degree": RR4, "theta": [theta], **law})
         rng = np.random.default_rng(0)
         pop = popdyn.Population(omega=rng.uniform(2.0, 4.0, 500), h=rng.standard_normal(500),
                                 q=0.9, lam=20.0, theta=theta)
         path = str(tmp_path / f"population_theta{theta:g}.npz")
-        popdyn.save_population(pop, path, seed=0)
+        popdyn.save_population(pop, path, cli.build_models(cfg), seed=0)
         return path
 
     def _run(self, tmp_path, checkpoint, theta):
@@ -256,6 +280,27 @@ class TestDensitiesCheckpoint:
         assert self._run(tmp_path, self._checkpoint(tmp_path, 6.0), 3.0) == 2
         assert "theta=6.0" in capsys.readouterr().err
         assert not (tmp_path / "out" / "rho_top_samples.csv").exists()
+
+    def test_law_spelled_with_defaults_loads(self, tmp_path, capsys):
+        # {"kind": "constant"} and the default {"kind": "constant", "w": 1.0}
+        # are one weight law, and so are the two spellings of the spike
+        path = self._checkpoint(tmp_path, 6.0, weight={"kind": "constant"}, spike={"kind": "gaussian"})
+        assert self._run(tmp_path, path, 6.0) == 0
+
+    def test_other_ensemble_is_config_error(self, tmp_path, capsys):
+        # a population solved for Poisson noise must not be sampled under RR4
+        path = self._checkpoint(tmp_path, 6.0, degree={"kind": "truncated_poisson", "cbar": 3.0, "k_max": 8})
+        assert self._run(tmp_path, path, 6.0) == 2
+        assert "another degree law" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "rho_top_samples.csv").exists()
+
+    def test_checkpoint_without_law_is_config_error(self, tmp_path, capsys):
+        # a checkpoint in the format that recorded no law
+        path = str(tmp_path / "old.npz")
+        np.savez(path, omega=np.full(500, 3.0), h=np.zeros(500), q=0.9, lam=20.0, theta=6.0,
+                 sweep_count=0, seed=0)
+        assert self._run(tmp_path, path, 6.0) == 2
+        assert "no ensemble law" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_config_error(self, tmp_path, capsys):
         assert self._run(tmp_path, str(tmp_path / "absent.npz"), 6.0) == 2

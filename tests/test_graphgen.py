@@ -225,26 +225,3 @@ class TestSpikedMatrix:
         bound = np.abs(g.to_dense()).sum(axis=1).max()
         assert np.all(np.abs(eigs) <= bound + 1e-12)
 
-
-class TestDumpLoad:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        g = graphgen.configuration_model(np.full(30, 3), rng)
-        g = graphgen.assign_weights(g, ensembles.weight_table([-1.0, 0.5], [0.5, 0.5]), rng)
-        a = graphgen.assemble_spiked(g, ensembles.gaussian_spike(1.0), 2.5, rng)
-        graphgen.dump_instance(a, str(tmp_path), seed=42)
-        b = graphgen.load_instance(str(tmp_path))
-        assert b.n == a.n
-        assert b.theta == a.theta
-        assert np.array_equal(b.x, a.x)
-        v = rng.standard_normal(30)
-        assert np.array_equal(a.matvec(v), b.matvec(v))
-
-    def test_empty_edges_roundtrip(self, tmp_path):
-        noise = graphgen.SparseSymmetric(n=3, edge_u=np.empty(0, np.int64),
-                                         edge_v=np.empty(0, np.int64), edge_w=np.empty(0))
-        a = graphgen.SpikedMatrix(noise=noise, x=np.array([1.0, -1.0, 0.5]), theta=1.0)
-        graphgen.dump_instance(a, str(tmp_path))
-        b = graphgen.load_instance(str(tmp_path))
-        assert b.noise.n_edges == 0
-        assert np.array_equal(b.x, a.x)

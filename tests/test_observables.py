@@ -187,12 +187,22 @@ def _random_population(n_pop=2000):
                              q=0.9, lam=60.0, theta=6.0)
 
 
+# Draws per block of the full-node loop on regular(16) noise: 4e6 members / 16.
+BLOCK_16 = 250_000
+
+
+def _blocks(pop, dm, wm, n, rng, h):
+    """The full-node loop's blocks of (k, s_w2, s_hw), straight from the kernel."""
+    for lo in range(0, n, BLOCK_16):
+        yield popdyn._gather(pop.omega, h, dm, wm, min(BLOCK_16, n - lo), rng, cavity=False)
+
+
 def _written_formulas(pop, dm, wm, sm, n, seed):
     """(k, rho_top u, rho_ov u, alpha1 terms, alpha2 terms) by the written
     formulas, on the draws that rho_top, rho_ov and alpha_pair make."""
     rng = np.random.default_rng(seed)
     parts = []
-    for k, s_w2, s_hw in popdyn._node_draws(pop.omega, pop.h, dm, wm, n, rng):
+    for k, s_w2, s_hw in _blocks(pop, dm, wm, n, rng, pop.h):
         den = pop.lam - s_w2
         x = np.asarray(sm.sample(rng, size=k.size), float)
         num = s_hw + pop.theta * pop.q * x
@@ -224,6 +234,14 @@ class TestInPlaceFormulas:
         expected = (float(a1.mean()), float(a1.std() / np.sqrt(n)),
                     float(a2.mean()), float(a2.std() / np.sqrt(n)))
         assert popdyn.alpha_pair(pop, self.DM, wm, sm, np.random.default_rng(4), self.N) == expected
+
+    @pytest.mark.parametrize("wm", [W1, ensembles.rademacher_weight(0.5)], ids=["constant", "rademacher"])
+    def test_q_general(self, wm):
+        # the mean of 1/(lambda - {W^2/omega}_k), summed block by block
+        pop = _random_population()
+        blocks = _blocks(pop, self.DM, wm, self.N, np.random.default_rng(5), None)
+        expected = sum(float((1.0 / (pop.lam - s_w2)).sum()) for _, s_w2, _ in blocks) / self.N
+        assert analytic.q_general(pop, self.DM, wm, np.random.default_rng(5), self.N) == expected
 
 
 class TestGatherMemory:

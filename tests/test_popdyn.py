@@ -143,30 +143,33 @@ class TestGatherPieces:
 class TestUpdateStep:
     """The replacement update of ``_sweep``."""
 
-    def test_rr_fixed_point_preserved(self):
+    def test_rr_fixed_point_preserved(self, monkeypatch):
+        monkeypatch.setattr(popdyn, "_CHUNK", 64)  # sweeps of several batches, the last one partial
         # omega = 3 solves omega = lambda - (c-1)/omega at lambda = c = 4,
         # so any update reproduces omega 3 and a mean of the stored h values
         pop = popdyn.Population(omega=np.full(500, 3.0), h=np.full(500, 0.6),
                                 q=0.5, lam=4.0, theta=0.0)
         rng = np.random.default_rng(0)
         for _ in range(3):
-            popdyn._sweep(pop, ensembles.regular(4), W1, GAUSS, rng, chunk=64)
+            popdyn._sweep(pop, ensembles.regular(4), W1, GAUSS, rng)
         assert np.all(pop.omega == 3.0)
         assert np.allclose(pop.h, 0.6, atol=1e-12)
 
-    def test_degree_one_sets_omega_to_lambda(self):
+    def test_degree_one_sets_omega_to_lambda(self, monkeypatch):
+        monkeypatch.setattr(popdyn, "_CHUNK", 16)
         leaf_only = ensembles.degree_table([0.0, 1.0])
         pop = popdyn.Population(omega=np.full(50, 7.7), h=np.zeros(50),
                                 q=0.5, lam=9.25, theta=2.0)
-        popdyn._sweep(pop, leaf_only, W1, GAUSS, np.random.default_rng(1), chunk=16)
+        popdyn._sweep(pop, leaf_only, W1, GAUSS, np.random.default_rng(1))
         assert np.any(pop.omega == 9.25)  # empty sums give omega = lambda bit-exactly
         assert np.all((pop.omega == 9.25) | (pop.omega == 7.7))
 
-    def test_non_positive_omega_raises(self):
+    def test_non_positive_omega_raises(self, monkeypatch):
+        monkeypatch.setattr(popdyn, "_CHUNK", 16)
         pop = popdyn.Population(omega=np.full(50, 0.1), h=np.zeros(50),
                                 q=0.5, lam=1.0, theta=0.0)
         with pytest.raises(NonPositiveOmega):
-            popdyn._sweep(pop, ensembles.regular(4), W1, GAUSS, np.random.default_rng(2), chunk=16)
+            popdyn._sweep(pop, ensembles.regular(4), W1, GAUSS, np.random.default_rng(2))
 
     def test_theta_zero_stream_independent_of_spike_model(self):
         # with theta = 0 no spike draw happens, so omega AND h dynamics are
@@ -177,8 +180,8 @@ class TestUpdateStep:
         pop_b = popdyn.init_population(config, np.random.default_rng(7))
         pop_a.lam = pop_b.lam = 7.0
         rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
-        popdyn._sweep(pop_a, dm, W1, GAUSS, rng_a, config.chunk)
-        popdyn._sweep(pop_b, dm, W1, None, rng_b, config.chunk)
+        popdyn._sweep(pop_a, dm, W1, GAUSS, rng_a)
+        popdyn._sweep(pop_b, dm, W1, None, rng_b)
         assert np.array_equal(pop_a.omega, pop_b.omega)
         assert np.array_equal(pop_a.h, pop_b.h)
 
@@ -322,11 +325,11 @@ class TestStructural:
 
 
 class TestCheckpoint:
-    def test_roundtrip(self, tmp_path, rr_solved):
+    def test_roundtrip(self, tmp_path, rr_solved, rr_models):
         pop = rr_solved["pop"]
         path = str(tmp_path / "pop.npz")
-        popdyn.save_population(pop, path, seed=77)
-        loaded = popdyn.load_population(path)
+        popdyn.save_population(pop, path, rr_models, seed=77)
+        loaded = popdyn.load_population(path, rr_models)
         assert np.array_equal(loaded.omega, pop.omega)
         assert np.array_equal(loaded.h, pop.h)
         assert (loaded.q, loaded.lam, loaded.theta) == (pop.q, pop.lam, pop.theta)
