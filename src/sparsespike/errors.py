@@ -33,10 +33,6 @@ class NotConverged(SolverError):
     """Krylov eigensolver failed to reach the residual tolerance within max_iter."""
 
 
-class CapExceeded(SolverError):
-    """Dense-path operation requested above its size cap."""
-
-
 class NoConvergence(SolverError):
     """Scalar fixed-point iteration failed to converge (lambda inadmissible)."""
 

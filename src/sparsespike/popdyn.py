@@ -7,9 +7,12 @@ N_p pairs updated by random replacement. One sweep performs N_p single
 replacements; for speed the replacements are processed in vectorized
 batches whose member lookups see the population as of the batch start
 (an O(batch/N_p) perturbation of strict one-at-a-time semantics with the
-same fixed point). All randomness flows through the caller's Generator,
-so equal seeds reproduce populations, alpha estimates, and rescale
-trajectories bit for bit.
+same fixed point). Sweeps stop when each of the four moments (mean and
+variance of omega and h) has the same mean over the last two windows of
+10 sweeps to within 3 standard errors of that moment in the population,
+a test that scales with N_p. All randomness flows through the caller's
+Generator, so equal seeds reproduce populations, alpha estimates, and
+rescale trajectories bit for bit.
 """
 
 from __future__ import annotations
@@ -45,23 +48,33 @@ class Population:
     def n_pop(self) -> int:
         return self.omega.size
 
-    def moments(self) -> dict:
-        return {
-            "mean_omega": float(self.omega.mean()),
-            "var_omega": float(self.omega.var()),
-            "mean_h": float(self.h.mean()),
-            "var_h": float(self.h.var()),
-        }
+    def moments(self) -> tuple[dict, dict]:
+        """The four moments and their standard errors: sqrt(var / N_p) for a
+        mean, sqrt((m4 - var^2) / N_p) for a variance (m4 the fourth central
+        moment). Both arrays share one temporary of N_p for the squared
+        deviations, as much memory as one ``np.var`` call takes."""
+        mom, se, d2 = {}, {}, np.empty(self.n_pop)
+        for name, a in (("omega", self.omega), ("h", self.h)):
+            mean = float(a.mean())
+            np.square(np.subtract(a, mean, out=d2), out=d2)
+            var = float(d2.mean())
+            m4 = float(np.square(d2, out=d2).mean())
+            mom["mean_" + name], se["mean_" + name] = mean, np.sqrt(var / a.size)
+            mom["var_" + name], se["var_" + name] = var, np.sqrt(max(m4 - var * var, 0.0) / a.size)
+        return mom, se
 
 
 # Fixed settings of the solver: the initial population and parameters, the
-# plateau window in sweeps, the replacements per batch of a sweep, the
-# lambda inflation on a non-positive omega, and the growth probe's sweeps,
+# plateau window in sweeps, its allowance in standard errors and its floor
+# for zero and rounding, the replacements per batch of a sweep, the lambda
+# inflation on a non-positive omega, and the growth probe's sweeps,
 # generations and relative bisection tolerance.
 _OMEGA_INIT = (5.0, 20.0)
 _H_INIT = (0.0, 10.0)
 _Q_INIT = 0.5
-_PLATEAU_WINDOW = 20
+_PLATEAU_WINDOW = 10
+_PLATEAU_Z = 3.0
+_ZERO = 1e-12
 _CHUNK = 16_384
 _LAMBDA_BUMP = 1.5
 _PROBE_SWEEPS = 60
@@ -73,7 +86,6 @@ _LAM_TOL = 2e-3
 class PopDynConfig:
     n_pop: int = 200_000
     lambda_init: float = 10.0
-    plateau_tol: float = 1e-3
     alpha_tol: float = 1e-2
     max_rescales: int = 50
     alpha_samples: int = 1_000_000
@@ -82,7 +94,7 @@ class PopDynConfig:
     def __post_init__(self):
         if self.n_pop < 2:
             raise ValueError("n_pop must be at least 2")
-        for name in ("plateau_tol", "alpha_tol", "lambda_init"):
+        for name in ("alpha_tol", "lambda_init"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_rescales < 1 or self.max_sweeps < 1 or self.alpha_samples < 1:
@@ -162,23 +174,17 @@ def _sweep(pop, degree_model, weight_model, spike_model, rng):
     pop.sweep_count += 1
 
 
-def _block_means(trace: np.ndarray, window: int):
-    return float(trace[-2 * window : -window].mean()), float(trace[-window:].mean())
-
-
-def _plateaued(traces: dict, window: int, tol: float) -> bool:
-    if len(traces["mean_omega"]) < 2 * window:
+def _plateaued(traces: dict, se: dict) -> bool:
+    """The plateau rule of ``equilibrate``; ``se`` holds the standard errors
+    of the moments in the current population."""
+    w = _PLATEAU_WINDOW
+    if len(traces["mean_omega"]) < 2 * w:
         return False
-    arr = {key: np.asarray(traces[key]) for key in MOMENT_KEYS}
-    b_varh, _ = _block_means(arr["var_h"], window)
     for key in MOMENT_KEYS:
-        b1, b2 = _block_means(arr[key], window)
-        if max(abs(b1), abs(b2)) < 1e-12:
-            continue  # converged to zero in absolute terms
-        scale = abs(b1)
-        if key == "mean_h":
-            scale = max(scale, np.sqrt(max(b_varh, 0.0)))
-        if abs(b2 - b1) > tol * max(scale, 1e-12):
+        b1, b2 = np.mean(traces[key][-2 * w : -w]), np.mean(traces[key][-w:])
+        if max(abs(b1), abs(b2)) < _ZERO:
+            continue
+        if abs(b2 - b1) > _PLATEAU_Z * se[key] + _ZERO * abs(b1):
             return False
     return True
 
@@ -193,10 +199,14 @@ def equilibrate(
 ) -> dict:
     """Sweep until the four population moments plateau.
 
-    Equilibrium is declared when, for mean/var of omega and h, consecutive
-    window-averaged blocks agree to the relative plateau tolerance. On a
-    NonPositiveOmega event lambda is inflated by a factor 1.5, the
-    moment traces reset, and equilibration restarts (omega > 0 defines the
+    Equilibrium is declared when, for mean/var of omega and h, the means
+    over the last two windows of 10 sweeps differ by at most 3 standard
+    errors of that moment in the current population, so the test scales
+    with N_p; a moment whose window means are both below 1e-12 in size has
+    decayed to zero and passes, and 1e-12 of the moment is allowed for
+    rounding. The result carries these errors as ``moment_se``. On a
+    NonPositiveOmega event lambda is inflated by a factor 1.5, the moment
+    traces reset, and equilibration restarts (omega > 0 defines the
     admissible lambda region, so the only safe move is up).
     """
     traces = {key: [] for key in MOMENT_KEYS}
@@ -214,15 +224,16 @@ def equilibrate(
                 traces[key].clear()
             continue
         sweeps += 1
-        mom = pop.moments()
+        mom, se = pop.moments()
         for key in MOMENT_KEYS:
             traces[key].append(mom[key])
-        if _plateaued(traces, _PLATEAU_WINDOW, config.plateau_tol):
+        if _plateaued(traces, se):
             return {
                 "sweeps": sweeps,
                 "lambda_bumps": bumps,
                 "converged": True,
                 "traces": {key: np.asarray(val) for key, val in traces.items()},
+                "moment_se": se,
             }
     raise MaxSweepsExceeded(f"no plateau within {config.max_sweeps} sweeps")
 
@@ -327,7 +338,7 @@ def solve(
         )
         history.append(
             {"round": round_idx, "lambda": pop.lam, "q": pop.q, "alpha1": a1, "alpha2": a2,
-             "alpha1_se": se1, "alpha2_se": se2, "sweeps": eq["sweeps"]}
+             "alpha1_se": se1, "alpha2_se": se2, "sweeps": eq["sweeps"], "moment_se": eq["moment_se"]}
         )
         if abs(a1 - 1.0) <= config.alpha_tol and abs(a2 - 1.0) <= config.alpha_tol:
             diagnostics = {"history": history, "rounds": round_idx + 1, "final_equilibration": eq}

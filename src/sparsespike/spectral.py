@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, NotConverged
+from .errors import NotConverged
 from .graphgen import SparseSymmetric, SpikedMatrix
 
 _DEFAULT_TOL = 1e-10
@@ -131,14 +131,6 @@ def top_eigenpair(a, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITE
     evals, evecs, residuals, matvecs = _top_pairs(a, 1, tol, max_iter, rng)
     n = evecs.shape[0]
     return float(evals[0]), evecs[:, 0] * np.sqrt(n), residuals[0], matvecs
-
-
-def full_spectrum(a, cap: int = 3000) -> np.ndarray:
-    """All eigenvalues (ascending) by dense symmetric eigendecomposition."""
-    _, n, dense, _ = _as_operator(a)
-    if n > cap:
-        raise CapExceeded(f"N={n} exceeds dense-path cap {cap}")
-    return np.linalg.eigvalsh(dense())
 
 
 def analyze_instance(a: SpikedMatrix, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER, rng=None, want_second: bool = True) -> EigReport:

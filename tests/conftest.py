@@ -47,6 +47,17 @@ def poisson_solved(poisson_models):
 
 
 @pytest.fixture(scope="session")
+def theta_zero_poisson_pop(poisson_models):
+    """theta = 0 population at an admissible lambda (structural reduction);
+    its h moments decay to zero."""
+    dm, wm, _ = poisson_models
+    config = popdyn.PopDynConfig(n_pop=20_000, lambda_init=6.0)
+    pop = popdyn.init_population(config, np.random.default_rng(0), theta=0.0)
+    popdyn.equilibrate(pop, config, dm, wm, None, np.random.default_rng(1))
+    return pop
+
+
+@pytest.fixture(scope="session")
 def rr_solved(rr_models):
     """Random-regular c=4, theta=4 population at the closed-form parameters."""
     dm, wm, sm = rr_models

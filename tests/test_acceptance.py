@@ -178,7 +178,7 @@ def test_criterion_6_structural_zero_spike_reduction():
     """theta=0: popdyn collapsed fixed point gives lambda_top = 4 within
     1e-6; signed empirical overlap within 3 std-err of 0 over 25 instances."""
     dm, wm, sm = rr4_models()
-    config = popdyn.PopDynConfig(n_pop=20_000, lambda_init=4.0, plateau_tol=5e-3)
+    config = popdyn.PopDynConfig(n_pop=20_000, lambda_init=4.0)
     pop = popdyn.init_population(config, derive_rng(SEED + 3, 0, "init"))
     popdyn.equilibrate(pop, config, dm, wm, None, derive_rng(SEED + 3, 0, "eq"))
     om_bar = pop.omega.mean()

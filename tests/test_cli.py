@@ -72,6 +72,7 @@ class TestConfigParsing:
         ({"mode": "analytic", "degree": RR4, "c_grid": "4"}, "c_grid"),
         ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"chunk": 4096}}, "chunk"),
         ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"plateau_window": 10}}, "plateau_window"),
+        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"plateau_tol": 1e-3}}, "plateau_tol"),
     ])
     def test_rejects_bad_fields(self, raw, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -227,8 +228,7 @@ class TestPopdynMode:
         cfg = cli.parse_config({
             "mode": "popdyn", "degree": RR4, "theta": [4.0],
             "out_dir": str(tmp_path), "seed": 3, "save_checkpoint": True,
-            "popdyn": {"n_pop": 5000, "alpha_samples": 50_000, "alpha_tol": 0.05,
-                       "plateau_tol": 5e-3},
+            "popdyn": {"n_pop": 5000, "alpha_samples": 50_000, "alpha_tol": 0.05},
         })
         rows = cli.run_popdyn(cfg)
         assert len(rows) == 1
@@ -242,8 +242,7 @@ class TestDensitiesMode:
         cfg = cli.parse_config({
             "mode": "densities", "degree": RR4, "theta": [4.0],
             "out_dir": str(tmp_path), "seed": 4, "density_samples": 20_000,
-            "popdyn": {"n_pop": 5000, "alpha_samples": 50_000, "alpha_tol": 0.05,
-                       "plateau_tol": 5e-3},
+            "popdyn": {"n_pop": 5000, "alpha_samples": 50_000, "alpha_tol": 0.05},
         })
         cli.run(cfg)
         for name in ("rho_top_hist.csv", "rho_ov_hist.csv", "rho_top_samples.csv",
@@ -330,7 +329,7 @@ class TestMainExitCodes:
             tmp_path, mode="popdyn", degree=RR4, theta=[4.0],
             out_dir=str(tmp_path / "out"), warm_start=False,
             popdyn={"n_pop": 2000, "alpha_samples": 10_000, "alpha_tol": 1e-4,
-                    "max_rescales": 1, "plateau_tol": 5e-3},
+                    "max_rescales": 1},
         )
         assert cli.main([path]) == 3
 
@@ -373,7 +372,7 @@ def test_densities_run_loads_no_scipy(tmp_path):
     path = write_config(
         tmp_path, mode="densities", degree=RR4, theta=[4.0], out_dir=str(tmp_path / "out"),
         density_samples=5_000,
-        popdyn={"n_pop": 2000, "alpha_samples": 20_000, "alpha_tol": 0.1, "plateau_tol": 1e-2},
+        popdyn={"n_pop": 2000, "alpha_samples": 20_000, "alpha_tol": 0.1},
     )
     code = ("import sys; from sparsespike import cli; "
             f"assert cli.main(sys.argv[1:]) == 0; print({SCIPY_LOADED})")

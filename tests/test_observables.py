@@ -14,16 +14,6 @@ W1 = ensembles.constant_weight(1.0)
 GAUSS = ensembles.gaussian_spike(1.0)
 
 
-@pytest.fixture(scope="module")
-def theta_zero_poisson_pop(poisson_models):
-    """theta = 0 population at an admissible lambda (structural reduction)."""
-    dm, wm, _ = poisson_models
-    config = popdyn.PopDynConfig(n_pop=20_000, plateau_tol=5e-3, lambda_init=6.0)
-    pop = popdyn.init_population(config, np.random.default_rng(0), theta=0.0)
-    popdyn.equilibrate(pop, config, dm, wm, None, np.random.default_rng(1))
-    return pop
-
-
 class TestRhoTop:
     def test_isolated_node_atom_at_zero(self, theta_zero_poisson_pop, poisson_models):
         dm, wm, _ = poisson_models

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sparsespike import analytic, ensembles, popdyn
+from sparsespike.cli import derive_rng
 from sparsespike.errors import (
     MaxSweepsExceeded,
     NonPositiveDenominator,
@@ -18,7 +19,7 @@ GAUSS = ensembles.gaussian_spike(1.0)
 
 
 def small_config(**overrides):
-    base = dict(n_pop=20_000, alpha_samples=200_000, plateau_tol=5e-3)
+    base = dict(n_pop=20_000, alpha_samples=200_000)
     base.update(overrides)
     return popdyn.PopDynConfig(**base)
 
@@ -224,6 +225,81 @@ class TestEquilibrate:
         assert abs(freq - r1) < 3 * se
 
 
+def synthetic_population(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return popdyn.Population(omega=rng.gamma(4.0, 0.5, n), h=rng.standard_normal(n) + 0.3,
+                             q=0.5, lam=6.0, theta=1.0)
+
+
+def synthetic_traces(mom, se, shift, length, seed=0):
+    """Each moment at its value plus Gaussian noise of 0.3 standard errors
+    per sweep, and its last window moved by ``shift`` standard errors."""
+    rng = np.random.default_rng(seed)
+    w = popdyn._PLATEAU_WINDOW
+    traces = {}
+    for key in popdyn.MOMENT_KEYS:
+        units = 0.3 * rng.standard_normal(length)
+        units[length - w:] += shift
+        traces[key] = list(mom[key] + se[key] * units)
+    return traces
+
+
+class TestPlateau:
+    def test_moments_and_standard_errors(self):
+        pop = synthetic_population(5000)
+        mom, se = pop.moments()
+        assert list(mom) == list(se) == list(popdyn.MOMENT_KEYS)
+        for name, a in (("omega", pop.omega), ("h", pop.h)):
+            var = a.var()
+            m4 = np.mean((a - a.mean()) ** 4)
+            assert mom["mean_" + name] == pytest.approx(a.mean(), rel=1e-12)
+            assert mom["var_" + name] == pytest.approx(var, rel=1e-12)
+            assert se["mean_" + name] == pytest.approx(np.sqrt(var / a.size), rel=1e-12)
+            assert se["var_" + name] == pytest.approx(np.sqrt((m4 - var**2) / a.size), rel=1e-12)
+
+    def test_stationary_trace_plateaus_at_two_windows(self):
+        mom, se = synthetic_population(20_000).moments()
+        w = popdyn._PLATEAU_WINDOW
+        traces = synthetic_traces(mom, se, 0.0, 2 * w)
+        assert popdyn._plateaued(traces, se)
+        short = {key: trace[1:] for key, trace in traces.items()}
+        assert not popdyn._plateaued(short, se)
+
+    @pytest.mark.parametrize("key", popdyn.MOMENT_KEYS)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_drift_of_five_standard_errors_does_not_plateau(self, key, sign):
+        mom, se = synthetic_population(20_000).moments()
+        traces = synthetic_traces(mom, se, 0.0, 2 * popdyn._PLATEAU_WINDOW)
+        drifted = synthetic_traces(mom, se, sign * 5.0, 2 * popdyn._PLATEAU_WINDOW)
+        assert not popdyn._plateaued({**traces, key: drifted[key]}, se)
+        within = synthetic_traces(mom, se, sign * 2.0, 2 * popdyn._PLATEAU_WINDOW)
+        assert popdyn._plateaued({**traces, key: within[key]}, se)
+
+    def test_moments_below_zero_floor_plateau(self, theta_zero_poisson_pop):
+        # at theta = 0 the h moments decay to zero: a tenfold drop between
+        # the windows is far beyond their standard errors, yet passes below
+        # the floor and fails above it
+        mom, se = theta_zero_poisson_pop.moments()
+        assert 10 * max(abs(mom["mean_h"]), mom["var_h"]) < popdyn._ZERO
+        w = popdyn._PLATEAU_WINDOW
+        traces = synthetic_traces(mom, se, 0.0, 2 * w)
+        for key in ("mean_h", "var_h"):
+            traces[key] = [10 * mom[key]] * w + [mom[key]] * w
+            assert 9 * abs(mom[key]) > 3 * se[key]
+        assert popdyn._plateaued(traces, se)
+        above = {**traces, "mean_h": [1e3 * v for v in traces["mean_h"]]}
+        assert not popdyn._plateaued(above, se)
+
+    @pytest.mark.parametrize("shift", [0.0, 1.0, 2.5, 3.5, 5.0])
+    def test_same_relative_trace_same_verdict_at_two_sizes(self, shift):
+        verdicts = []
+        for n in (20_000, 200_000):
+            mom, se = synthetic_population(n).moments()
+            traces = synthetic_traces(mom, se, shift, 3 * popdyn._PLATEAU_WINDOW)
+            verdicts.append(popdyn._plateaued(traces, se))
+        assert verdicts == [shift < 3.0] * 2
+
+
 class TestAlphas:
     def test_solved_rr_alphas_near_one(self, rr_solved, rr_models):
         dm, wm, sm = rr_models
@@ -296,6 +372,30 @@ class TestSolve:
         assert np.array_equal(out[0][0], out[1][0])
         assert np.array_equal(out[0][1], out[1][1])
         assert out[0][2:] == out[1][2:]
+
+    @pytest.mark.parametrize("n_pop", [20_000, 200_000])
+    def test_default_config_converges_at_two_sizes(self, n_pop):
+        # truncated Poisson(3, 8), W = 1, theta = 6, warm-started at the
+        # analytic (lambda, q): on this seed a plateau test with a fixed
+        # relative tolerance of 1e-3 found no plateau in 600 sweeps at N_p 2e4
+        dm = ensembles.truncated_poisson(3.0, 8)
+        lam = analytic.lambda_signal(6.0, dm, W1, GAUSS)
+        q = float(np.sqrt(analytic.overlap_sq(6.0, dm, W1, GAUSS)))
+        _, _, _, diag = popdyn.solve(
+            6.0, dm, W1, GAUSS, popdyn.PopDynConfig(n_pop=n_pop),
+            derive_rng(1004, 0, "popdyn"), warm_start=(lam, q),
+        )
+        assert diag["rounds"] == 1
+        assert diag["history"][0]["sweeps"] <= 60
+
+    def test_history_carries_standard_errors(self, poisson_solved):
+        diag = poisson_solved["diag"]
+        for entry in diag["history"]:
+            assert list(entry["moment_se"]) == list(popdyn.MOMENT_KEYS)
+            assert all(v > 0 for v in entry["moment_se"].values())
+        assert diag["history"][-1]["moment_se"] == diag["final_equilibration"]["moment_se"]
+        _, se = poisson_solved["pop"].moments()
+        assert diag["final_equilibration"]["moment_se"] == se
 
     def test_solve_rejects_theta_zero(self, rr_models):
         dm, wm, sm = rr_models

