@@ -205,10 +205,11 @@ def q_general(
     samples: int = 1_000_000,
 ) -> float:
     """Monte Carlo Q_hat(lambda) = < integral {dpi}_k {drho_W}_k
-    1/(lambda - {W^2/omega}_k) > over an equilibrated population."""
+    1/(lambda - {W^2/omega}_k) > over an equilibrated population; the
+    gather's bias sums are not used."""
     total = 0.0
     count = 0
-    for _, den, _ in _full_nodes(population, degree_model, weight_model, samples, rng, bias=False):
+    for _, den, _ in _full_nodes(population, degree_model, weight_model, samples, rng):
         total += float(np.divide(1.0, den, out=den).sum())
         count += den.size
     return total / count

@@ -436,10 +436,8 @@ def run_densities(cfg: ExperimentConfig) -> dict:
             warm_start=_warm_start(cfg, theta, degree_model, weight_model, spike_model),
         )
     header = (f"config: {cfg.canonical()}", f"seed: {cfg.seed}")
-    top = observables.rho_top(pop, degree_model, weight_model, spike_model,
-                              cfg.density_samples, derive_rng(cfg.seed, 1, "rho_top"))
-    ov = observables.rho_ov(pop, degree_model, weight_model, spike_model,
-                            cfg.density_samples, derive_rng(cfg.seed, 2, "rho_ov"))
+    top, ov = observables.component_densities(pop, degree_model, weight_model, spike_model,
+                                              cfg.density_samples, derive_rng(cfg.seed, 1, "rho_top"))
     marg = observables.marginals(pop)
     observables.write_histogram_csv(top, os.path.join(cfg.out_dir, "rho_top_hist.csv"), header)
     observables.write_histogram_csv(ov, os.path.join(cfg.out_dir, "rho_ov_hist.csv"), header)

@@ -32,50 +32,29 @@ def _build_density(samples: np.ndarray, k_tags: np.ndarray) -> DensityEstimate:
     return DensityEstimate(samples=samples, k_tags=k_tags, bin_edges=edges, masses=counts / counts.sum())
 
 
-def _component_samples(pop, degree_model, weight_model, spike_model, n_samples, rng, overlap: bool):
-    """Samples of u and their degrees. The formulas overwrite each block's
-    gathered sums, keeping the written formula's operation order."""
-    us, ks = [], []
+def component_densities(
+    pop: Population,
+    degree_model: DegreeModel,
+    weight_model: WeightModel,
+    spike_model: SpikeModel,
+    n_samples: int,
+    rng: np.random.Generator,
+) -> tuple[DensityEstimate, DensityEstimate]:
+    """The top-eigenvector and overlap component densities, from one set of
+    full-node draws: u_top = ({hW/w}_k + theta q X) / (lambda - {W^2/w}_k),
+    with k drawn from p_k and kept as the sample's tag, and u_ov = X u_top
+    on the same draws, as the overlap components x_i v_i of one instance
+    pair with its components v_i. The formulas overwrite each block's
+    gathered sums and spike draws."""
+    tops, ovs, ks = [], [], []
     for k, den, s_hw in _full_nodes(pop, degree_model, weight_model, n_samples, rng):
         x = np.asarray(spike_model.sample(rng, size=k.size), float)
-        if overlap:  # (x {hW/w} + ((theta q) x) x) / den
-            s_hw *= x
-            tqxx = np.multiply(pop.theta * pop.q, x)
-            tqxx *= x
-            s_hw += tqxx
-            s_hw /= den
-        else:
-            _top_u(pop, x, den, s_hw)
-        us.append(s_hw)
+        u = _top_u(pop, x, den, s_hw)
+        tops.append(u)
+        ovs.append(np.multiply(x, u, out=x))
         ks.append(k)
-    return _joined(us), _joined(ks)
-
-
-def rho_top(
-    pop: Population,
-    degree_model: DegreeModel,
-    weight_model: WeightModel,
-    spike_model: SpikeModel,
-    n_samples: int,
-    rng: np.random.Generator,
-) -> DensityEstimate:
-    """Top-eigenvector component density: u = ({hW/w}_k + theta q X) / (lambda - {W^2/w}_k),
-    with k drawn from p_k and kept as the sample's tag."""
-    u, k = _component_samples(pop, degree_model, weight_model, spike_model, n_samples, rng, overlap=False)
-    return _build_density(u, k)
-
-
-def rho_ov(
-    pop: Population,
-    degree_model: DegreeModel,
-    weight_model: WeightModel,
-    spike_model: SpikeModel,
-    n_samples: int,
-    rng: np.random.Generator,
-) -> DensityEstimate:
-    """Overlap-component density: u = (X {hW/w}_k + theta q X^2) / (lambda - {W^2/w}_k)."""
-    u, k = _component_samples(pop, degree_model, weight_model, spike_model, n_samples, rng, overlap=True)
-    return _build_density(u, k)
+    k = _joined(ks)
+    return _build_density(_joined(tops), k), _build_density(_joined(ovs), k)
 
 
 def marginals(pop: Population) -> dict:

@@ -3,16 +3,16 @@ pairs (omega, h), including the rescaling loop that pins down the order
 parameters (q, lambda) for a given signal strength theta.
 
 A population is a Monte Carlo representation of the fixed-point density:
-N_p pairs updated by random replacement. One sweep performs N_p single
-replacements; for speed the replacements are processed in vectorized
-batches whose member lookups see the population as of the batch start
-(an O(batch/N_p) perturbation of strict one-at-a-time semantics with the
-same fixed point). Sweeps stop when each of the four moments (mean and
-variance of omega and h) has the same mean over the last two windows of
-10 sweeps to within 3 standard errors of that moment in the population,
-a test that scales with N_p. All randomness flows through the caller's
-Generator, so equal seeds reproduce populations, alpha estimates, and
-rescale trajectories bit for bit.
+N_p pairs updated by replacement. One sweep replaces every slot once, in
+order, in vectorized batches of consecutive slots whose member lookups see
+the population as of the batch start (an O(batch/N_p) perturbation of
+strict one-at-a-time semantics with the same fixed point). Sweeps stop
+when each of the four moments (mean and variance of omega and h) has the
+same mean over the last two windows of 10 sweeps to within 3 standard
+errors of that moment in the population, a test that scales with N_p.
+All randomness flows through the caller's Generator, so equal seeds
+reproduce populations, alpha estimates, and rescale trajectories bit for
+bit.
 """
 
 from __future__ import annotations
@@ -115,62 +115,81 @@ def init_population(config: PopDynConfig, rng: np.random.Generator, theta: float
 def _gather(omega, h, degree_model, weight_model, b, rng, cavity):
     """The one gather kernel: b draws of (k, {W^2/omega}, {hW/omega}).
 
-    With ``cavity`` k comes from r_k and the sums run over k-1 members (a
-    cavity update), else k comes from p_k and they run over k (a full node).
-    Members are drawn uniformly with replacement, each with a fresh weight,
-    in the order k, members, weights, each in one call. ``h=None`` skips
-    the bias sum. A one-point weight law draws nothing, and its value as a
-    scalar gives the same doubles as an array of it.
-
-    The terms and sums are formed ``_PIECE`` (2^15) draws at a time, so
-    their memory is bounded by a piece, not the block; a sweep's 16,384-draw
-    chunk is one piece. Each piece sums its own members with a local
-    repeat/bincount. A draw's members never span two pieces, so every sum
-    adds the same terms in the same order as one bincount over the block.
+    With ``cavity`` k comes from r_k and the sums run over t = k-1 members
+    (a cavity update), else k comes from p_k and they run over t = k (a full
+    node). All b degrees are drawn first, in one call. The draws are then
+    summed ``_PIECE`` (2^15) at a time, grouped by t: in each piece, for
+    each t > 0 in increasing order, the draws with t members are taken in
+    draw order, their members drawn uniformly with replacement as one
+    (t, count) index array and then, unless the weight law is one point,
+    their fresh weights as a (t, count) array. Adding the t rows in turn
+    sums each draw's terms in member order; each sum is written back to its
+    draw's position, so the output stays in i.i.d. draw order, and a draw
+    without members sums to 0. A one-point weight law is applied as a
+    scalar, which gives the same doubles as an array of it. Temporaries are
+    bounded by the members of one piece; a sweep's 16,384-draw chunk is one
+    piece.
     """
     k = degree_model.sample_corrected(rng, size=b) if cavity else degree_model.sample(rng, size=b)
     terms = k - 1 if cavity else k
-    idx = rng.integers(0, omega.size, int(terms.sum()))
+    small = np.min_scalar_type(degree_model.k_max)  # stable argsort of <= 16-bit ints is a radix sort
     scalar_w = weight_model.values.size == 1
-    w = float(weight_model.values[0]) if scalar_w else weight_model.sample(rng, size=idx.size)
-    s_w2 = np.empty(b)
-    s_hw = None if h is None else np.empty(b)
-    end = 0
+    w = float(weight_model.values[0]) if scalar_w else None
+    s_w2, s_hw = np.zeros(b), np.zeros(b)
     for lo in range(0, b, _PIECE):
-        hi = min(lo + _PIECE, b)
-        n = terms[lo:hi]
-        start, end = end, end + int(n.sum())
-        members = idx[start:end]
-        wp = w if scalar_w else w[start:end]
-        om = omega.take(members)
-        sid = np.repeat(np.arange(hi - lo), n)
-        s_w2[lo:hi] = np.bincount(sid, weights=wp * wp / om, minlength=hi - lo)
-        if h is not None:
-            s_hw[lo:hi] = np.bincount(sid, weights=h.take(members) * wp / om, minlength=hi - lo)
+        piece = terms[lo:lo + _PIECE]
+        order = np.argsort(piece.astype(small), kind="stable")
+        order += lo
+        end = 0
+        for t, count in enumerate(np.bincount(piece).tolist()):
+            start, end = end, end + count
+            if t == 0 or count == 0:
+                continue
+            pos = order[start:end]
+            members = rng.integers(0, omega.size, t * count).reshape(t, count)
+            om = omega.take(members)
+            hw = h.take(members)
+            if scalar_w:
+                hw *= w
+                w2 = w * w
+            else:
+                wt = weight_model.sample(rng, size=t * count).reshape(t, count)
+                hw *= wt
+                w2 = np.multiply(wt, wt, out=wt)
+            hw /= om
+            s_hw[pos] = _column_sums(hw)
+            s_w2[pos] = _column_sums(np.divide(w2, om, out=om))
     return k, s_w2, s_hw
 
 
+def _column_sums(a):
+    """Each column's sum, adding the rows in turn, written over row 0;
+    ``a.sum(axis=0)`` may add the rows of a narrow block pairwise instead."""
+    total = a[0]
+    for row in a[1:]:
+        total += row
+    return total
+
+
 def _sweep(pop, degree_model, weight_model, spike_model, rng):
-    """N_p replacements, processed in batches (see module docstring). The
+    """One sweep: every slot replaced once, batch i of ``_CHUNK`` draws
+    written to slots [i _CHUNK, (i+1) _CHUNK) (see module docstring). The
     spike draw happens only when theta != 0, so the omega dynamics consumes
     an identical random stream with or without a spike."""
     n = pop.n_pop
     draw_x = pop.theta != 0.0 and spike_model is not None
-    done = 0
-    while done < n:
-        b = min(_CHUNK, n - done)
+    for lo in range(0, n, _CHUNK):
+        b = min(_CHUNK, n - lo)
         _, s_w2, h_new = _gather(pop.omega, pop.h, degree_model, weight_model, b, rng, cavity=True)
-        omega_new = pop.lam - s_w2
+        omega_new = np.subtract(pop.lam, s_w2, out=s_w2)
         if omega_new.min() <= 0:
             raise NonPositiveOmega(
                 f"omega_new<=0 encountered at lambda={pop.lam:g} (min {omega_new.min():g})"
             )
         if draw_x:
-            h_new = h_new + pop.theta * pop.q * np.asarray(spike_model.sample(rng, size=b), float)
-        targets = rng.integers(0, n, b)
-        pop.omega[targets] = omega_new
-        pop.h[targets] = h_new
-        done += b
+            h_new += pop.theta * pop.q * np.asarray(spike_model.sample(rng, size=b), float)
+        pop.omega[lo:lo + b] = omega_new
+        pop.h[lo:lo + b] = h_new
     pop.sweep_count += 1
 
 
@@ -238,18 +257,17 @@ def equilibrate(
     raise MaxSweepsExceeded(f"no plateau within {config.max_sweeps} sweeps")
 
 
-def _full_nodes(pop, degree_model, weight_model, n_samples, rng, bias=True):
+def _full_nodes(pop, degree_model, weight_model, n_samples, rng):
     """The one loop of the full-node estimators: ``_gather`` over full nodes
     (k from p_k, k members) in blocks of about 4e6 members until n_samples
     draws are made. Each block yields (k, den, s_hw), with the denominator
     den = lambda - {W^2/omega}_k written over the gathered sum and checked
-    positive here; ``s_hw`` is {hW/omega}_k, or None without ``bias``."""
+    positive here, and s_hw = {hW/omega}_k."""
     block = max(1, int(4_000_000 / max(degree_model.mean_c, 1.0)))
-    h = pop.h if bias else None
     done = 0
     while done < n_samples:
         b = min(block, n_samples - done)
-        k, s_w2, s_hw = _gather(pop.omega, h, degree_model, weight_model, b, rng, cavity=False)
+        k, s_w2, s_hw = _gather(pop.omega, pop.h, degree_model, weight_model, b, rng, cavity=False)
         den = np.subtract(pop.lam, s_w2, out=s_w2)
         if den.min() <= 0:
             raise NonPositiveDenominator(f"min denominator {den.min():g} at lambda={pop.lam:g}")
@@ -259,9 +277,8 @@ def _full_nodes(pop, degree_model, weight_model, n_samples, rng, bias=True):
 
 def _top_u(pop, x, den, s_hw):
     """Top-eigenvector components u = ({hW/omega}_k + (theta q) x) / den,
-    written over ``s_hw``; ``x`` is scaled in place."""
-    x *= pop.theta * pop.q
-    s_hw += x
+    written over ``s_hw``; ``x`` is left as it is."""
+    s_hw += np.multiply(pop.theta * pop.q, x)
     s_hw /= den
     return s_hw
 
@@ -286,9 +303,9 @@ def alpha_pair(
     appendix-style estimator E[X^2 / (lambda - {W^2/omega}_k)] targets
     1/theta instead, so the theta factor is folded in here to give both
     alphas a common fixed point. alpha1's terms are the squares of the
-    components u that ``rho_top`` samples. The formulas overwrite each
-    block's gathered sums, in the same operation order as the written
-    formula.
+    components u that ``observables.component_densities`` samples. The
+    formulas overwrite each block's gathered sums, in the same operation
+    order as the written formula.
     """
     a1_parts, a2_parts = [], []
     for k, den, s_hw in _full_nodes(pop, degree_model, weight_model, samples, rng):

@@ -138,8 +138,7 @@ def test_criterion_4_density_agreement(poisson_full_solve, poisson_diag_batch):
 
     pop = poisson_full_solve["pop"]
     dm, wm, sm = poisson_full_solve["models"]
-    top = observables.rho_top(pop, dm, wm, sm, 200_000, derive_rng(SEED, 1, "rho_top"))
-    ov = observables.rho_ov(pop, dm, wm, sm, 200_000, derive_rng(SEED, 2, "rho_ov"))
+    top, ov = observables.component_densities(pop, dm, wm, sm, 200_000, derive_rng(SEED, 1, "rho_top"))
     emp_top = np.concatenate([rep.v_top for _, rep in poisson_diag_batch])
     emp_ov = np.concatenate([a.x * rep.v_top for a, rep in poisson_diag_batch])
     ks_top = stats.ks_2samp(top.samples, emp_top).statistic

@@ -223,7 +223,30 @@ def test_structural_eigenvalue_once_per_c(tmp_path, monkeypatch, mode):
     assert len(rows) == 6
 
 
+PO3 = {"kind": "truncated_poisson", "cbar": 3.0, "k_max": 8}
+TOY_POPDYN = {"n_pop": 5000, "alpha_samples": 50_000, "alpha_tol": 0.05}
+
+
+def _two_runs(tmp_path, capsys, raw):
+    """The bytes of every CSV and of stdout, for two runs of one config,
+    with each run's out_dir masked."""
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        cli.run(cli.parse_config({**raw, "out_dir": str(out)}))
+        mask = (str(out).encode(), b"OUT")
+        files = {p.name: p.read_bytes().replace(*mask) for p in sorted(out.glob("*.csv"))}
+        runs.append((files, capsys.readouterr().out.encode().replace(*mask)))
+    return runs
+
+
 class TestPopdynMode:
+    def test_rerun_byte_identical(self, tmp_path, capsys):
+        raw = {"mode": "popdyn", "degree": PO3, "theta": [6.0], "seed": 6, "popdyn": TOY_POPDYN}
+        (files_a, out_a), (files_b, out_b) = _two_runs(tmp_path, capsys, raw)
+        assert list(files_a) == ["popdyn.csv"]
+        assert files_a == files_b and out_a == out_b
+
     def test_rr_small(self, tmp_path):
         cfg = cli.parse_config({
             "mode": "popdyn", "degree": RR4, "theta": [4.0],
@@ -251,6 +274,14 @@ class TestDensitiesMode:
         hist = (tmp_path / "rho_top_hist.csv").read_text().splitlines()
         mass = sum(float(line.split(",")[2]) for line in hist if not line.startswith(("#", "bin")))
         assert abs(mass - 1.0) < 1e-9
+
+
+    def test_rerun_byte_identical(self, tmp_path, capsys):
+        raw = {"mode": "densities", "degree": PO3, "theta": [6.0], "seed": 6,
+               "density_samples": 20_000, "popdyn": TOY_POPDYN}
+        (files_a, out_a), (files_b, out_b) = _two_runs(tmp_path, capsys, raw)
+        assert len(files_a) == 6 and b"overlap_sq=" in out_a
+        assert files_a == files_b and out_a == out_b
 
 
 class TestDensitiesCheckpoint:

@@ -17,8 +17,8 @@ GAUSS = ensembles.gaussian_spike(1.0)
 class TestRhoTop:
     def test_isolated_node_atom_at_zero(self, theta_zero_poisson_pop, poisson_models):
         dm, wm, _ = poisson_models
-        density = observables.rho_top(theta_zero_poisson_pop, dm, wm, GAUSS,
-                                      50_000, np.random.default_rng(2))
+        density = observables.component_densities(theta_zero_poisson_pop, dm, wm, GAUSS,
+                                                  50_000, np.random.default_rng(2))[0]
         frac_zero = np.mean(density.samples == 0.0)
         p0 = dm.probs[0]
         assert abs(frac_zero - p0) < 3 * np.sqrt(p0 * (1 - p0) / 50_000)
@@ -29,15 +29,15 @@ class TestRhoTop:
         # condition fixed by alpha1
         dm, wm, sm = poisson_models
         pop = poisson_solved["pop"]
-        density = observables.rho_top(pop, dm, wm, sm, 200_000, np.random.default_rng(3))
+        density = observables.component_densities(pop, dm, wm, sm, 200_000, np.random.default_rng(3))[0]
         u2 = density.samples**2
         se = u2.std() / np.sqrt(u2.size)
         assert abs(u2.mean() - 1.0) < max(3 * se, 0.02)
 
     def test_histogram_mass_normalized(self, poisson_solved, poisson_models):
         dm, wm, sm = poisson_models
-        density = observables.rho_top(poisson_solved["pop"], dm, wm, sm,
-                                      20_000, np.random.default_rng(4))
+        density = observables.component_densities(poisson_solved["pop"], dm, wm, sm,
+                                                  20_000, np.random.default_rng(4))[0]
         assert abs(density.masses.sum() - 1.0) < 1e-12
 
     def test_degree_recombination(self, poisson_solved, poisson_models):
@@ -46,8 +46,8 @@ class TestRhoTop:
         # sample so the chi-square against the small sample is calibrated
         dm, wm, sm = poisson_models
         pop = poisson_solved["pop"]
-        d_a = observables.rho_top(pop, dm, wm, sm, 400_000, np.random.default_rng(5))
-        d_b = observables.rho_top(pop, dm, wm, sm, 20_000, np.random.default_rng(6))
+        d_a = observables.component_densities(pop, dm, wm, sm, 400_000, np.random.default_rng(5))[0]
+        d_b = observables.component_densities(pop, dm, wm, sm, 20_000, np.random.default_rng(6))[0]
         edges = np.quantile(d_a.samples, np.linspace(0.02, 0.98, 21))
         kept = [k for k in range(dm.probs.size)
                 if np.count_nonzero(d_a.k_tags == k) >= 200]
@@ -67,7 +67,7 @@ class TestRhoOv:
     def test_mean_matches_q(self, poisson_solved, poisson_models):
         dm, wm, sm = poisson_models
         pop = poisson_solved["pop"]
-        density = observables.rho_ov(pop, dm, wm, sm, 400_000, np.random.default_rng(7))
+        density = observables.component_densities(pop, dm, wm, sm, 400_000, np.random.default_rng(7))[1]
         moments = observables.overlap_moments(density)
         assert abs(moments.mean - pop.q) / pop.q < 0.01
 
@@ -75,26 +75,26 @@ class TestRhoOv:
         dm, wm, sm = poisson_models
         pop = poisson_solved["pop"]
         ov_analytic = analytic.overlap_sq(pop.theta, dm, wm, sm)
-        density = observables.rho_ov(pop, dm, wm, sm, 400_000, np.random.default_rng(8))
+        density = observables.component_densities(pop, dm, wm, sm, 400_000, np.random.default_rng(8))[1]
         moments = observables.overlap_moments(density)
         assert abs(moments.overlap_sq - ov_analytic) / ov_analytic < 0.01
 
     def test_theta_zero_symmetric(self, theta_zero_poisson_pop, poisson_models):
         dm, wm, _ = poisson_models
-        density = observables.rho_ov(theta_zero_poisson_pop, dm, wm, GAUSS,
-                                     100_000, np.random.default_rng(9))
+        density = observables.component_densities(theta_zero_poisson_pop, dm, wm, GAUSS,
+                                                  100_000, np.random.default_rng(9))[1]
         moments = observables.overlap_moments(density)
         assert abs(moments.mean) < 3 * moments.mean_se
 
     def test_consistency_triangle(self, poisson_solved, poisson_models):
-        # popdyn's q, rho_ov's mean, and the instance-level overlap agree
+        # popdyn's q, the overlap density's mean, and the instance-level overlap agree
         # pairwise within combined error bars at matched parameters
         from sparsespike import spectral
         from conftest import make_instance
 
         dm, wm, sm = poisson_models
         pop = poisson_solved["pop"]
-        density = observables.rho_ov(pop, dm, wm, sm, 200_000, np.random.default_rng(12))
+        density = observables.component_densities(pop, dm, wm, sm, 200_000, np.random.default_rng(12))[1]
         mom = observables.overlap_moments(density)
         emp = []
         for i in range(5):
@@ -150,8 +150,8 @@ class TestOverlapMoments:
 class TestExports:
     def test_histogram_csv(self, tmp_path, poisson_solved, poisson_models):
         dm, wm, sm = poisson_models
-        density = observables.rho_top(poisson_solved["pop"], dm, wm, sm,
-                                      5_000, np.random.default_rng(10))
+        density = observables.component_densities(poisson_solved["pop"], dm, wm, sm,
+                                                  5_000, np.random.default_rng(10))[0]
         path = tmp_path / "hist.csv"
         observables.write_histogram_csv(density, str(path), header_lines=("test",))
         lines = path.read_text().splitlines()
@@ -162,8 +162,8 @@ class TestExports:
 
     def test_samples_csv_cap(self, tmp_path, poisson_solved, poisson_models):
         dm, wm, sm = poisson_models
-        density = observables.rho_top(poisson_solved["pop"], dm, wm, sm,
-                                      5_000, np.random.default_rng(11))
+        density = observables.component_densities(poisson_solved["pop"], dm, wm, sm,
+                                                  5_000, np.random.default_rng(11))[0]
         path = tmp_path / "samples.csv"
         observables.write_samples_csv(density, str(path), cap=100)
         assert len(path.read_text().splitlines()) == 101  # header + cap
@@ -181,23 +181,22 @@ def _random_population(n_pop=2000):
 BLOCK_16 = 250_000
 
 
-def _blocks(pop, dm, wm, n, rng, h):
+def _blocks(pop, dm, wm, n, rng):
     """The full-node loop's blocks of (k, s_w2, s_hw), straight from the kernel."""
     for lo in range(0, n, BLOCK_16):
-        yield popdyn._gather(pop.omega, h, dm, wm, min(BLOCK_16, n - lo), rng, cavity=False)
+        yield popdyn._gather(pop.omega, pop.h, dm, wm, min(BLOCK_16, n - lo), rng, cavity=False)
 
 
 def _written_formulas(pop, dm, wm, sm, n, seed):
-    """(k, rho_top u, rho_ov u, alpha1 terms, alpha2 terms) by the written
-    formulas, on the draws that rho_top, rho_ov and alpha_pair make."""
+    """(k, u_top, u_ov, alpha1 terms, alpha2 terms) by the written formulas,
+    on the draws that component_densities and alpha_pair make."""
     rng = np.random.default_rng(seed)
     parts = []
-    for k, s_w2, s_hw in _blocks(pop, dm, wm, n, rng, pop.h):
+    for k, s_w2, s_hw in _blocks(pop, dm, wm, n, rng):
         den = pop.lam - s_w2
         x = np.asarray(sm.sample(rng, size=k.size), float)
-        num = s_hw + pop.theta * pop.q * x
-        parts.append((k, num / den, (x * s_hw + pop.theta * pop.q * x * x) / den,
-                      (num / den) ** 2, 1.0 / den))
+        top = (s_hw + pop.theta * pop.q * x) / den
+        parts.append((k, top, x * top, top ** 2, 1.0 / den))
     k, top, ov, a1, a2 = (np.concatenate(p) for p in zip(*parts))
     return k, top, ov, a1, pop.theta * sm.sigma_x2 * a2
 
@@ -215,8 +214,7 @@ class TestInPlaceFormulas:
     def test_samples_and_alphas(self, wm, sm):
         pop = _random_population()
         k, top, ov, a1, a2 = _written_formulas(pop, self.DM, wm, sm, self.N, 4)
-        got_top = observables.rho_top(pop, self.DM, wm, sm, self.N, np.random.default_rng(4))
-        got_ov = observables.rho_ov(pop, self.DM, wm, sm, self.N, np.random.default_rng(4))
+        got_top, got_ov = observables.component_densities(pop, self.DM, wm, sm, self.N, np.random.default_rng(4))
         assert np.array_equal(got_top.k_tags, k) and np.array_equal(got_ov.k_tags, k)
         assert got_top.samples.tobytes() == top.tobytes()
         assert got_ov.samples.tobytes() == ov.tobytes()
@@ -229,34 +227,35 @@ class TestInPlaceFormulas:
     def test_q_general(self, wm):
         # the mean of 1/(lambda - {W^2/omega}_k), summed block by block
         pop = _random_population()
-        blocks = _blocks(pop, self.DM, wm, self.N, np.random.default_rng(5), None)
+        blocks = _blocks(pop, self.DM, wm, self.N, np.random.default_rng(5))
         expected = sum(float((1.0 / (pop.lam - s_w2)).sum()) for _, s_w2, _ in blocks) / self.N
         assert analytic.q_general(pop, self.DM, wm, np.random.default_rng(5), self.N) == expected
 
 
 class TestGatherMemory:
-    """The Monte Carlo estimators hold the member indices of a block, but
-    form the member terms a piece of draws at a time. At 4e5 samples (one
-    block, about 1.2e6 members) the traced peak is about 55 bytes per
-    sample; holding every member's terms at once took about 120."""
+    """The Monte Carlo estimators form the member indices and terms a piece
+    of draws at a time. At 4e5 samples (one block, about 1.2e6 members)
+    the traced peak is about 40 bytes per sample for alpha_pair and 43 for
+    both densities; holding a block's member indices took about 55, and
+    every member's terms at once about 120."""
 
     N = 400_000
 
-    @pytest.mark.parametrize("name", ["rho_top", "rho_ov", "alpha_pair"])
+    @pytest.mark.parametrize("name", ["component_densities", "alpha_pair"])
     def test_peak_bytes_per_sample(self, name):
         dm, pop = ensembles.truncated_poisson(3.0, 8), _random_population(20_000)
         rng = np.random.default_rng(1)
         if name == "alpha_pair":
             run = lambda: popdyn.alpha_pair(pop, dm, W1, GAUSS, rng, self.N)
         else:
-            run = lambda: getattr(observables, name)(pop, dm, W1, GAUSS, self.N, rng)
+            run = lambda: observables.component_densities(pop, dm, W1, GAUSS, self.N, rng)
         tracemalloc.start()
         try:
             run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / self.N < 80
+        assert peak / self.N < 60
 
 
 def _csv_writer_reference(path, header_lines, names, rows):

@@ -5,6 +5,7 @@ import copy
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from sparsespike import analytic, ensembles, popdyn
 from sparsespike.cli import derive_rng
@@ -42,83 +43,86 @@ class TestInit:
         assert np.array_equal(a.h, b.h)
 
 
-class TestGather:
-    def test_member_counts(self):
-        # p_1 = p_2 = 1/2 (so r_1 = 1/3, r_2 = 2/3), omega = 1 and W = 1:
-        # every term of {W^2/omega} is 1, so the sum counts its members
-        dm = ensembles.degree_table([0.0, 0.5, 0.5])
-        omega = np.ones(100)
-        rng = np.random.default_rng(0)
-        k, s_w2, s_hw = popdyn._gather(omega, None, dm, W1, 5000, rng, cavity=False)
-        assert s_hw is None
-        assert set(np.unique(k)) == {1, 2}
-        assert np.array_equal(s_w2, k.astype(float))
-        k, s_w2, s_hw = popdyn._gather(omega, omega, dm, W1, 5000, rng, cavity=True)
-        assert set(np.unique(k)) == {1, 2}
-        assert np.array_equal(s_w2, k - 1.0)
-        assert np.array_equal(s_hw, s_w2)
-
-    @pytest.mark.parametrize("w", [1.0, -0.7])
-    @pytest.mark.parametrize("cavity", [True, False])
-    def test_constant_weight_matches_full_weight_arrays(self, w, cavity):
-        # a one-point law is applied as a scalar; the sums and the random
-        # stream must equal those of the kernel with an array of weights
-        dm = ensembles.truncated_poisson(3.0, 8)
-        setup = np.random.default_rng(5)
-        omega = setup.uniform(0.5, 3.0, 1000)
-        h = setup.standard_normal(1000)
-        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
-        k, s_w2, s_hw = popdyn._gather(omega, h, dm, ensembles.constant_weight(w), 4000, rng, cavity)
-
-        k_ref = dm.sample_corrected(ref, size=4000) if cavity else dm.sample(ref, size=4000)
-        terms = k_ref - 1 if cavity else k_ref
-        idx = ref.integers(0, omega.size, int(terms.sum()))
-        w_arr = np.full(idx.size, w)
-        sid = np.repeat(np.arange(4000), terms)
-        assert np.array_equal(k, k_ref)
-        assert np.array_equal(s_w2, np.bincount(sid, weights=w_arr * w_arr / omega[idx], minlength=4000))
-        assert np.array_equal(s_hw, np.bincount(sid, weights=h[idx] * w_arr / omega[idx], minlength=4000))
-        assert rng.random() == ref.random()
-
-
-def _gather_one_bincount(omega, h, dm, wm, b, rng, cavity):
-    """The gather as one repeat/bincount over the whole block, with k found
-    by a plain search of the CDF and the weights as an array."""
+def _gather_per_draw(omega, h, dm, wm, b, rng, cavity):
+    """The gather's draws replayed in their documented order (every degree,
+    found by a plain search of the CDF, then per piece of ``PIECE`` draws
+    and per member count t > 0, the members of the draws with t members and
+    then their weights), with each draw's two sums formed by a loop over its
+    own members."""
     k = np.searchsorted(dm._rcdf if cavity else dm._cdf, rng.random(b), side="right")
     terms = k - 1 if cavity else k
-    idx = rng.integers(0, omega.size, int(terms.sum()))
-    w = np.full(idx.size, wm.values[0]) if wm.values.size == 1 else wm.sample(rng, size=idx.size)
-    sid = np.repeat(np.arange(b), terms)
-    s_w2 = np.bincount(sid, weights=w * w / omega[idx], minlength=b)
-    return k, s_w2, np.bincount(sid, weights=h[idx] * w / omega[idx], minlength=b)
+    members, weights = [()] * b, [()] * b
+    for lo in range(0, b, PIECE):
+        piece = terms[lo:lo + PIECE]
+        for t in range(1, int(piece.max()) + 1):
+            pos = lo + np.flatnonzero(piece == t)
+            if pos.size == 0:
+                continue
+            idx = rng.integers(0, omega.size, t * pos.size).reshape(t, pos.size)
+            if wm.values.size == 1:
+                wt = np.full(idx.shape, wm.values[0])
+            else:
+                wt = wm.sample(rng, size=idx.size).reshape(idx.shape)
+            for j, p in enumerate(pos.tolist()):
+                members[p], weights[p] = idx[:, j].tolist(), wt[:, j].tolist()
+    om, hh = omega.tolist(), h.tolist()
+    s_w2, s_hw = np.zeros(b), np.zeros(b)
+    for p in range(b):
+        for n, (i, w) in enumerate(zip(members[p], weights[p])):
+            t_w2, t_hw = w * w / om[i], hh[i] * w / om[i]
+            s_w2[p], s_hw[p] = (t_w2, t_hw) if n == 0 else (s_w2[p] + t_w2, s_hw[p] + t_hw)
+    return k, s_w2, s_hw
 
 
 RADEMACHER = ensembles.rademacher_weight(0.5)
 PIECE = 1 << 15
 
 
-class TestGatherPieces:
-    """A block is summed a piece of draws at a time; every sum, and the
-    random stream, must equal one bincount over the whole block."""
+def _check_per_draw(dm, wm, b, seed, cavity):
+    """The kernel against the per-draw loop on the same draws: equal k, sums
+    equal bit for bit, and the random stream left in the same state."""
+    setup = np.random.default_rng(11)
+    omega = setup.uniform(0.5, 3.0, 1000)
+    h = setup.standard_normal(1000)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    k, s_w2, s_hw = popdyn._gather(omega, h, dm, wm, b, rng, cavity)
+    k_ref, s_w2_ref, s_hw_ref = _gather_per_draw(omega, h, dm, wm, b, ref, cavity)
+    assert np.array_equal(k, k_ref)
+    assert s_w2.tobytes() == s_w2_ref.tobytes()
+    assert s_hw.tobytes() == s_hw_ref.tobytes()
+    assert rng.random() == ref.random()
+    return k
 
-    @staticmethod
-    def _check(dm, wm, b, seed, cavity):
-        setup = np.random.default_rng(11)
-        omega = setup.uniform(0.5, 3.0, 1000)
-        h = setup.standard_normal(1000)
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        k, s_w2, s_hw = popdyn._gather(omega, h, dm, wm, b, rng, cavity)
-        k_ref, s_w2_ref, s_hw_ref = _gather_one_bincount(omega, h, dm, wm, b, ref, cavity)
-        assert np.array_equal(k, k_ref)
-        assert s_w2.tobytes() == s_w2_ref.tobytes()
-        assert s_hw.tobytes() == s_hw_ref.tobytes()
-        assert rng.random() == ref.random()
-        return k
+
+class TestGather:
+    def test_member_counts(self):
+        # p_1 = p_2 = 1/2 (so r_1 = 1/3, r_2 = 2/3), omega = h = 1 and W = 1:
+        # every term of both sums is 1, so each sum counts its members
+        dm = ensembles.degree_table([0.0, 0.5, 0.5])
+        omega = np.ones(100)
+        rng = np.random.default_rng(0)
+        for cavity in (False, True):
+            k, s_w2, s_hw = popdyn._gather(omega, omega, dm, W1, 5000, rng, cavity)
+            assert set(np.unique(k)) == {1, 2}
+            assert np.array_equal(s_w2, k - float(cavity))
+            assert np.array_equal(s_hw, s_w2)
+
+    @pytest.mark.parametrize("w", [1.0, -0.7])
+    @pytest.mark.parametrize("cavity", [True, False])
+    def test_constant_weight_matches_full_weight_arrays(self, w, cavity):
+        # a one-point law is applied as a scalar; the sums and the random
+        # stream must equal those of the per-draw loop with arrays of weights
+        _check_per_draw(ensembles.truncated_poisson(3.0, 8), ensembles.constant_weight(w), 4000, 6, cavity)
+
+
+class TestGatherPieces:
+    """A block is summed a piece of draws at a time, by member count; each
+    draw's sums, and the random stream, must equal the per-draw loop's."""
 
     @pytest.mark.parametrize("wm", [W1, RADEMACHER], ids=["constant", "rademacher"])
     @pytest.mark.parametrize("cavity", [True, False])
     def test_three_pieces_and_a_remainder(self, wm, cavity):
-        self._check(ensembles.truncated_poisson(3.0, 8), wm, 3 * PIECE + 7, 12, cavity)
+        _check_per_draw(ensembles.truncated_poisson(3.0, 8), wm, 3 * PIECE + 7, 12, cavity)
 
     @pytest.mark.parametrize("wm", [W1, RADEMACHER], ids=["constant", "rademacher"])
     @pytest.mark.parametrize("cavity", [True, False])
@@ -132,13 +136,46 @@ class TestGatherPieces:
         draw = dm.sample_corrected if cavity else dm.sample
         seed = next(s for s in range(1000)
                     if np.all(draw(np.random.default_rng(s), size=b)[edges] == empty))
-        k = self._check(dm, wm, b, seed, cavity)
+        k = _check_per_draw(dm, wm, b, seed, cavity)
         assert np.all(k[edges] == empty)
 
     def test_block_without_members(self):
         leaf_only = ensembles.degree_table([0.0, 1.0])
-        k = self._check(leaf_only, RADEMACHER, 2 * PIECE + 3, 0, cavity=True)
+        k = _check_per_draw(leaf_only, RADEMACHER, 2 * PIECE + 3, 0, cavity=True)
         assert np.all(k == 1)
+
+
+def _halves_agree(member_counts):
+    """Chi-square p-value that the member counts of a block's two halves
+    come from one law: a kernel that returned its draws grouped by member
+    count would put the small counts in the first half."""
+    half = member_counts.size // 2
+    table = np.array([np.bincount(part, minlength=member_counts.max() + 1)
+                      for part in (member_counts[:half], member_counts[half:2 * half])])
+    return stats.chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue
+
+
+class TestDrawOrder:
+    """The sums come back in i.i.d. draw order, and a sweep writes them to
+    its slots in that order, so slot position does not track degree.
+    omega = 1 and W = 1 make {W^2/omega} the member count k - 1."""
+
+    DM = ensembles.truncated_poisson(4.0, 20)
+    N = 1 << 16
+
+    def test_cavity_block(self):
+        omega = np.ones(1000)
+        k, s_w2, _ = popdyn._gather(omega, omega, self.DM, W1, self.N, np.random.default_rng(3), cavity=True)
+        assert np.array_equal(s_w2, k - 1.0)
+        assert _halves_agree(s_w2.astype(np.int64)) > 1e-3
+
+    def test_one_sweep(self, monkeypatch):
+        monkeypatch.setattr(popdyn, "_CHUNK", self.N)  # one batch: every slot reads its draw's count
+        pop = popdyn.Population(omega=np.ones(self.N), h=np.zeros(self.N), q=0.5, lam=100.0, theta=0.0)
+        popdyn._sweep(pop, self.DM, W1, None, np.random.default_rng(3))
+        counts = pop.lam - pop.omega
+        assert np.array_equal(counts, np.round(counts))
+        assert _halves_agree(counts.astype(np.int64)) > 1e-3
 
 
 class TestUpdateStep:
@@ -164,6 +201,15 @@ class TestUpdateStep:
         popdyn._sweep(pop, leaf_only, W1, GAUSS, np.random.default_rng(1))
         assert np.any(pop.omega == 9.25)  # empty sums give omega = lambda bit-exactly
         assert np.all((pop.omega == 9.25) | (pop.omega == 7.7))
+
+    def test_every_slot_replaced_once(self, monkeypatch):
+        monkeypatch.setattr(popdyn, "_CHUNK", 64)  # three full batches and a partial one
+        # regular(2) noise: each update reads one member, so after one sweep
+        # a slot still holds 1.0 only if no batch wrote it
+        pop = popdyn.Population(omega=np.ones(3 * 64 + 5), h=np.zeros(3 * 64 + 5),
+                                q=0.5, lam=3.0, theta=0.0)
+        popdyn._sweep(pop, ensembles.regular(2), W1, None, np.random.default_rng(4))
+        assert np.all(pop.omega != 1.0)
 
     def test_non_positive_omega_raises(self, monkeypatch):
         monkeypatch.setattr(popdyn, "_CHUNK", 16)
