@@ -10,12 +10,12 @@ results do not depend on the worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -180,13 +180,23 @@ def popdyn_config(cfg: ExperimentConfig) -> popdyn.PopDynConfig:
 
 
 def generate_instance(cfg: ExperimentConfig, theta: float, index: int, c_value=None) -> graphgen.SpikedMatrix:
+    """Instance ``index`` at theta. Its noise and spike vector do not depend
+    on theta, so consecutive calls for one (config, c, index) build them once."""
+    return replace(_unspiked_instance(cfg.canonical(), c_value, index), theta=float(theta))
+
+
+@functools.lru_cache(maxsize=1)
+def _unspiked_instance(canonical: str, c_value, index: int) -> graphgen.SpikedMatrix:
+    """Instance ``index`` of the config ``canonical`` at theta = 0; the last
+    one built is kept."""
+    cfg = ExperimentConfig(**json.loads(canonical))
     degree_model, weight_model, spike_model = build_models(cfg, c_value)
     degrees = ensembles.sample_degree_sequence(
         degree_model, cfg.n, derive_rng(cfg.seed, index, "degrees")
     )
     graph = graphgen.configuration_model(degrees, derive_rng(cfg.seed, index, "graph"))
     graph = graphgen.assign_weights(graph, weight_model, derive_rng(cfg.seed, index, "weights"))
-    return graphgen.assemble_spiked(graph, spike_model, theta, derive_rng(cfg.seed, index, "spike"))
+    return graphgen.assemble_spiked(graph, spike_model, 0.0, derive_rng(cfg.seed, index, "spike"))
 
 
 def _instance_row(args: tuple) -> dict:
@@ -224,10 +234,15 @@ def _load_eigensolver() -> None:
 
 
 def _farm(cfg: ExperimentConfig, tasks: list) -> list:
-    """Run instance tasks, deterministically ordered by task index."""
+    """Run instance tasks, deterministically ordered by task index. A
+    worker takes all the consecutive tasks of one (c, index) at once, so it
+    builds that instance once."""
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only for a pool
+
+        per_instance = len(tasks) // len({task[2:] for task in tasks})
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_instance_row, tasks))
+            rows = list(pool.map(_instance_row, tasks, chunksize=per_instance))
     else:
         rows = [_instance_row(t) for t in tasks]
     return sorted(rows, key=lambda r: (r["theta"], r["c"] if r["c"] is not None else 0, r["index"]))
@@ -321,11 +336,8 @@ DIAG_FIELDS = [
 def run_diag(cfg: ExperimentConfig) -> list:
     _load_eigensolver()
     raw = asdict(cfg)
-    tasks = [
-        (raw, theta, None, i)
-        for theta in cfg.theta
-        for i in range(cfg.instances)
-    ]
+    # index-major, so each instance's theta values run in turn on one build
+    tasks = [(raw, theta, None, i) for i in range(cfg.instances) for theta in cfg.theta]
     rows = _farm(cfg, tasks)
     _write_csv(os.path.join(cfg.out_dir, "diag.csv"), DIAG_FIELDS, rows, cfg)
     summary = _aggregate(rows, cfg)

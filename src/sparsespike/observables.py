@@ -121,13 +121,20 @@ def _write_rows(path: str, header_lines, names: tuple, columns: tuple) -> None:
     """What ``csv.writer`` writes for these columns: a "# " line per header
     line, the column names, then a row per entry of the shortest column,
     each ended by its "\r\n", written ``_ROWS`` rows at a time. Float and
-    int fields are written by ``repr``; none of them ever needs quoting."""
-    row = ",".join(["{!r}"] * len(names)) + "\r\n"
+    int fields are written by ``repr``; none of them ever needs quoting. A
+    column's fields are one ``repr`` of its list, split on its ", ", and are
+    interleaved with the separators."""
     n = min(len(c) for c in columns)
+    step = 2 * len(columns)
     with open(path, "w", newline="") as fh:
         fh.write("".join(f"# {line}\n" for line in header_lines) + ",".join(names) + "\r\n")
         for lo in range(0, n, _ROWS):
-            fh.write("".join(map(row.format, *(c[lo:lo + _ROWS].tolist() for c in columns))))
+            rows = min(_ROWS, n - lo)
+            parts = [","] * (step * rows)
+            parts[step - 1::step] = ["\r\n"] * rows
+            for j, c in enumerate(columns):
+                parts[2 * j::step] = repr(c[lo:lo + rows].tolist())[1:-1].split(", ")
+            fh.write("".join(parts))
 
 
 def write_histogram_csv(density: DensityEstimate, path: str, header_lines=()) -> None:

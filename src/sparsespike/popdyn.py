@@ -112,8 +112,18 @@ def init_population(config: PopDynConfig, rng: np.random.Generator, theta: float
     )
 
 
-def _gather(omega, h, degree_model, weight_model, b, rng, cavity):
-    """The one gather kernel: b draws of (k, {W^2/omega}, {hW/omega}).
+def _ratios(omega, h, out=None):
+    """The per-slot ratios z = 1/omega + i h/omega that ``_gather`` reads,
+    written into ``out`` when it is given."""
+    z = np.empty(omega.size, complex) if out is None else out
+    np.divide(1.0, omega, out=z.real)
+    np.divide(h, omega, out=z.imag)
+    return z
+
+
+def _gather(z, degree_model, weight_model, b, rng, cavity):
+    """The one gather kernel: b draws of (k, {W^2/omega}, {hW/omega}), read
+    off the ratios z = ``_ratios(omega, h)``.
 
     With ``cavity`` k comes from r_k and the sums run over t = k-1 members
     (a cavity update), else k comes from p_k and they run over t = k (a full
@@ -122,43 +132,39 @@ def _gather(omega, h, degree_model, weight_model, b, rng, cavity):
     each t > 0 in increasing order, the draws with t members are taken in
     draw order, their members drawn uniformly with replacement as one
     (t, count) index array and then, unless the weight law is one point,
-    their fresh weights as a (t, count) array. Adding the t rows in turn
-    sums each draw's terms in member order; each sum is written back to its
-    draw's position, so the output stays in i.i.d. draw order, and a draw
-    without members sums to 0. A one-point weight law is applied as a
-    scalar, which gives the same doubles as an array of it. Temporaries are
-    bounded by the members of one piece; a sweep's 16,384-draw chunk is one
-    piece.
+    their fresh weights as a (t, count) array, which scale each member's
+    ratios to W^2 (1/omega) + i W (h/omega). Adding the t rows of complex
+    terms in turn sums each draw's terms in member order; each sum is
+    written back to its draw's position, so the output stays in i.i.d. draw
+    order, and a draw without members sums to 0. A one-point weight law
+    scales each sum once, by W^2 and W, so for W = 1 the sums are those of
+    1/omega and h/omega. Temporaries are bounded by the members of one
+    piece; a sweep's 16,384-draw chunk is one piece.
     """
     k = degree_model.sample_corrected(rng, size=b) if cavity else degree_model.sample(rng, size=b)
     terms = k - 1 if cavity else k
     small = np.min_scalar_type(degree_model.k_max)  # stable argsort of <= 16-bit ints is a radix sort
     scalar_w = weight_model.values.size == 1
-    w = float(weight_model.values[0]) if scalar_w else None
-    s_w2, s_hw = np.zeros(b), np.zeros(b)
+    w = float(weight_model.values[0]) if scalar_w else 1.0  # a table's sums are scaled by 1.0, exactly
+    s_w2, s_hw = np.empty(b), np.empty(b)
     for lo in range(0, b, _PIECE):
         piece = terms[lo:lo + _PIECE]
         order = np.argsort(piece.astype(small), kind="stable")
-        order += lo
+        sums = np.zeros(piece.size, complex)
         end = 0
         for t, count in enumerate(np.bincount(piece).tolist()):
             start, end = end, end + count
             if t == 0 or count == 0:
                 continue
-            pos = order[start:end]
-            members = rng.integers(0, omega.size, t * count).reshape(t, count)
-            om = omega.take(members)
-            hw = h.take(members)
-            if scalar_w:
-                hw *= w
-                w2 = w * w
-            else:
+            members = rng.integers(0, z.size, t * count).reshape(t, count)
+            zt = z.take(members)
+            if not scalar_w:
                 wt = weight_model.sample(rng, size=t * count).reshape(t, count)
-                hw *= wt
-                w2 = np.multiply(wt, wt, out=wt)
-            hw /= om
-            s_hw[pos] = _column_sums(hw)
-            s_w2[pos] = _column_sums(np.divide(w2, om, out=om))
+                zt.imag *= wt
+                zt.real *= np.multiply(wt, wt, out=wt)
+            sums[order[start:end]] = _column_sums(zt)
+        np.multiply(sums.real, w * w, out=s_w2[lo:lo + piece.size])
+        np.multiply(sums.imag, w, out=s_hw[lo:lo + piece.size])
     return k, s_w2, s_hw
 
 
@@ -174,13 +180,16 @@ def _column_sums(a):
 def _sweep(pop, degree_model, weight_model, spike_model, rng):
     """One sweep: every slot replaced once, batch i of ``_CHUNK`` draws
     written to slots [i _CHUNK, (i+1) _CHUNK) (see module docstring). The
-    spike draw happens only when theta != 0, so the omega dynamics consumes
-    an identical random stream with or without a spike."""
+    slots' ratios are formed once and a batch's are rewritten with its
+    slots, so each batch reads the population as of its start. The spike
+    draw happens only when theta != 0, so the omega dynamics consumes an
+    identical random stream with or without a spike."""
     n = pop.n_pop
     draw_x = pop.theta != 0.0 and spike_model is not None
+    z = _ratios(pop.omega, pop.h)
     for lo in range(0, n, _CHUNK):
         b = min(_CHUNK, n - lo)
-        _, s_w2, h_new = _gather(pop.omega, pop.h, degree_model, weight_model, b, rng, cavity=True)
+        _, s_w2, h_new = _gather(z, degree_model, weight_model, b, rng, cavity=True)
         omega_new = np.subtract(pop.lam, s_w2, out=s_w2)
         if omega_new.min() <= 0:
             raise NonPositiveOmega(
@@ -190,6 +199,7 @@ def _sweep(pop, degree_model, weight_model, spike_model, rng):
             h_new += pop.theta * pop.q * np.asarray(spike_model.sample(rng, size=b), float)
         pop.omega[lo:lo + b] = omega_new
         pop.h[lo:lo + b] = h_new
+        _ratios(omega_new, h_new, out=z[lo:lo + b])
     pop.sweep_count += 1
 
 
@@ -264,10 +274,11 @@ def _full_nodes(pop, degree_model, weight_model, n_samples, rng):
     den = lambda - {W^2/omega}_k written over the gathered sum and checked
     positive here, and s_hw = {hW/omega}_k."""
     block = max(1, int(4_000_000 / max(degree_model.mean_c, 1.0)))
+    z = _ratios(pop.omega, pop.h)
     done = 0
     while done < n_samples:
         b = min(block, n_samples - done)
-        k, s_w2, s_hw = _gather(pop.omega, pop.h, degree_model, weight_model, b, rng, cavity=False)
+        k, s_w2, s_hw = _gather(z, degree_model, weight_model, b, rng, cavity=False)
         den = np.subtract(pop.lam, s_w2, out=s_w2)
         if den.min() <= 0:
             raise NonPositiveDenominator(f"min denominator {den.min():g} at lambda={pop.lam:g}")
@@ -401,7 +412,7 @@ def structural_lambda(
         h = np.ones(n)
         logs = []
         for gen in range(_GROWTH_GENS):
-            _, _, h_new = _gather(pop.omega, h, degree_model, weight_model, n, rng, cavity=True)
+            _, _, h_new = _gather(_ratios(pop.omega, h), degree_model, weight_model, n, rng, cavity=True)
             growth = h_new.mean()
             if growth <= 0:
                 return None

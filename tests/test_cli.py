@@ -145,15 +145,41 @@ class TestDiagMode:
         assert csv_a == csv_b
 
     def test_parallel_serial_equivalence(self, tmp_path):
-        raw = {"mode": "diag", "degree": RR4, "theta": [2.0],
+        # a theta grid, so a worker may get an instance's theta values apart
+        raw = {"mode": "diag", "degree": RR4, "theta": [2.0, 4.0],
                "n": 150, "instances": 4, "seed": 11}
-        out_a = tmp_path / "serial"
-        out_b = tmp_path / "par"
-        cli.run(cli.parse_config({**raw, "out_dir": str(out_a), "workers": 1}))
-        cli.run(cli.parse_config({**raw, "out_dir": str(out_b), "workers": 3}))
-        csv_a = (out_a / "diag.csv").read_text().replace(str(out_a), "OUT").replace('"workers": 1', "W")
-        csv_b = (out_b / "diag.csv").read_text().replace(str(out_b), "OUT").replace('"workers": 3', "W")
-        assert csv_a == csv_b
+        texts = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            cli.run(cli.parse_config({**raw, "out_dir": str(out), "workers": workers}))
+            texts.append([(out / name).read_text().replace(str(out), "OUT").replace(f'"workers": {workers}', "W")
+                          for name in ("diag.csv", "diag_summary.csv")])
+        assert texts[0] == texts[1] == texts[2]
+
+    def test_theta_grid_rows_equal_single_theta_runs(self, tmp_path):
+        # an instance's noise and spike are built once for all its theta
+        # values; each theta's rows must be those of a run with it alone
+        raw = {"mode": "diag", "degree": RR4, "n": 150, "instances": 3, "seed": 13, "out_dir": str(tmp_path)}
+        both = cli.run_diag(cli.parse_config({**raw, "theta": [1.5, 4.0]}))
+        alone = [row for theta in (1.5, 4.0) for row in cli.run_diag(cli.parse_config({**raw, "theta": [theta]}))]
+        assert both == alone
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_instance_built_once(self, tmp_path, monkeypatch, workers):
+        # each build appends a line to a file, which forked workers share
+        log = tmp_path / "builds"
+        configuration_model = cli.graphgen.configuration_model
+
+        def logged(*args):
+            with open(log, "a") as fh:
+                fh.write("built\n")
+            return configuration_model(*args)
+
+        monkeypatch.setattr(cli.graphgen, "configuration_model", logged)
+        cfg = cli.parse_config({"mode": "diag", "degree": RR4, "theta": [0.0, 1.5, 4.0], "n": 100,
+                                "instances": 3, "seed": 17, "out_dir": str(tmp_path), "workers": workers})
+        assert len(cli.run_diag(cfg)) == 9
+        assert log.read_text().count("built") == 3
 
     def test_edgeless_graph(self, tmp_path):
         # all degree mass at 0: theta = 0 is the zero operator, theta = 1 a lone rank-one spike
@@ -393,10 +419,16 @@ SCIPY_LOADED = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'
 
 
 def test_cli_import_skips_optimize_and_arpack():
-    # scipy.optimize costs about 0.4 s and 27 MB, scipy.sparse.linalg about
-    # 0.15 s and 10 MB, scipy.sparse alone about 0.25 s and 22 MB: the modes
-    # without graphs or eigensolves must not pay for any of them
+    # scipy.optimize costs about 0.4 s and 27 MB, scipy.sparse.linalg (with
+    # scipy.sparse) 0.32-0.39 s and 32 MB: the modes without graphs or
+    # eigensolves must not pay for any of them
     assert _python(f"import sys, sparsespike.cli; print({SCIPY_LOADED})") == "[]"
+
+
+def test_cli_import_skips_process_pool():
+    # multiprocessing and logging load with the first pool, in _farm
+    loaded = "[m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent', 'logging')]"
+    assert _python(f"import sys, sparsespike.cli; print({loaded})") == "[]"
 
 
 def test_densities_run_loads_no_scipy(tmp_path):

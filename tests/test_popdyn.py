@@ -43,12 +43,12 @@ class TestInit:
         assert np.array_equal(a.h, b.h)
 
 
-def _gather_per_draw(omega, h, dm, wm, b, rng, cavity):
-    """The gather's draws replayed in their documented order (every degree,
+def _replay(dm, wm, b, n_slots, rng, cavity):
+    """The gather's draws replayed in their documented order: every degree,
     found by a plain search of the CDF, then per piece of ``PIECE`` draws
-    and per member count t > 0, the members of the draws with t members and
-    then their weights), with each draw's two sums formed by a loop over its
-    own members."""
+    and per member count t > 0, the members of the draws with t members and,
+    unless the weight law is one point, then their weights. Returns k and
+    each draw's member slots and weights (1.0 for a one-point law)."""
     k = np.searchsorted(dm._rcdf if cavity else dm._cdf, rng.random(b), side="right")
     terms = k - 1 if cavity else k
     members, weights = [()] * b, [()] * b
@@ -58,35 +58,54 @@ def _gather_per_draw(omega, h, dm, wm, b, rng, cavity):
             pos = lo + np.flatnonzero(piece == t)
             if pos.size == 0:
                 continue
-            idx = rng.integers(0, omega.size, t * pos.size).reshape(t, pos.size)
+            idx = rng.integers(0, n_slots, t * pos.size).reshape(t, pos.size)
             if wm.values.size == 1:
-                wt = np.full(idx.shape, wm.values[0])
+                wt = np.ones(idx.shape)
             else:
                 wt = wm.sample(rng, size=idx.size).reshape(idx.shape)
             for j, p in enumerate(pos.tolist()):
                 members[p], weights[p] = idx[:, j].tolist(), wt[:, j].tolist()
-    om, hh = omega.tolist(), h.tolist()
-    s_w2, s_hw = np.zeros(b), np.zeros(b)
-    for p in range(b):
-        for n, (i, w) in enumerate(zip(members[p], weights[p])):
-            t_w2, t_hw = w * w / om[i], hh[i] * w / om[i]
+    return k, members, weights
+
+
+def _member_sums(members, weights, term):
+    """Each draw's sums of ``term(slot, w)`` over its own members, in member
+    order."""
+    s_w2, s_hw = np.zeros(len(members)), np.zeros(len(members))
+    for p, (slots, ws) in enumerate(zip(members, weights)):
+        for n, (i, w) in enumerate(zip(slots, ws)):
+            t_w2, t_hw = term(i, w)
             s_w2[p], s_hw[p] = (t_w2, t_hw) if n == 0 else (s_w2[p] + t_w2, s_hw[p] + t_hw)
-    return k, s_w2, s_hw
+    return s_w2, s_hw
+
+
+def _gather_per_draw(z, dm, wm, b, rng, cavity):
+    """The gather by a loop over each draw's members, on the replayed draws:
+    the terms W^2 (1/omega) and W (h/omega) are formed from the stored
+    ratios z, and a one-point law's W scales each draw's sums once."""
+    k, members, weights = _replay(dm, wm, b, z.size, rng, cavity)
+    inv, ratio = z.real.tolist(), z.imag.tolist()
+    s_w2, s_hw = _member_sums(members, weights, lambda i, w: (w * w * inv[i], w * ratio[i]))
+    w = float(wm.values[0]) if wm.values.size == 1 else 1.0
+    return k, s_w2 * (w * w), s_hw * w
 
 
 RADEMACHER = ensembles.rademacher_weight(0.5)
 PIECE = 1 << 15
 
 
+def _random_slots(n=1000):
+    setup = np.random.default_rng(11)
+    return setup.uniform(0.5, 3.0, n), setup.standard_normal(n)
+
+
 def _check_per_draw(dm, wm, b, seed, cavity):
     """The kernel against the per-draw loop on the same draws: equal k, sums
     equal bit for bit, and the random stream left in the same state."""
-    setup = np.random.default_rng(11)
-    omega = setup.uniform(0.5, 3.0, 1000)
-    h = setup.standard_normal(1000)
+    z = popdyn._ratios(*_random_slots())
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    k, s_w2, s_hw = popdyn._gather(omega, h, dm, wm, b, rng, cavity)
-    k_ref, s_w2_ref, s_hw_ref = _gather_per_draw(omega, h, dm, wm, b, ref, cavity)
+    k, s_w2, s_hw = popdyn._gather(z, dm, wm, b, rng, cavity)
+    k_ref, s_w2_ref, s_hw_ref = _gather_per_draw(z, dm, wm, b, ref, cavity)
     assert np.array_equal(k, k_ref)
     assert s_w2.tobytes() == s_w2_ref.tobytes()
     assert s_hw.tobytes() == s_hw_ref.tobytes()
@@ -99,10 +118,10 @@ class TestGather:
         # p_1 = p_2 = 1/2 (so r_1 = 1/3, r_2 = 2/3), omega = h = 1 and W = 1:
         # every term of both sums is 1, so each sum counts its members
         dm = ensembles.degree_table([0.0, 0.5, 0.5])
-        omega = np.ones(100)
+        z = popdyn._ratios(np.ones(100), np.ones(100))
         rng = np.random.default_rng(0)
         for cavity in (False, True):
-            k, s_w2, s_hw = popdyn._gather(omega, omega, dm, W1, 5000, rng, cavity)
+            k, s_w2, s_hw = popdyn._gather(z, dm, W1, 5000, rng, cavity)
             assert set(np.unique(k)) == {1, 2}
             assert np.array_equal(s_w2, k - float(cavity))
             assert np.array_equal(s_hw, s_w2)
@@ -110,9 +129,27 @@ class TestGather:
     @pytest.mark.parametrize("w", [1.0, -0.7])
     @pytest.mark.parametrize("cavity", [True, False])
     def test_constant_weight_matches_full_weight_arrays(self, w, cavity):
-        # a one-point law is applied as a scalar; the sums and the random
-        # stream must equal those of the per-draw loop with arrays of weights
+        # a one-point law is applied as a scalar, once per sum; the sums and
+        # the random stream must equal those of the per-draw loop, whose
+        # weights are arrays of 1.0
         _check_per_draw(ensembles.truncated_poisson(3.0, 8), ensembles.constant_weight(w), 4000, 6, cavity)
+
+    @pytest.mark.parametrize("cavity", [True, False])
+    def test_unit_weight_sums_are_the_plain_ratios(self, cavity):
+        # for W = 1 each term is 1.0/omega and h/omega, formed from the
+        # slots themselves, so the sums are those of the kernel before it
+        # read the stored ratios
+        omega, h = _random_slots()
+        dm = ensembles.truncated_poisson(3.0, 8)
+        b = PIECE + 5
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        k, s_w2, s_hw = popdyn._gather(popdyn._ratios(omega, h), dm, W1, b, rng, cavity)
+        k_ref, members, weights = _replay(dm, W1, b, omega.size, ref, cavity)
+        om, hh = omega.tolist(), h.tolist()
+        s_w2_ref, s_hw_ref = _member_sums(members, weights, lambda i, w: (1.0 / om[i], hh[i] / om[i]))
+        assert np.array_equal(k, k_ref)
+        assert s_w2.tobytes() == s_w2_ref.tobytes()
+        assert s_hw.tobytes() == s_hw_ref.tobytes()
 
 
 class TestGatherPieces:
@@ -164,8 +201,8 @@ class TestDrawOrder:
     N = 1 << 16
 
     def test_cavity_block(self):
-        omega = np.ones(1000)
-        k, s_w2, _ = popdyn._gather(omega, omega, self.DM, W1, self.N, np.random.default_rng(3), cavity=True)
+        z = popdyn._ratios(np.ones(1000), np.ones(1000))
+        k, s_w2, _ = popdyn._gather(z, self.DM, W1, self.N, np.random.default_rng(3), cavity=True)
         assert np.array_equal(s_w2, k - 1.0)
         assert _halves_agree(s_w2.astype(np.int64)) > 1e-3
 
@@ -210,6 +247,29 @@ class TestUpdateStep:
                                 q=0.5, lam=3.0, theta=0.0)
         popdyn._sweep(pop, ensembles.regular(2), W1, None, np.random.default_rng(4))
         assert np.all(pop.omega != 1.0)
+
+    @pytest.mark.parametrize("wm", [W1, RADEMACHER], ids=["constant", "rademacher"])
+    def test_ratios_follow_every_batch(self, monkeypatch, wm):
+        # the sweep keeps the ratios of the slots it rewrites; it must equal,
+        # bit for bit, a sweep that forms them afresh before every batch
+        monkeypatch.setattr(popdyn, "_CHUNK", 64)  # 8 full batches and a partial one
+        dm = ensembles.truncated_poisson(3.0, 8)
+        omega, h = _random_slots(8 * 64 + 9)
+        pop = popdyn.Population(omega=omega + 4.0, h=h, q=0.8, lam=12.0, theta=2.0)
+        ref = copy.deepcopy(pop)
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        for _ in range(3):
+            popdyn._sweep(pop, dm, wm, GAUSS, rng)
+            for lo in range(0, ref.n_pop, 64):
+                b = min(64, ref.n_pop - lo)
+                _, s_w2, h_new = popdyn._gather(popdyn._ratios(ref.omega, ref.h), dm, wm, b, ref_rng, cavity=True)
+                omega_new = ref.lam - s_w2
+                assert omega_new.min() > 0
+                ref.omega[lo:lo + b] = omega_new
+                ref.h[lo:lo + b] = h_new + ref.theta * ref.q * np.asarray(GAUSS.sample(ref_rng, size=b), float)
+        assert pop.omega.tobytes() == ref.omega.tobytes()
+        assert pop.h.tobytes() == ref.h.tobytes()
+        assert rng.random() == ref_rng.random()
 
     def test_non_positive_omega_raises(self, monkeypatch):
         monkeypatch.setattr(popdyn, "_CHUNK", 16)
