@@ -234,15 +234,12 @@ def _load_eigensolver() -> None:
 
 
 def _farm(cfg: ExperimentConfig, tasks: list) -> list:
-    """Run instance tasks, deterministically ordered by task index. A
-    worker takes all the consecutive tasks of one (c, index) at once, so it
-    builds that instance once."""
+    """Run instance tasks, deterministically ordered by task index."""
     if cfg.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only for a pool
 
-        per_instance = len(tasks) // len({task[2:] for task in tasks})
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_instance_row, tasks, chunksize=per_instance))
+            rows = list(pool.map(_instance_row, tasks))
     else:
         rows = [_instance_row(t) for t in tasks]
     return sorted(rows, key=lambda r: (r["theta"], r["c"] if r["c"] is not None else 0, r["index"]))

@@ -129,10 +129,20 @@ class TestGather:
     @pytest.mark.parametrize("w", [1.0, -0.7])
     @pytest.mark.parametrize("cavity", [True, False])
     def test_constant_weight_matches_full_weight_arrays(self, w, cavity):
-        # a one-point law is applied as a scalar, once per sum; the sums and
-        # the random stream must equal those of the per-draw loop, whose
-        # weights are arrays of 1.0
-        _check_per_draw(ensembles.truncated_poisson(3.0, 8), ensembles.constant_weight(w), 4000, 6, cavity)
+        # a one-point law scales each sum once, by W^2 and W: bit for bit the
+        # per-draw loop that does the same, and within a few ulps a loop
+        # that weighs every member by an array of W
+        dm, wm, b = ensembles.truncated_poisson(3.0, 8), ensembles.constant_weight(w), 4000
+        _check_per_draw(dm, wm, b, 6, cavity)
+        z = popdyn._ratios(*_random_slots())
+        _, s_w2, s_hw = popdyn._gather(z, dm, wm, b, np.random.default_rng(6), cavity)
+        _, members, _ = _replay(dm, wm, b, z.size, np.random.default_rng(6), cavity)
+        arrays = [[w] * len(slots) for slots in members]
+        inv, ratio = z.real.tolist(), z.imag.tolist()
+        ref = _member_sums(members, arrays, lambda i, wi: (wi * wi * inv[i], wi * ratio[i]))
+        size = _member_sums(members, arrays, lambda i, wi: (abs(wi * wi * inv[i]), abs(wi * ratio[i])))
+        for got, want, scale in zip((s_w2, s_hw), ref, size):
+            assert np.all(np.abs(got - want) <= 16 * np.finfo(float).eps * scale)
 
     @pytest.mark.parametrize("cavity", [True, False])
     def test_unit_weight_sums_are_the_plain_ratios(self, cavity):
