@@ -1,7 +1,7 @@
 """Closed-form and semi-analytic predictions: the resolvent-moment fixed
 point m(lambda), the threshold function Q(lambda) with its inverse and
 derivative, recovery thresholds, signal-eigenvalue and squared-overlap
-curves, and dense-limit reference values.
+curves.
 
 Everything here is a pure function of value inputs. The population-based
 estimator ``q_general`` is the independent Monte Carlo counterpart of the
@@ -10,7 +10,7 @@ fixed-point route; the two are cross-checked in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -74,14 +74,6 @@ def _solve_x(lam: float, degree_model: DegreeModel, e_w2: float) -> float:
     if lam == lam_e:
         return x_e
     return _bisect(lambda x: _lambda_of_x(x, r, a) >= lam, x_e, max(lam * lam, x_e))
-
-
-def solve_m(lam: float, degree_model: DegreeModel, e_w2: float) -> float:
-    """Stable branch of  m = <<1 / (lambda - (k-1) E[W^2] m)>>_r, the one
-    continuously connected to the lambda -> infinity asymptote 1/lambda,
-    solved in x = lambda/m (``_branch``). Raises NegativeDenominator below
-    the spectral edge ``admissible_lambda_floor``; the edge is accepted."""
-    return lam / _solve_x(lam, degree_model, e_w2)
 
 
 def q_tilde(lam: float, degree_model: DegreeModel, e_w2: float) -> float:
@@ -187,16 +179,6 @@ def signal_and_overlap(
     return lam, -1.0 / (spike_model.sigma_x2 * theta**2 * qp)
 
 
-def overlap_sq(
-    theta: float,
-    degree_model: DegreeModel,
-    weight_model: WeightModel,
-    spike_model: SpikeModel,
-) -> float:
-    """Typical squared overlap  -1 / (sigma_x^2 theta^2 Q'(lambda_theta))."""
-    return signal_and_overlap(theta, degree_model, weight_model, spike_model)[1]
-
-
 def q_general(
     population: Population,
     degree_model: DegreeModel,
@@ -258,22 +240,9 @@ class AnalyticReport:
     theta_b: float | None = None
     c_crit: float | None = None
     c_b: float | None = None
-    diagnostics: dict = field(default_factory=dict)
 
     def as_flat_dict(self) -> dict:
-        out = {
-            "theta": self.theta,
-            "theta_crit": self.theta_crit,
-            "lambda_structural": self.lambda_structural,
-            "bulk_edge": self.bulk_edge,
-            "lambda_theta": self.lambda_theta,
-            "lambda_top": self.lambda_top,
-            "overlap_sq": self.overlap_sq,
-            "theta_b": self.theta_b,
-            "c_crit": self.c_crit,
-            "c_b": self.c_b,
-        }
-        return {k: v for k, v in out.items() if v is not None}
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def rr_report(c: int, sigma_x2: float, theta: float) -> AnalyticReport:
@@ -314,24 +283,6 @@ def rr_report(c: int, sigma_x2: float, theta: float) -> AnalyticReport:
         c_crit=0.5 * (2.0 + ts + root),
         c_b=0.25 * (ts + root) ** 2 + 1.0,
     )
-
-
-def dense_limit_report(theta: float, sigma_x2: float) -> dict:
-    """Dense-noise (large connectivity) reference values, in the weight
-    normalization where the bulk is the unit semicircle with edge 2:
-    threshold 1/sigma_x^2, outlier theta sigma^2 + 1/(theta sigma^2),
-    squared overlap sigma_x^2 - 1/(theta^2 sigma_x^2)."""
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
-    t_crit = 1.0 / sigma_x2
-    ts = theta * sigma_x2
-    if theta > t_crit:
-        lam = ts + 1.0 / ts
-        ov = sigma_x2 - 1.0 / (theta**2 * sigma_x2)
-    else:
-        lam = 2.0
-        ov = 0.0
-    return {"theta_crit": t_crit, "lambda_top": lam, "overlap_sq": ov, "bulk_edge": 2.0}
 
 
 def poisson_report(

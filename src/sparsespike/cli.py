@@ -66,23 +66,33 @@ class ExperimentConfig:
         return json.dumps(asdict(self), sort_keys=True)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` if it is an int; a bool or a float (1.0 included) is rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _require_ints(cls, raw: dict, prefix: str) -> None:
     """Reject a value that is not an int (1.0 included) in an int field of ``cls``."""
     for f in fields(cls):
         if f.type in (int, "int") and f.name in raw:
-            value = raw[f.name]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{prefix}{f.name} must be an integer, got {value!r}")
+            _integer(raw[f.name], prefix + f.name)
+
+
+def _number(value, name: str) -> float:
+    """``value`` as a float if it is a finite real number and not a bool."""
+    # the bound rejects NaN, the infinities and an int too large for a double
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _numbers(value, name: str) -> list:
-    """A number or a list of numbers as a list; each must be a finite real
-    number that is not a bool."""
+    """A number or a list of numbers as a list, each checked by ``_number``."""
     items = value if isinstance(value, list) else [value]
     for item in items:
-        # the bound rejects NaN, the infinities and an int too large for a double
-        if isinstance(item, bool) or not isinstance(item, (int, float)) or not abs(item) <= sys.float_info.max:
-            raise ConfigError(f"{name} entries must be finite numbers, got {item!r}")
+        _number(item, f"each {name} entry")
     return items
 
 
@@ -109,9 +119,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if any(t < 0 for t in cfg.theta):
         raise ConfigError("theta values must be non-negative")
     if cfg.c_grid is not None:
+        if cfg.mode not in ("analytic", "sweep"):
+            raise ConfigError(f"{cfg.mode} mode runs the degree law as given; only analytic and sweep read c_grid")
         cfg.c_grid = _numbers(cfg.c_grid, "c_grid")
         if not cfg.c_grid:
             raise ConfigError("c_grid is empty")
+    if cfg.mode == "densities" and len(cfg.theta) > 1:
+        raise ConfigError(f"densities mode samples one theta, got {len(cfg.theta)} values")
     if cfg.mode in ("popdyn", "densities") and any(t <= 0 for t in cfg.theta):
         raise ConfigError(f"{cfg.mode} mode solves the spiked phase; theta must be positive")
     if cfg.n < 2:
@@ -137,15 +151,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 def build_models(cfg: ExperimentConfig, c_value=None):
     """Instantiate (degree, weight, spike) models; c_value overrides the
-    degree parameter for sweep grid points."""
+    degree parameter for sweep grid points. An int parameter must be an int
+    and a real one a finite number (ConfigError otherwise), so the models
+    run the values the config and its CSV columns show."""
     deg = dict(cfg.degree)
     kind = deg.pop("kind", None)
+
+    def degree_param(key):
+        return (deg.get(key), f"degree.{key}") if c_value is None else (c_value, "c_grid entry")
+
     if kind == "regular":
-        c = int(c_value if c_value is not None else deg.get("c"))
-        degree_model = ensembles.regular(c)
+        degree_model = ensembles.regular(_integer(*degree_param("c")))
     elif kind == "truncated_poisson":
-        cbar = float(c_value if c_value is not None else deg.get("cbar"))
-        degree_model = ensembles.truncated_poisson(cbar, int(deg.get("k_max", 20)))
+        degree_model = ensembles.truncated_poisson(_number(*degree_param("cbar")),
+                                                   _integer(deg.get("k_max", 20), "degree.k_max"))
     elif kind == "table":
         degree_model = ensembles.degree_table(deg.get("probs"))
     else:
@@ -154,9 +173,9 @@ def build_models(cfg: ExperimentConfig, c_value=None):
     wgt = dict(cfg.weight)
     wkind = wgt.pop("kind", None)
     if wkind == "constant":
-        weight_model = ensembles.constant_weight(float(wgt.get("w", 1.0)))
+        weight_model = ensembles.constant_weight(_number(wgt.get("w", 1.0), "weight.w"))
     elif wkind == "rademacher_scaled":
-        weight_model = ensembles.rademacher_weight(float(wgt.get("scale")))
+        weight_model = ensembles.rademacher_weight(_number(wgt.get("scale"), "weight.scale"))
     elif wkind == "custom_table":
         weight_model = ensembles.weight_table(wgt.get("values"), wgt.get("probs"))
     else:
@@ -165,9 +184,9 @@ def build_models(cfg: ExperimentConfig, c_value=None):
     spk = dict(cfg.spike)
     skind = spk.pop("kind", None)
     if skind == "gaussian":
-        spike_model = ensembles.gaussian_spike(float(spk.get("sigma_x2", 1.0)))
+        spike_model = ensembles.gaussian_spike(_number(spk.get("sigma_x2", 1.0), "spike.sigma_x2"))
     elif skind == "rademacher":
-        spike_model = ensembles.rademacher_spike(float(spk.get("sigma_x2", 1.0)))
+        spike_model = ensembles.rademacher_spike(_number(spk.get("sigma_x2", 1.0), "spike.sigma_x2"))
     elif skind == "custom":
         spike_model = ensembles.custom_spike(spk.get("values"), spk.get("probs"))
     else:
@@ -179,16 +198,11 @@ def popdyn_config(cfg: ExperimentConfig) -> popdyn.PopDynConfig:
     return popdyn.PopDynConfig(**cfg.popdyn)
 
 
-def generate_instance(cfg: ExperimentConfig, theta: float, index: int, c_value=None) -> graphgen.SpikedMatrix:
-    """Instance ``index`` at theta. Its noise and spike vector do not depend
-    on theta, so consecutive calls for one (config, c, index) build them once."""
-    return replace(_unspiked_instance(cfg.canonical(), c_value, index), theta=float(theta))
-
-
 @functools.lru_cache(maxsize=1)
 def _unspiked_instance(canonical: str, c_value, index: int) -> graphgen.SpikedMatrix:
     """Instance ``index`` of the config ``canonical`` at theta = 0; the last
-    one built is kept."""
+    one built is kept. Its noise and spike vector do not depend on theta, so
+    consecutive tasks of one (config, c, index) build them once."""
     cfg = ExperimentConfig(**json.loads(canonical))
     degree_model, weight_model, spike_model = build_models(cfg, c_value)
     degrees = ensembles.sample_degree_sequence(
@@ -202,7 +216,7 @@ def _unspiked_instance(canonical: str, c_value, index: int) -> graphgen.SpikedMa
 def _instance_row(args: tuple) -> dict:
     raw_cfg, theta, c_value, index = args
     cfg = ExperimentConfig(**raw_cfg)
-    a = generate_instance(cfg, theta, index, c_value)
+    a = replace(_unspiked_instance(cfg.canonical(), c_value, index), theta=float(theta))
     report = spectral.analyze_instance(
         a, tol=cfg.eig_tol, max_iter=cfg.eig_max_iter, rng=derive_rng(cfg.seed, index, "eig")
     )
@@ -450,8 +464,8 @@ def run_densities(cfg: ExperimentConfig) -> dict:
     marg = observables.marginals(pop)
     observables.write_histogram_csv(top, os.path.join(cfg.out_dir, "rho_top_hist.csv"), header)
     observables.write_histogram_csv(ov, os.path.join(cfg.out_dir, "rho_ov_hist.csv"), header)
-    observables.write_samples_csv(top, os.path.join(cfg.out_dir, "rho_top_samples.csv"), header_lines=header)
-    observables.write_samples_csv(ov, os.path.join(cfg.out_dir, "rho_ov_samples.csv"), header_lines=header)
+    observables.write_samples_csv(top, os.path.join(cfg.out_dir, "rho_top_samples.csv"), header)
+    observables.write_samples_csv(ov, os.path.join(cfg.out_dir, "rho_ov_samples.csv"), header)
     stride = max(1, pop.n_pop // 10_000)
     observables.write_cdf_csv(marg["omega_x"], marg["omega_cdf"],
                               os.path.join(cfg.out_dir, "omega_cdf.csv"), header, stride)
@@ -536,13 +550,10 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    overrides = {"seed": args.seed, "out_dir": args.out_dir, "workers": args.workers}
+    if isinstance(raw, dict):  # parse_config rejects any other JSON value
+        raw.update((key, value) for key, value in overrides.items() if value is not None)
     try:
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.out_dir is not None:
-            raw["out_dir"] = args.out_dir
-        if args.workers is not None:
-            raw["workers"] = args.workers
         cfg = parse_config(raw)
         return run(cfg)
     except ConfigError as exc:

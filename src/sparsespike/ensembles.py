@@ -83,8 +83,8 @@ def _as_prob_table(p: np.ndarray, what: str) -> np.ndarray:
 class DegreeModel:
     """Bounded-support degree distribution p_k, k = 0..k_max.
 
-    ``probs[k]`` is p_k. Derived quantities: mean degree ``mean_c``,
-    ``second_moment``, and the size-biased (degree-corrected) table
+    ``probs[k]`` is p_k. Derived quantities: mean degree ``mean_c`` and
+    the size-biased (degree-corrected) table
     ``r[k] = k p_k / mean_c`` with r[0] = 0.
     """
 
@@ -92,14 +92,12 @@ class DegreeModel:
     probs: np.ndarray
     cbar: float | None = None  # truncated-Poisson rate, when applicable
     mean_c: float = field(init=False)
-    second_moment: float = field(init=False)
 
     def __post_init__(self):
         p = _as_prob_table(self.probs, "DegreeModel")
         object.__setattr__(self, "probs", p)
         k = np.arange(p.size, dtype=float)
         object.__setattr__(self, "mean_c", float((k * p).sum()))
-        object.__setattr__(self, "second_moment", float((k * k * p).sum()))
         assert abs(p.sum() - 1.0) < _TOL
 
     @property
@@ -210,7 +208,6 @@ class WeightModel:
     kind: str
     values: np.ndarray
     probs: np.ndarray
-    mean_w: float = field(init=False)
     second_moment_w: float = field(init=False)
     zeta: float = field(init=False)
 
@@ -228,7 +225,6 @@ class WeightModel:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "mean_w", float((v * p).sum()))
         object.__setattr__(self, "second_moment_w", m2)
         object.__setattr__(self, "zeta", float(np.abs(v).max()))
 

@@ -50,12 +50,6 @@ class SparseSymmetric:
         return self.edge_u.size
 
     @cached_property
-    def degrees(self) -> np.ndarray:
-        d = np.bincount(self.edge_u, minlength=self.n) + np.bincount(self.edge_v, minlength=self.n)
-        d.flags.writeable = False
-        return d
-
-    @cached_property
     def csr(self) -> scipy.sparse.csr_matrix:
         import scipy.sparse
 
@@ -99,12 +93,11 @@ def _is_simple(u: np.ndarray, v: np.ndarray, n: int) -> bool:
     return not (code[1:] == code[:-1]).any()
 
 
-def configuration_model(
-    degrees,
-    rng: np.random.Generator,
-    max_restarts: int = 10_000,
-    method: str = "auto",
-) -> SparseSymmetric:
+# Stub pairings a restart may draw before the sequence counts as near-infeasible.
+_RESTART_BUDGET = 10_000
+
+
+def configuration_model(degrees, rng: np.random.Generator) -> SparseSymmetric:
     """Uniform simple graph with the exact degree sequence, all weights 1.
 
     Stub matching with full-restart rejection: any self-loop or multi-edge
@@ -112,15 +105,15 @@ def configuration_model(
     self-loop scan, then one in-place sort of the edge codes), which accepts
     exactly the pairings with no defect and draws nothing from ``rng``, so
     the graph and the generator's state do not depend on how the test is
-    made. Restarting preserves exact uniformity, but
-    the acceptance probability decays like exp(-nu/2 - nu^2/4) with
-    nu = <k(k-1)>/<k>, so for dense-ish sequences (nu^2 >> 1) no restart
-    budget suffices. ``method="auto"`` switches to degree-preserving
-    double-edge-swap repair of the defective pairs in that regime, when
-    nu/2 + nu^2/4 > log(max_restarts) - 2; ``"restart"`` and ``"repair"``
-    force one behavior. Repair does not sample uniformly: on the 17 simple
-    graphs of the sequence [3, 3, 2, 2, 1, 1], 3,400 repaired draws reject
-    uniformity at chi-square p ~ 7e-5 (restarts: p = 0.54).
+    made. Restarting preserves exact uniformity, but the acceptance
+    probability decays like exp(-nu/2 - nu^2/4) with nu = <k(k-1)>/<k>, so
+    for dense-ish sequences (nu^2 >> 1) no restart budget suffices. Where
+    nu/2 + nu^2/4 > log(10,000) - 2, that is nu > 4.46 (regular degree 6
+    and up; degree 5 has nu = 4), the defective pairs get degree-preserving
+    double-edge-swap repair instead. Repair does not
+    sample uniformly: on the 17 simple graphs of the sequence
+    [3, 3, 2, 2, 1, 1], 3,400 repaired draws reject uniformity at
+    chi-square p ~ 7e-5 (restarts: p = 0.54).
     """
     degrees = np.asarray(degrees, dtype=np.int64)
     n = degrees.size
@@ -134,29 +127,21 @@ def configuration_model(
     if total % 2 != 0:
         raise InfeasibleSequence("odd stub count")
 
-    if method not in ("auto", "restart", "repair"):
-        raise ValueError(f"unknown method {method!r}")
-
     stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
     if stubs.size == 0:
         return SparseSymmetric(n=n, edge_u=np.empty(0, np.int64), edge_v=np.empty(0, np.int64), edge_w=np.empty(0, float))
 
-    use_repair = method == "repair"
-    if method == "auto":
-        nu = float((degrees * (degrees - 1)).sum()) / total
-        # -log P(simple); switch to repair while expected restarts are still
-        # safely inside the budget rather than right at its edge
-        if nu / 2 + nu * nu / 4 > np.log(max_restarts) - 2:
-            use_repair = True
-
-    if not use_repair:
-        for _ in range(max_restarts):
+    nu = float((degrees * (degrees - 1)).sum()) / total
+    # -log P(simple); switch to repair while expected restarts are still
+    # safely inside the budget rather than right at its edge
+    if nu / 2 + nu * nu / 4 <= np.log(_RESTART_BUDGET) - 2:
+        for _ in range(_RESTART_BUDGET):
             perm = rng.permutation(stubs)
             u, v = perm[0::2], perm[1::2]
             if _is_simple(u, v, n):
                 return _edges_to_graph(n, u, v)
         raise RestartBudgetExhausted(
-            f"no simple pairing in {max_restarts} restarts; degree sequence near-infeasible"
+            f"no simple pairing in {_RESTART_BUDGET} restarts; degree sequence near-infeasible"
         )
 
     perm = rng.permutation(stubs)

@@ -73,7 +73,6 @@ def marginals(pop: Population) -> dict:
         "omega_cdf": grid,
         "h_x": h_sorted,
         "h_cdf": grid.copy(),
-        "atom_value": pop.lam,
         "atom_mass": atom_mass,
     }
 
@@ -84,15 +83,13 @@ class OverlapMoments:
 
     ``mean`` estimates the average overlap q. The squared overlap of the
     recovery problem is the square of the mean (the overlap self-averages),
-    not the raw second moment of the component density; both are reported.
+    not the raw second moment of the component density.
     """
 
     mean: float
     mean_se: float
     overlap_sq: float
     overlap_sq_se: float
-    raw_second_moment: float
-    raw_second_moment_se: float
 
 
 def overlap_moments(density: DensityEstimate) -> OverlapMoments:
@@ -100,16 +97,11 @@ def overlap_moments(density: DensityEstimate) -> OverlapMoments:
     n = u.size
     mean = float(u.mean())
     mean_se = float(u.std() / np.sqrt(n))
-    u2 = u * u
-    raw2 = float(u2.mean())
-    raw2_se = float(u2.std() / np.sqrt(n))
     return OverlapMoments(
         mean=mean,
         mean_se=mean_se,
         overlap_sq=mean * mean,
         overlap_sq_se=2.0 * abs(mean) * mean_se,
-        raw_second_moment=raw2,
-        raw_second_moment_se=raw2_se,
     )
 
 
@@ -143,9 +135,14 @@ def write_histogram_csv(density: DensityEstimate, path: str, header_lines=()) ->
                 (edges[:-1], edges[1:], np.asarray(density.masses, float)))
 
 
-def write_samples_csv(density: DensityEstimate, path: str, cap: int = 100_000, header_lines=()) -> None:
+# Samples a samples CSV holds: the first this many of the density's draws.
+_SAMPLES_CAP = 100_000
+
+
+def write_samples_csv(density: DensityEstimate, path: str, header_lines=()) -> None:
     _write_rows(path, header_lines, ("u", "k"),
-                (np.asarray(density.samples[:cap], float), np.asarray(density.k_tags[:cap]).astype(np.int64)))
+                (np.asarray(density.samples[:_SAMPLES_CAP], float),
+                 np.asarray(density.k_tags[:_SAMPLES_CAP]).astype(np.int64)))
 
 
 def write_cdf_csv(xs: np.ndarray, ys: np.ndarray, path: str, header_lines=(), stride: int = 1) -> None:

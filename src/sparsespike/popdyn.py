@@ -260,7 +260,6 @@ def equilibrate(
             return {
                 "sweeps": sweeps,
                 "lambda_bumps": bumps,
-                "converged": True,
                 "traces": {key: np.asarray(val) for key, val in traces.items()},
                 "moment_se": se,
             }

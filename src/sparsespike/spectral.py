@@ -3,7 +3,7 @@ read off them.
 
 Each instance makes one call to ARPACK's implicitly restarted Lanczos
 (Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl. 17, 1996), through
-``scipy.sparse.linalg.eigsh(k=2 or 1, which="LA")``, on a
+``scipy.sparse.linalg.eigsh(k=2, which="LA")``, on a
 ``LinearOperator`` around ``matvec``: the rank-one spike is never formed
 and every product goes through ``SpikedMatrix.matvec``. The start vector
 and any restart vectors come from the caller's generator, so results
@@ -14,7 +14,7 @@ returned pair (the largest |eigenvalue| returned, as an exact zero one has
 no relative residual), which must not exceed ``tol``. ARPACK cannot start
 on the zero operator (A v0 = 0); its spectrum is set exactly.
 
-Below 2k+1 rows ARPACK has no room for the Krylov space it needs (scipy
+Below 5 rows ARPACK has no room for the Krylov space it needs (scipy
 refuses k >= N outright), so those sizes use the dense eigendecomposition.
 
 A single start vector sees one copy of an exactly repeated eigenvalue;
@@ -36,10 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotConverged
-from .graphgen import SparseSymmetric, SpikedMatrix
+from .graphgen import SpikedMatrix
 
 _DEFAULT_TOL = 1e-10
 _DEFAULT_MAX_ITER = 20_000
+_K = 2  # eigenpairs per solve: the top and the second
 
 
 @dataclass(frozen=True)
@@ -52,37 +53,24 @@ class EigReport:
     """
 
     lambda_top: float
-    lambda_second: float | None
+    lambda_second: float
     v_top: np.ndarray
     overlap: float
     overlap_sq: float
     residual_top: float
-    residual_second: float | None
+    residual_second: float
     iterations: int
     near_degenerate: bool = False
 
 
-def _as_operator(a):
-    """(matvec, N, dense, zero) for a spiked or sparse matrix or a square
-    ndarray; ``dense()`` builds the full matrix, ``zero`` says it is 0."""
-    if isinstance(a, SpikedMatrix):
-        return a.matvec, a.n, a.to_dense, a.theta == 0.0 and not a.noise.edge_w.any()
-    if isinstance(a, SparseSymmetric):
-        return a.matvec, a.n, a.to_dense, not a.edge_w.any()
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        return arr.__matmul__, arr.shape[0], lambda: arr, not arr.any()
-    raise TypeError("expected SpikedMatrix, SparseSymmetric, or a square ndarray")
-
-
-def _top_pairs(a, k, tol, max_iter, rng):
-    """The k largest-algebraic eigenpairs, in descending order.
+def _top_pairs(a: SpikedMatrix, tol, max_iter, rng):
+    """The two largest-algebraic eigenpairs, in descending order.
 
     Returns (eigenvalues, unit eigenvectors as columns, relative residuals,
     matvec count). Raises NotConverged when the matvec budget runs out,
     ARPACK fails, or an explicit residual exceeds ``tol``.
     """
-    matvec, n, dense, zero = _as_operator(a)
+    n = a.n
     if n < 2:
         raise ValueError("need N >= 2")
     if rng is None:
@@ -94,23 +82,24 @@ def _top_pairs(a, k, tol, max_iter, rng):
         if matvecs >= max_iter:
             raise NotConverged(f"matvec budget {max_iter} spent before reaching tol {tol:.1e}")
         matvecs += 1
-        return matvec(v)
+        return a.matvec(v)
 
-    if n <= 2 * k:
-        evals, evecs = np.linalg.eigh(dense())
-    elif zero:
-        # every eigenvalue is 0 and any orthonormal vectors are eigenvectors
-        evals, evecs = np.zeros(k), np.eye(n, k)
+    if n <= 2 * _K:
+        evals, evecs = np.linalg.eigh(a.to_dense())
+    elif a.theta == 0.0 and not a.noise.edge_w.any():
+        # the zero operator: every eigenvalue is 0 and any orthonormal
+        # vectors are eigenvectors
+        evals, evecs = np.zeros(_K), np.eye(n, _K)
     else:
         from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
         op = LinearOperator((n, n), matvec=counted, dtype=float)
         try:
-            evals, evecs = eigsh(op, k=k, which="LA", v0=rng.standard_normal(n),
+            evals, evecs = eigsh(op, k=_K, which="LA", v0=rng.standard_normal(n),
                                  tol=tol, maxiter=max_iter, rng=rng)
         except ArpackError as exc:
             raise NotConverged(f"ARPACK after {matvecs} matvecs: {exc}") from exc
-    order = np.argsort(evals)[::-1][:k]
+    order = np.argsort(evals)[::-1][:_K]
     evals, evecs = evals[order], evecs[:, order]
     scale = max(float(np.abs(evals).max()), 1e-30)
     residuals = [
@@ -123,32 +112,18 @@ def _top_pairs(a, k, tol, max_iter, rng):
     return evals, evecs, residuals, matvecs
 
 
-def top_eigenpair(a, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER, rng=None):
-    """Top (largest algebraic) eigenpair; eigenvector rescaled to ||v||^2 = N.
-
-    Returns (lambda, v, relative residual, matvecs).
-    """
-    evals, evecs, residuals, matvecs = _top_pairs(a, 1, tol, max_iter, rng)
-    n = evecs.shape[0]
-    return float(evals[0]), evecs[:, 0] * np.sqrt(n), residuals[0], matvecs
-
-
-def analyze_instance(a: SpikedMatrix, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER, rng=None, want_second: bool = True) -> EigReport:
+def analyze_instance(a: SpikedMatrix, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER, rng=None) -> EigReport:
     """Solve one instance end to end: top and second eigenpairs from one
     solve, gauge-fixed overlap statistics."""
-    evals, evecs, residuals, matvecs = _top_pairs(a, 2 if want_second else 1, tol, max_iter, rng)
+    evals, evecs, residuals, matvecs = _top_pairs(a, tol, max_iter, rng)
     n = a.n
-    lam = float(evals[0])
+    lam, lam2 = float(evals[0]), float(evals[1])
     v = evecs[:, 0] * np.sqrt(n)
-    lam2 = res2 = None
-    if want_second:
-        lam2, res2 = float(evals[1]), residuals[1]
     ip = float(a.x @ v)
     if ip < 0:
         v = -v
         ip = -ip
     overlap = ip / n
-    near = lam2 is not None and abs(lam - lam2) < 1e-6 * max(abs(lam), 1e-30)
     return EigReport(
         lambda_top=lam,
         lambda_second=lam2,
@@ -156,7 +131,7 @@ def analyze_instance(a: SpikedMatrix, tol: float = _DEFAULT_TOL, max_iter: int =
         overlap=overlap,
         overlap_sq=overlap**2,
         residual_top=residuals[0],
-        residual_second=res2,
+        residual_second=residuals[1],
         iterations=matvecs,
-        near_degenerate=near,
+        near_degenerate=abs(lam - lam2) < 1e-6 * max(abs(lam), 1e-30),
     )

@@ -37,8 +37,8 @@ def poisson_solved(poisson_models):
     resolvent route; moderate size for unit-test speed."""
     dm, wm, sm = poisson_models
     theta = 6.0
-    lam = analytic.lambda_signal(theta, dm, wm, sm)
-    q = float(np.sqrt(analytic.overlap_sq(theta, dm, wm, sm)))
+    lam, ov = analytic.signal_and_overlap(theta, dm, wm, sm)
+    q = float(np.sqrt(ov))
     config = popdyn.PopDynConfig(n_pop=50_000, alpha_samples=400_000)
     pop, q_out, lam_out, diag = popdyn.solve(
         theta, dm, wm, sm, config, np.random.default_rng(1234), warm_start=(lam, q)

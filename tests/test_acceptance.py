@@ -49,8 +49,7 @@ def poisson_full_solve():
     wm = ensembles.constant_weight(1.0)
     sm = ensembles.gaussian_spike(1.0)
     theta = 6.0
-    lam_an = analytic.lambda_signal(theta, dm, wm, sm)
-    ov_an = analytic.overlap_sq(theta, dm, wm, sm)
+    lam_an, ov_an = analytic.signal_and_overlap(theta, dm, wm, sm)
     config = popdyn.PopDynConfig(n_pop=200_000)
     pop, q, lam, diag = popdyn.solve(
         theta, dm, wm, sm, config, derive_rng(SEED, 0, "popdyn"),
@@ -69,8 +68,7 @@ def poisson_diag_batch():
     out = []
     for i in range(25):
         a = make_instance(dm, wm, sm, 2000, 6.0, SEED + 1, i)
-        rep = spectral.analyze_instance(a, rng=derive_rng(SEED + 1, i, "eig"),
-                                        want_second=False)
+        rep = spectral.analyze_instance(a, rng=derive_rng(SEED + 1, i, "eig"))
         out.append((a, rep))
     return out
 
@@ -187,8 +185,9 @@ def test_criterion_6_structural_zero_spike_reduction():
     overlaps = []
     for i in range(25):
         a = make_instance(dm, wm, sm, 2000, 0.0, SEED + 4, i)
-        lam, v, _, _ = spectral.top_eigenpair(a, rng=derive_rng(SEED + 4, i, "eig"))
-        # x-independent gauge so the signed overlap is symmetric under the null
+        v = spectral.analyze_instance(a, rng=derive_rng(SEED + 4, i, "eig")).v_top
+        # x-independent gauge (analyze_instance's follows x) so the signed
+        # overlap is symmetric under the null
         v = v * np.sign(v[np.argmax(np.abs(v))])
         overlaps.append(float(a.x @ v) / a.n)
     overlaps = np.array(overlaps)
@@ -252,7 +251,7 @@ def test_criterion_8_derivative_identity():
     dm_po = ensembles.truncated_poisson(4.0, 20)
     worst_po = 0.0
     for theta in np.linspace(4.4, 10.0, 10):
-        ov = analytic.overlap_sq(theta, dm_po, wm, sm)
+        ov = analytic.signal_and_overlap(theta, dm_po, wm, sm)[1]
         step = 5e-3
         fd = (analytic.lambda_signal(theta + step, dm_po, wm, sm)
               - analytic.lambda_signal(theta - step, dm_po, wm, sm)) / (2 * step)

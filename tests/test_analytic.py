@@ -11,6 +11,11 @@ W1 = ensembles.constant_weight(1.0)
 GAUSS = ensembles.gaussian_spike(1.0)
 
 
+def stable_m(lam, degree_model, e_w2):
+    """m on the stable branch, read off x = lambda/m."""
+    return lam / analytic._solve_x(lam, degree_model, e_w2)
+
+
 def brute_m(lam, degree_model, e_w2, iters=2000):
     """Independent oracle: plain undamped contraction iteration."""
     r = degree_model.r
@@ -24,23 +29,23 @@ def brute_m(lam, degree_model, e_w2, iters=2000):
 class TestSolveM:
     def test_rr_quadratic_root(self):
         # (c-1) m^2 - lambda m + 1 = 0 at lambda = c = 4: stable root 1/3
-        m = analytic.solve_m(4.0, ensembles.regular(4), 1.0)
+        m = stable_m(4.0, ensembles.regular(4), 1.0)
         assert abs(m - 1.0 / 3.0) < 1e-10
 
     def test_large_lambda_asymptote(self):
         for c in (3, 6):
             lam = 1e6
-            m = analytic.solve_m(lam, ensembles.regular(c), 1.0)
+            m = stable_m(lam, ensembles.regular(c), 1.0)
             assert abs(m - 1.0 / lam) < 10.0 / lam**3
 
     def test_poisson_matches_brute_oracle(self):
         dm = ensembles.truncated_poisson(4.0, 20)
-        m = analytic.solve_m(6.0, dm, 1.0)
+        m = stable_m(6.0, dm, 1.0)
         assert abs(m - brute_m(6.0, dm, 1.0)) < 1e-10
 
     def test_below_edge_fails(self):
         with pytest.raises((NegativeDenominator, NoConvergence)):
-            analytic.solve_m(3.0, ensembles.regular(4), 1.0)
+            stable_m(3.0, ensembles.regular(4), 1.0)
 
 
 class TestQTilde:
@@ -49,7 +54,7 @@ class TestQTilde:
         # (c/cbar) m + p_kmax/(lambda - kmax E[W^2] m) expression
         dm = ensembles.truncated_poisson(4.0, 20)
         for lam in (5.5, 6.0, 8.0, 12.0):
-            m = analytic.solve_m(lam, dm, 1.0)
+            m = stable_m(lam, dm, 1.0)
             two_term = (dm.mean_c / dm.cbar) * m + dm.probs[-1] / (lam - dm.k_max * m)
             assert abs(analytic.q_tilde(lam, dm, 1.0) - two_term) < 5e-13
 
@@ -57,7 +62,7 @@ class TestQTilde:
         # lambda must sit above the k_max-inflated spectral edge ~ sqrt(k_max)
         dm = ensembles.truncated_poisson(4.0, 60)
         lam = 10.0
-        m = analytic.solve_m(lam, dm, 1.0)
+        m = stable_m(lam, dm, 1.0)
         correction = dm.probs[-1] / (lam - dm.k_max * m)
         assert correction < 1e-10
         assert abs(analytic.q_tilde(lam, dm, 1.0) - m * dm.mean_c / dm.cbar) < 1e-10
@@ -118,9 +123,6 @@ class TestThetaCrit:
     def test_marginal_chain(self):
         assert analytic.theta_crit(ensembles.regular(2), W1, GAUSS, 2.0) == 0.0
 
-    def test_dense_limit_value(self):
-        assert analytic.dense_limit_report(2.0, 1.0)["theta_crit"] == 1.0
-
     def test_large_c_trend_to_dense(self):
         # weights 1/sqrt(c): thresholds rise monotonically to 1/sigma^2,
         # within 3% by c = 200
@@ -170,7 +172,7 @@ class TestLambdaSignal:
 
 class TestOverlapSq:
     def test_rr_closed_form(self):
-        ov = analytic.overlap_sq(4.0, ensembles.regular(4), W1, GAUSS)
+        ov = analytic.signal_and_overlap(4.0, ensembles.regular(4), W1, GAUSS)[1]
         assert abs(ov - (4 / np.sqrt(5) - 1)) < 1e-8
 
     def test_rr_large_theta_saturates_at_variance(self):
@@ -181,7 +183,7 @@ class TestOverlapSq:
     def test_derivative_identity_rr(self, theta):
         # squared overlap equals d lambda_theta / d theta
         dm = ensembles.regular(4)
-        ov = analytic.overlap_sq(theta, dm, W1, GAUSS)
+        ov = analytic.signal_and_overlap(theta, dm, W1, GAUSS)[1]
         step = 1e-3 * theta
         fd = (analytic.lambda_signal(theta + step, dm, W1, GAUSS)
               - analytic.lambda_signal(theta - step, dm, W1, GAUSS)) / (2 * step)
@@ -190,7 +192,7 @@ class TestOverlapSq:
     def test_derivative_identity_poisson(self):
         dm = ensembles.truncated_poisson(4.0, 20)
         theta = 6.0
-        ov = analytic.overlap_sq(theta, dm, W1, GAUSS)
+        ov = analytic.signal_and_overlap(theta, dm, W1, GAUSS)[1]
         step = 5e-3
         fd = (analytic.lambda_signal(theta + step, dm, W1, GAUSS)
               - analytic.lambda_signal(theta - step, dm, W1, GAUSS)) / (2 * step)
@@ -236,13 +238,13 @@ class TestRRReport:
             closed = analytic.rr_report(c, 1.0, theta)
             assert abs(analytic.lambda_signal(theta, dm, W1, GAUSS) - closed.lambda_theta) < 1e-12
             if theta > closed.theta_crit:
-                assert abs(analytic.overlap_sq(theta, dm, W1, GAUSS) - closed.overlap_sq) < 1e-12
+                assert abs(analytic.signal_and_overlap(theta, dm, W1, GAUSS)[1] - closed.overlap_sq) < 1e-12
 
     def test_rr_vs_generic_pipeline(self):
         # closed forms against the generic resolvent machinery, 1e-6
         rep = analytic.rr_report(4, 1.0, 4.0)
         lam = analytic.lambda_signal(4.0, ensembles.regular(4), W1, GAUSS)
-        ov = analytic.overlap_sq(4.0, ensembles.regular(4), W1, GAUSS)
+        ov = analytic.signal_and_overlap(4.0, ensembles.regular(4), W1, GAUSS)[1]
         assert abs(lam - rep.lambda_top) < 1e-6
         assert abs(ov - rep.overlap_sq) < 1e-6
         # and against the population route on a collapsed population
@@ -253,37 +255,12 @@ class TestRRReport:
         assert abs(4.0 * qhat - 1.0) < 1e-9  # theta sigma^2 Q(lambda_theta) = 1
 
 
-class TestDenseLimit:
-    def test_reference_point(self):
-        rep = analytic.dense_limit_report(2.0, 1.0)
-        assert rep["lambda_top"] == 2.5
-        assert rep["overlap_sq"] == 0.75
-
-    def test_threshold_continuity(self):
-        rep = analytic.dense_limit_report(1.0, 1.0)
-        assert rep["overlap_sq"] == 0.0
-        assert rep["lambda_top"] == 2.0
-
-    def test_general_variance(self):
-        sigma2 = 2.0
-        theta = 3.0
-        rep = analytic.dense_limit_report(theta, sigma2)
-        ts = theta * sigma2
-        assert abs(rep["lambda_top"] - (ts + 1 / ts)) < 1e-14
-        assert abs(rep["overlap_sq"] - (sigma2 - 1 / (theta**2 * sigma2))) < 1e-14
-        # derivative identity holds for the dense formulas too
-        step = 1e-5
-        fd = (analytic.dense_limit_report(theta + step, sigma2)["lambda_top"]
-              - analytic.dense_limit_report(theta - step, sigma2)["lambda_top"]) / (2 * step)
-        assert abs(rep["overlap_sq"] - fd) < 1e-8
-
-
 def stability_margin(lam, degree_model, e_w2):
     """1 - E[W^2] sum_k r_k (k-1) / (lambda - (k-1) E[W^2] m)^2, the
     denominator of dm/dlambda by implicit differentiation (``_branch``'s
     h / S0, written in lambda): zero where the stable branch of the m
     equation turns back."""
-    m = analytic.solve_m(lam, degree_model, e_w2)
+    m = stable_m(lam, degree_model, e_w2)
     r = degree_model.r
     km1 = np.arange(r.size) - 1.0
     mask = r > 0
@@ -316,24 +293,24 @@ class TestFloor:
         # lambda = k_max E[W^2] m, where the branch is still stable
         dm = ensembles.truncated_poisson(4.0, 20)
         edge = analytic.admissible_lambda_floor(dm, 1.0)
-        assert abs(edge - dm.k_max * analytic.solve_m(edge, dm, 1.0)) < 1e-12
+        assert abs(edge - dm.k_max * stable_m(edge, dm, 1.0)) < 1e-12
         assert stability_margin(edge, dm, 1.0) > 1e-3
         assert analytic.q_tilde(edge, dm, 1.0) == np.inf
 
     # the plain iteration contracts slowly next to a tangency edge
     @pytest.mark.parametrize("factor,iters", [(1.0 + 1e-6, 100_000), (1.001, 5000), (1.1, 2000), (2.0, 2000)])
-    def test_solve_m_above_edge_matches_brute(self, factor, iters):
+    def test_stable_m_above_edge_matches_brute(self, factor, iters):
         for dm in (ensembles.truncated_poisson(3.0, 8), ensembles.truncated_poisson(4.0, 20),
                    ensembles.regular(4)):
             lam = factor * analytic.admissible_lambda_floor(dm, 1.0)
-            assert abs(analytic.solve_m(lam, dm, 1.0) - brute_m(lam, dm, 1.0, iters)) < 1e-10
+            assert abs(stable_m(lam, dm, 1.0) - brute_m(lam, dm, 1.0, iters)) < 1e-10
 
     def test_edge_is_accepted_and_below_rejected(self):
         dm = ensembles.truncated_poisson(3.0, 8)
         edge = analytic.admissible_lambda_floor(dm, 1.0)
         assert np.isfinite(analytic.q_tilde(edge, dm, 1.0))
         with pytest.raises(NegativeDenominator):
-            analytic.solve_m(edge * (1.0 - 1e-12), dm, 1.0)
+            stable_m(edge * (1.0 - 1e-12), dm, 1.0)
 
     def test_degenerate_tables(self):
         # floors of the former convergence-probing search, to its 1e-9 resolution

@@ -20,6 +20,7 @@ def write_config(tmp_path, **fields):
 
 
 RR4 = {"kind": "regular", "c": 4}
+PO3 = {"kind": "truncated_poisson", "cbar": 3.0, "k_max": 8}
 
 
 class TestSeedDerivation:
@@ -73,6 +74,26 @@ class TestConfigParsing:
         ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"chunk": 4096}}, "chunk"),
         ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"plateau_window": 10}}, "plateau_window"),
         ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"plateau_tol": 1e-3}}, "plateau_tol"),
+        # model parameters run as written: an int one must be an int, a real one a finite number
+        ({"mode": "diag", "degree": {"kind": "regular", "c": 4.7}}, "degree.c must be an integer"),
+        ({"mode": "diag", "degree": {"kind": "regular", "c": 4.0}}, "degree.c must be an integer"),
+        ({"mode": "diag", "degree": {"kind": "regular", "c": "4"}}, "degree.c must be an integer"),
+        ({"mode": "diag", "degree": {"kind": "regular"}}, "degree.c must be an integer, got None"),
+        ({"mode": "sweep", "degree": RR4, "c_grid": [4.5]}, "c_grid entry must be an integer"),
+        ({"mode": "analytic", "degree": RR4, "c_grid": [4, True]}, "c_grid entry must be"),
+        ({"mode": "analytic", "degree": {**PO3, "k_max": 8.5}}, "degree.k_max must be an integer"),
+        ({"mode": "analytic", "degree": {**PO3, "cbar": "3"}}, "degree.cbar must be a finite number"),
+        ({"mode": "analytic", "degree": RR4, "weight": {"kind": "constant", "w": True}}, "weight.w"),
+        ({"mode": "analytic", "degree": RR4, "weight": {"kind": "rademacher_scaled", "scale": float("nan")}},
+         "weight.scale"),
+        ({"mode": "analytic", "degree": RR4, "weight": {"kind": "rademacher_scaled"}}, "weight.scale"),
+        ({"mode": "analytic", "degree": RR4, "spike": {"kind": "gaussian", "sigma_x2": [1.0]}}, "spike.sigma_x2"),
+        ({"mode": "analytic", "degree": RR4, "spike": {"kind": "rademacher", "sigma_x2": "1"}}, "spike.sigma_x2"),
+        # fields a mode would drop unread
+        ({"mode": "diag", "degree": RR4, "c_grid": [4]}, "only analytic and sweep read c_grid"),
+        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "c_grid": [4]}, "only analytic and sweep read c_grid"),
+        ({"mode": "densities", "degree": RR4, "theta": [4.0], "c_grid": [4]}, "only analytic and sweep read c_grid"),
+        ({"mode": "densities", "degree": RR4, "theta": [4.0, 6.0]}, "densities mode samples one theta, got 2"),
     ])
     def test_rejects_bad_fields(self, raw, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -246,7 +267,6 @@ def test_structural_eigenvalue_once_per_c(tmp_path, monkeypatch, mode):
     assert len(rows) == 6
 
 
-PO3 = {"kind": "truncated_poisson", "cbar": 3.0, "k_max": 8}
 TOY_POPDYN = {"n_pop": 5000, "alpha_samples": 50_000, "alpha_tol": 0.05}
 
 
@@ -394,6 +414,15 @@ class TestMainExitCodes:
             eig_max_iter=3, out_dir=str(tmp_path / "out"),
         )
         assert cli.main([path]) == 3
+
+    @pytest.mark.parametrize("flag,value", [("--seed", "3"), ("--out-dir", "elsewhere"), ("--workers", "2")])
+    def test_override_on_non_object_config(self, tmp_path, capsys, flag, value):
+        # a JSON list or number is a config error with an override flag too, not a TypeError
+        for text in ("[1, 2]", "7"):
+            path = tmp_path / "config.json"
+            path.write_text(text)
+            assert cli.main([str(path), flag, value]) == 2
+            assert "config must be a JSON object" in capsys.readouterr().err
 
     def test_success_and_overrides(self, tmp_path, capsys):
         path = write_config(tmp_path, mode="analytic", degree=RR4, theta=[4.0])

@@ -16,6 +16,10 @@ def assert_simple(graph):
     assert np.unique(codes).size == codes.size
 
 
+def degrees_of(graph):
+    return np.bincount(graph.edge_u, minlength=graph.n) + np.bincount(graph.edge_v, minlength=graph.n)
+
+
 class TestConfigurationModel:
     def test_single_edge(self):
         g = graphgen.configuration_model([1, 1], np.random.default_rng(0))
@@ -26,7 +30,7 @@ class TestConfigurationModel:
         degrees = np.full(2000, 4)
         g = graphgen.configuration_model(degrees, np.random.default_rng(1))
         assert_simple(g)
-        assert np.array_equal(g.degrees, degrees)
+        assert np.array_equal(degrees_of(g), degrees)
 
     def test_poisson_degrees_exact(self):
         model = ensembles.truncated_poisson(4.0, 20)
@@ -34,7 +38,7 @@ class TestConfigurationModel:
         degrees = ensembles.sample_degree_sequence(model, 2000, rng)
         g = graphgen.configuration_model(degrees, rng)
         assert_simple(g)
-        assert np.array_equal(g.degrees, degrees)
+        assert np.array_equal(degrees_of(g), degrees)
 
     def test_infeasible_degree(self):
         with pytest.raises(InfeasibleSequence):
@@ -47,8 +51,7 @@ class TestConfigurationModel:
     def test_near_infeasible_exhausts_restarts(self):
         # [3,3,1,1] passes the cheap feasibility checks but is not graphical
         with pytest.raises(RestartBudgetExhausted):
-            graphgen.configuration_model([3, 3, 1, 1], np.random.default_rng(0),
-                                         max_restarts=50, method="restart")
+            graphgen.configuration_model([3, 3, 1, 1], np.random.default_rng(0))
 
     def test_repair_path_dense_regular(self):
         # nu ~ 29 makes P(simple) ~ exp(-225): repair must engage and still
@@ -56,17 +59,24 @@ class TestConfigurationModel:
         degrees = np.full(80, 30)
         g = graphgen.configuration_model(degrees, np.random.default_rng(3))
         assert_simple(g)
-        assert np.array_equal(g.degrees, degrees)
+        assert np.array_equal(degrees_of(g), degrees)
 
     def test_empty_graph(self):
         g = graphgen.configuration_model([0, 0, 0], np.random.default_rng(0))
         assert g.n_edges == 0
         assert g.matvec(np.ones(3)).tolist() == [0.0, 0.0, 0.0]
 
-    @pytest.mark.parametrize("degrees", [[0, 0], [1, 1]])
-    def test_unknown_method(self, degrees):
-        with pytest.raises(ValueError, match="unknown method"):
-            graphgen.configuration_model(degrees, np.random.default_rng(0), method="bogus")
+    def test_regular_six_takes_repair(self, monkeypatch):
+        # nu = 5 is past the restart rule's bound: no pairing is tested the
+        # restart way, and repair still gives the exact degrees, simple
+        def restart_test(u, v, n):
+            raise AssertionError("restart path taken")
+
+        monkeypatch.setattr(graphgen, "_is_simple", restart_test)
+        degrees = np.full(2000, 6)
+        g = graphgen.configuration_model(degrees, np.random.default_rng(4))
+        assert_simple(g)
+        assert np.array_equal(degrees_of(g), degrees)
 
 
 class TestSimplePairing:
@@ -92,6 +102,7 @@ class TestSimplePairing:
     @pytest.mark.parametrize("model,n", [
         (ensembles.truncated_poisson(4.0, 20), 2000),
         (ensembles.regular(4), 4000),
+        (ensembles.regular(5), 2000),  # nu = 4, the densest regular law that restarts
     ])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_restart_matches_reference_loop(self, model, n, seed):
@@ -107,7 +118,7 @@ class TestSimplePairing:
                 break
         ref = graphgen._edges_to_graph(n, u, v)
         rng = np.random.default_rng(seed)
-        g = graphgen.configuration_model(degrees, rng, method="restart")
+        g = graphgen.configuration_model(degrees, rng)
         assert np.array_equal(g.edge_u, ref.edge_u)
         assert np.array_equal(g.edge_v, ref.edge_v)
         assert rng.random() == ref_rng.random()
@@ -126,7 +137,7 @@ class TestSimplePairing:
         rng = np.random.default_rng(8)
         counts = np.zeros(len(graphs))
         for _ in range(3400):
-            g = graphgen.configuration_model(degrees, rng, method="restart")
+            g = graphgen.configuration_model(degrees, rng)
             counts[index[tuple(zip(g.edge_u.tolist(), g.edge_v.tolist()))]] += 1
         assert stats.chisquare(counts).pvalue > 1e-3
 

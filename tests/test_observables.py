@@ -74,7 +74,7 @@ class TestRhoOv:
     def test_squared_overlap_matches_analytic(self, poisson_solved, poisson_models):
         dm, wm, sm = poisson_models
         pop = poisson_solved["pop"]
-        ov_analytic = analytic.overlap_sq(pop.theta, dm, wm, sm)
+        ov_analytic = analytic.signal_and_overlap(pop.theta, dm, wm, sm)[1]
         density = observables.component_densities(pop, dm, wm, sm, 400_000, np.random.default_rng(8))[1]
         moments = observables.overlap_moments(density)
         assert abs(moments.overlap_sq - ov_analytic) / ov_analytic < 0.01
@@ -99,7 +99,7 @@ class TestRhoOv:
         emp = []
         for i in range(5):
             a = make_instance(dm, wm, sm, 1000, pop.theta, seed=3141, index=i)
-            rep = spectral.analyze_instance(a, want_second=False)
+            rep = spectral.analyze_instance(a)
             emp.append(rep.overlap)
         emp_mean = float(np.mean(emp))
         emp_se = float(np.std(emp, ddof=1) / np.sqrt(len(emp)))
@@ -123,7 +123,6 @@ class TestMarginals:
         marg = observables.marginals(pop)
         r1 = dm.r[1]
         assert abs(marg["atom_mass"] - r1) < 3 * np.sqrt(r1 * (1 - r1) / pop.n_pop)
-        assert marg["atom_value"] == pop.lam
 
     def test_cdf_monotone(self, poisson_solved):
         marg = observables.marginals(poisson_solved["pop"])
@@ -142,7 +141,6 @@ class TestOverlapMoments:
         )
         moments = observables.overlap_moments(density)
         assert moments.mean == pytest.approx(0.7)
-        assert moments.raw_second_moment == pytest.approx(0.49)
         assert moments.overlap_sq == pytest.approx(0.49)
         assert moments.mean_se < 1e-15
 
@@ -160,12 +158,13 @@ class TestExports:
         mass = sum(float(line.split(",")[2]) for line in lines[2:])
         assert abs(mass - 1.0) < 1e-9
 
-    def test_samples_csv_cap(self, tmp_path, poisson_solved, poisson_models):
+    def test_samples_csv_cap(self, tmp_path, poisson_solved, poisson_models, monkeypatch):
+        monkeypatch.setattr(observables, "_SAMPLES_CAP", 100)
         dm, wm, sm = poisson_models
         density = observables.component_densities(poisson_solved["pop"], dm, wm, sm,
                                                   5_000, np.random.default_rng(11))[0]
         path = tmp_path / "samples.csv"
-        observables.write_samples_csv(density, str(path), cap=100)
+        observables.write_samples_csv(density, str(path))
         assert len(path.read_text().splitlines()) == 101  # header + cap
 
 
@@ -300,8 +299,9 @@ class TestWriterBytes:
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize("cap", [7, 100_000])
-    def test_samples(self, tmp_path, density, cap):
-        observables.write_samples_csv(density, str(tmp_path / "got.csv"), cap=cap, header_lines=self.HEADER)
+    def test_samples(self, tmp_path, density, cap, monkeypatch):
+        monkeypatch.setattr(observables, "_SAMPLES_CAP", cap)
+        observables.write_samples_csv(density, str(tmp_path / "got.csv"), self.HEADER)
         rows = [[repr(float(u)), int(k)] for u, k in zip(density.samples[:cap], density.k_tags[:cap])]
         _csv_writer_reference(tmp_path / "ref.csv", self.HEADER, ["u", "k"], rows)
         got = (tmp_path / "got.csv").read_bytes()

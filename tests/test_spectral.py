@@ -22,7 +22,11 @@ def small_instance(seed, n=50, theta=3.0):
 
 class TestTopEigenpair:
     def test_two_by_two(self):
-        lam, v, res, _ = spectral.top_eigenpair(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        # [[0, 1], [1, 0]]: top pair (1, (1, 1) / sqrt(2))
+        noise = graphgen.SparseSymmetric(n=2, edge_u=np.array([0]), edge_v=np.array([1]),
+                                         edge_w=np.array([1.0]))
+        rep = spectral.analyze_instance(graphgen.SpikedMatrix(noise=noise, x=np.array([1.0, -2.0]), theta=0.0))
+        lam, v = rep.lambda_top, rep.v_top
         assert abs(lam - 1.0) < 1e-12
         assert abs(abs(v[0]) - abs(v[1])) < 1e-8
         assert np.sign(v[0]) == np.sign(v[1])
@@ -31,17 +35,15 @@ class TestTopEigenpair:
         # every component of a 4-regular graph carries the Perron value 4
         g = graphgen.configuration_model(np.full(2000, 4), np.random.default_rng(0))
         a = graphgen.assemble_spiked(g, ensembles.gaussian_spike(1.0), 0.0, np.random.default_rng(1))
-        lam, v, res, _ = spectral.top_eigenpair(a)
-        assert abs(lam - 4.0) < 1e-8
-        assert abs(v @ v - 2000.0) < 1e-9 * 2000
+        rep = spectral.analyze_instance(a)
+        assert abs(rep.lambda_top - 4.0) < 1e-8
+        assert abs(rep.v_top @ rep.v_top - 2000.0) < 1e-9 * 2000
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dense_oracle(self, seed):
         a = small_instance(seed)
         dense = a.to_dense()
         evals = np.linalg.eigvalsh(dense)
-        lam, _, _, _ = spectral.top_eigenpair(a)
-        assert abs(lam - evals[-1]) < 1e-9
         rep = spectral.analyze_instance(a)
         assert abs(rep.lambda_top - evals[-1]) < 1e-9
         assert abs(rep.lambda_second - evals[-2]) < 1e-9
@@ -49,11 +51,12 @@ class TestTopEigenpair:
     def test_not_converged(self):
         a = small_instance(0, n=200)
         with pytest.raises(NotConverged):
-            spectral.top_eigenpair(a, max_iter=3)
+            spectral.analyze_instance(a, max_iter=3)
 
     def test_norm_contract(self):
         a = small_instance(1)
-        lam, v, res, _ = spectral.top_eigenpair(a)
+        rep = spectral.analyze_instance(a)
+        lam, v = rep.lambda_top, rep.v_top
         assert abs(v @ v - a.n) < 1e-9 * a.n
         dense = a.to_dense()
         assert np.linalg.norm(dense @ v - lam * v) <= 1e-9 * abs(lam) * np.linalg.norm(v)
@@ -117,17 +120,17 @@ class TestSmallN:
         assert max(rep.residual_top, rep.residual_second) <= 1e-10
         assert rep.iterations == 2  # the two residual checks only
 
-    def test_top_only_at_two(self):
-        # [[1, 2], [2, 1]]: top pair (3, (1, 1)), overlap with x = (1, 1) is 1
+    def test_top_pair_at_two(self):
+        # [[1, 2], [2, 1]]: top pair (3, (1, 1)), second -1; overlap with x = (1, 1) is 1
         noise = graphgen.SparseSymmetric(n=2, edge_u=np.array([0]), edge_v=np.array([1]),
                                          edge_w=np.array([1.0]))
         a = graphgen.SpikedMatrix(noise=noise, x=np.array([1.0, 1.0]), theta=2.0)
-        rep = spectral.analyze_instance(a, want_second=False)
+        rep = spectral.analyze_instance(a)
         assert abs(rep.lambda_top - 3.0) < 1e-12
-        assert rep.lambda_second is None and rep.residual_second is None
+        assert abs(rep.lambda_second + 1.0) < 1e-12
         assert not rep.near_degenerate
         assert abs(rep.overlap - 1.0) < 1e-12
-        assert rep.iterations == 1
+        assert rep.iterations == 2
 
 
 class TestMatvecBudget:
@@ -180,7 +183,7 @@ class TestFullSpectrum:
 class TestObservables:
     def test_variational_dominance(self):
         a = small_instance(5, n=120)
-        lam, _, _, _ = spectral.top_eigenpair(a)
+        lam = spectral.analyze_instance(a).lambda_top
         rng = np.random.default_rng(0)
         for _ in range(100):
             u = rng.standard_normal(120)
@@ -196,19 +199,19 @@ class TestObservables:
         x = rng.standard_normal(n)
         x *= np.sqrt(n) / np.linalg.norm(x)
         a = graphgen.SpikedMatrix(noise=noise, x=x, theta=5.0)
-        rep = spectral.analyze_instance(a, want_second=False)
+        rep = spectral.analyze_instance(a)
         assert abs(rep.overlap - float(x @ x) / n) < 1e-8
         assert abs(rep.overlap - 1.0) < 1e-8
 
     def test_gauge_non_negative(self):
         for seed in range(5):
             a = small_instance(seed, theta=0.0)
-            rep = spectral.analyze_instance(a, want_second=False)
+            rep = spectral.analyze_instance(a)
             assert rep.overlap >= 0.0
 
     def test_component_products(self):
         a = small_instance(9)
-        rep = spectral.analyze_instance(a, want_second=False)
+        rep = spectral.analyze_instance(a)
         products = a.x * rep.v_top
         assert abs(products.mean() - rep.overlap) < 1e-12
         assert abs(rep.v_top @ rep.v_top - a.n) < 1e-8 * a.n
