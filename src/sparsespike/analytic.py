@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ensembles import DegreeModel, SpikeModel, WeightModel, regular_constant_weight
+from .ensembles import DegreeModel, SpikeModel, WeightModel, _integer, regular_constant_weight
 from .errors import NegativeDenominator, NoConvergence, RootNotBracketed
 from .popdyn import Population, _full_nodes
 
@@ -253,7 +253,7 @@ def rr_report(c: int, sigma_x2: float, theta: float) -> AnalyticReport:
     c_crit and c_b are the same thresholds read along the c axis at fixed
     theta.
     """
-    c = int(c)
+    c = _integer(c, "c")
     if c < 2:
         raise ValueError("random-regular closed forms need c >= 2")
     if theta < 0:

@@ -67,10 +67,11 @@ class ExperimentConfig:
 
 
 def _integer(value, name: str) -> int:
-    """``value`` if it is an int; a bool or a float (1.0 included) is rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
+    """``value`` if it is an int; a bool or a float (1.0 included) is a ConfigError."""
+    try:
+        return ensembles._integer(value, name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _require_ints(cls, raw: dict, prefix: str) -> None:
@@ -461,6 +462,8 @@ def run_densities(cfg: ExperimentConfig) -> dict:
     header = (f"config: {cfg.canonical()}", f"seed: {cfg.seed}")
     top, ov = observables.component_densities(pop, degree_model, weight_model, spike_model,
                                               cfg.density_samples, derive_rng(cfg.seed, 1, "rho_top"))
+    # before the writers: its temporary on top of what they leave in the heap would set the peak memory
+    moments = observables.overlap_moments(ov)
     marg = observables.marginals(pop)
     observables.write_histogram_csv(top, os.path.join(cfg.out_dir, "rho_top_hist.csv"), header)
     observables.write_histogram_csv(ov, os.path.join(cfg.out_dir, "rho_ov_hist.csv"), header)
@@ -471,7 +474,6 @@ def run_densities(cfg: ExperimentConfig) -> dict:
                               os.path.join(cfg.out_dir, "omega_cdf.csv"), header, stride)
     observables.write_cdf_csv(marg["h_x"], marg["h_cdf"],
                               os.path.join(cfg.out_dir, "h_cdf.csv"), header, stride)
-    moments = observables.overlap_moments(ov)
     print(f"overlap_mean={moments.mean!r}")
     print(f"overlap_sq={moments.overlap_sq!r}")
     print(f"omega_atom_mass={marg['atom_mass']!r}")

@@ -65,6 +65,15 @@ def _inverse_cdf(cdf: np.ndarray, cells: np.ndarray, rng: np.random.Generator, s
     return out
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int if it is an integer (a numpy integer included); a
+    bool or a float (4.0 included) raises ValueError, so a model never runs
+    a rounded parameter."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_prob_table(p: np.ndarray, what: str) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
@@ -147,6 +156,7 @@ def truncated_poisson(cbar: float, k_max: int) -> DegreeModel:
     """
     if not cbar > 0:
         raise ValueError("cbar must be positive")
+    k_max = _integer(k_max, "k_max")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     k = np.arange(k_max + 1)
@@ -157,7 +167,7 @@ def truncated_poisson(cbar: float, k_max: int) -> DegreeModel:
 
 def regular(c: int) -> DegreeModel:
     """Regular degree law p_k = delta_{k,c}."""
-    c = int(c)
+    c = _integer(c, "c")
     if c <= 1:
         raise ValueError("regular degree must exceed 1")
     p = np.zeros(c + 1)
@@ -307,10 +317,14 @@ class SpikeModel:
         return _cdf_table(self.probs)
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray | float:
+        # the draws are scaled in place: the same multiplies, no second array
         if self.kind == "gaussian":
-            out = np.sqrt(self.sigma_x2) * rng.standard_normal(size)
+            out = rng.standard_normal(size)
+            out *= np.sqrt(self.sigma_x2)
         elif self.kind == "rademacher":
-            out = np.sqrt(self.sigma_x2) * (2.0 * rng.integers(0, 2, size) - 1.0)
+            out = 2.0 * rng.integers(0, 2, size)
+            out -= 1.0
+            out *= np.sqrt(self.sigma_x2)
         else:
             idx = np.searchsorted(self._cdf, rng.random(size), side="right")
             out = self.values[idx]

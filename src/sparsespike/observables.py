@@ -45,7 +45,8 @@ def component_densities(
     with k drawn from p_k and kept as the sample's tag, and u_ov = X u_top
     on the same draws, as the overlap components x_i v_i of one instance
     pair with its components v_i. The formulas overwrite each block's
-    gathered sums and spike draws."""
+    gathered sums and spike draws, and a block's denominators are dropped
+    once they are used."""
     tops, ovs, ks = [], [], []
     for k, den, s_hw in _full_nodes(pop, degree_model, weight_model, n_samples, rng):
         x = np.asarray(spike_model.sample(rng, size=k.size), float)
@@ -53,6 +54,7 @@ def component_densities(
         tops.append(u)
         ovs.append(np.multiply(x, u, out=x))
         ks.append(k)
+        del den
     k = _joined(ks)
     return _build_density(_joined(tops), k), _build_density(_joined(ovs), k)
 

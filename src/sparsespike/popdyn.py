@@ -139,17 +139,20 @@ def _gather(z, degree_model, weight_model, b, rng, cavity):
     order, and a draw without members sums to 0. A one-point weight law
     scales each sum once, by W^2 and W, so for W = 1 the sums are those of
     1/omega and h/omega. Temporaries are bounded by the members of one
-    piece; a sweep's 16,384-draw chunk is one piece.
+    piece; a sweep's 16,384-draw chunk is one piece. The degrees k are
+    returned in the smallest unsigned type that holds k_max (one byte per
+    draw for k_max < 256), the type the argsort of each piece sorts in.
     """
-    k = degree_model.sample_corrected(rng, size=b) if cavity else degree_model.sample(rng, size=b)
-    terms = k - 1 if cavity else k
     small = np.min_scalar_type(degree_model.k_max)  # stable argsort of <= 16-bit ints is a radix sort
+    draw = degree_model.sample_corrected if cavity else degree_model.sample
+    k = draw(rng, size=b).astype(small)
+    terms = k - 1 if cavity else k
     scalar_w = weight_model.values.size == 1
     w = float(weight_model.values[0]) if scalar_w else 1.0  # a table's sums are scaled by 1.0, exactly
     s_w2, s_hw = np.empty(b), np.empty(b)
     for lo in range(0, b, _PIECE):
         piece = terms[lo:lo + _PIECE]
-        order = np.argsort(piece.astype(small), kind="stable")
+        order = np.argsort(piece, kind="stable")
         sums = np.zeros(piece.size, complex)
         end = 0
         for t, count in enumerate(np.bincount(piece).tolist()):
@@ -287,8 +290,13 @@ def _full_nodes(pop, degree_model, weight_model, n_samples, rng):
 
 def _top_u(pop, x, den, s_hw):
     """Top-eigenvector components u = ({hW/omega}_k + (theta q) x) / den,
-    written over ``s_hw``; ``x`` is left as it is."""
-    s_hw += np.multiply(pop.theta * pop.q, x)
+    written over ``s_hw``; ``x`` is left as it is. The term (theta q) x is
+    formed and added ``_PIECE`` draws at a time, so no temporary is as long
+    as x; each element sees the same two operations as the whole-array
+    formula."""
+    tq = pop.theta * pop.q
+    for lo in range(0, x.size, _PIECE):
+        s_hw[lo:lo + _PIECE] += np.multiply(tq, x[lo:lo + _PIECE])
     s_hw /= den
     return s_hw
 
@@ -315,13 +323,15 @@ def alpha_pair(
     alphas a common fixed point. alpha1's terms are the squares of the
     components u that ``observables.component_densities`` samples. The
     formulas overwrite each block's gathered sums, in the same operation
-    order as the written formula.
+    order as the written formula, and a block's degrees and spike draws are
+    dropped once they are used.
     """
     a1_parts, a2_parts = [], []
     for k, den, s_hw in _full_nodes(pop, degree_model, weight_model, samples, rng):
         x = np.asarray(spike_model.sample(rng, size=k.size), float)
         a1_parts.append(np.square(_top_u(pop, x, den, s_hw), out=s_hw))
         a2_parts.append(np.divide(1.0, den, out=den))
+        del k, x
     a1 = _joined(a1_parts)
     a2 = _joined(a2_parts)
     a2 *= pop.theta * spike_model.sigma_x2

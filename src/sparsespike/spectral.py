@@ -23,10 +23,13 @@ an exact tie at the top (for example identical disconnected components)
 can report the next distinct eigenvalue as the second one.
 
 ``scipy.sparse.linalg`` is imported inside the solve, not at module top:
-it costs about 0.15 s and 10 MB per process, which the modes that make no
-eigensolve (analytic, popdyn, densities) would otherwise pay. The ``diag``
-and ``sweep`` modes import it before their instance farm forks, so the
-workers share the parent's copy.
+after numpy it costs 0.31-0.40 s and 32 MB resident per process (2 cores),
+which the modes that make no eigensolve (analytic, popdyn, densities)
+would otherwise pay. About half of that time is scipy's bundled
+``array_api_compat`` cloning numpy's namespace, which imports
+``numpy.f2py``, ``numpy.testing`` and ``numpy.ma`` (0.14-0.17 s together
+under ``-X importtime``). The ``diag`` and ``sweep`` modes import it
+before their instance farm forks, so the workers share the parent's copy.
 """
 
 from __future__ import annotations

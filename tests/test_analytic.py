@@ -219,6 +219,12 @@ class TestRRReport:
         rep_low = analytic.rr_report(4, 1.0, 0.5)
         assert rep_low.lambda_theta is None  # buried in the bulk
 
+    @pytest.mark.parametrize("c", [4.7, 4.0, True])
+    def test_rejects_non_integer_c(self, c):
+        # truncated, 4.7 would report the c = 4 thresholds (theta_crit 8/3)
+        with pytest.raises(ValueError, match="c must be an integer"):
+            analytic.rr_report(c, 1.0, 4.0)
+
     def test_invariants(self):
         for theta in (3.0, 5.0, 8.0):
             rep = analytic.rr_report(4, 1.0, theta)

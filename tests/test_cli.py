@@ -444,9 +444,24 @@ def _python(code: str, *args: str) -> str:
 SCIPY_LOADED = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
 
 
+def test_python_m_package_runs_main(tmp_path):
+    # ``python -m sparsespike`` runs cli.main and exits with its code; the
+    # package imports cli, so ``python -m sparsespike.cli`` warns at start
+    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    path = write_config(tmp_path, mode="analytic", degree=RR4, theta=[4.0])
+    run = lambda *args: subprocess.run([sys.executable, "-m", "sparsespike", *args], env=env,
+                                       capture_output=True, text=True)
+    out = run(path, "--out-dir", str(tmp_path / "out"))
+    assert (out.returncode, out.stderr) == (0, "")
+    assert "theta_crit=2.6666666666666665" in out.stdout.splitlines()
+    bad = write_config(tmp_path, mode="nope", degree=RR4)
+    assert run(bad).returncode == 2
+
+
 def test_cli_import_skips_optimize_and_arpack():
     # scipy.optimize costs about 0.4 s and 27 MB, scipy.sparse.linalg (with
-    # scipy.sparse) 0.32-0.39 s and 32 MB: the modes without graphs or
+    # scipy.sparse) 0.31-0.40 s and 32 MB: the modes without graphs or
     # eigensolves must not pay for any of them
     assert _python(f"import sys, sparsespike.cli; print({SCIPY_LOADED})") == "[]"
 

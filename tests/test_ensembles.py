@@ -49,6 +49,19 @@ class TestDegreeModel:
         with pytest.raises(ValueError):
             ensembles.regular(1)
 
+    @pytest.mark.parametrize("c", [4.7, 4.0, True, "4"])
+    def test_regular_rejects_non_integer_c(self, c):
+        # truncated, 4.7 would build a 4-regular law
+        with pytest.raises(ValueError, match="c must be an integer"):
+            ensembles.regular(c)
+
+    @pytest.mark.parametrize("k_max", [8.5, 8.0, None])
+    def test_truncated_poisson_rejects_non_integer_k_max(self, k_max):
+        # 8.5 would otherwise build a table up to k = 9
+        with pytest.raises(ValueError, match="k_max must be an integer"):
+            ensembles.truncated_poisson(3.0, k_max)
+        assert ensembles.truncated_poisson(3.0, np.int64(8)).k_max == 8
+
     @pytest.mark.parametrize("make", [
         lambda: ensembles.truncated_poisson(4.0, 20),
         lambda: ensembles.regular(5),
@@ -275,6 +288,21 @@ class TestWeightModel:
 
 
 class TestSpikeModel:
+    @pytest.mark.parametrize("make, reference", [
+        (ensembles.gaussian_spike, lambda rng, size: np.sqrt(2.5) * rng.standard_normal(size)),
+        (ensembles.rademacher_spike, lambda rng, size: np.sqrt(2.5) * (2.0 * rng.integers(0, 2, size) - 1.0)),
+    ], ids=["gaussian", "rademacher"])
+    def test_draws_equal_the_scaled_formula(self, make, reference):
+        # the draws are scaled in place; at sigma_x2 = 2.5 (1 would hide the
+        # multiply) they must equal the formula on a replayed generator bit
+        # for bit and leave the generator in the same state
+        model = make(2.5)
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        for size in (0, 1, 1000):
+            assert model.sample(rng, size=size).tobytes() == reference(ref, size).tobytes()
+        assert model.sample(rng) == float(reference(ref, None))
+        assert rng.random() == ref.random()
+
     def test_gaussian_mean(self):
         model = ensembles.gaussian_spike(1.0)
         draws = model.sample(np.random.default_rng(0), size=1_000_000)

@@ -126,6 +126,19 @@ class TestGather:
             assert np.array_equal(s_w2, k - float(cavity))
             assert np.array_equal(s_hw, s_w2)
 
+    @pytest.mark.parametrize("k_max, dtype", [(8, np.uint8), (300, np.uint16)])
+    @pytest.mark.parametrize("cavity", [True, False])
+    def test_degrees_in_the_smallest_type(self, k_max, dtype, cavity):
+        # k is the degree law's own draws, held in the smallest unsigned
+        # type that holds k_max
+        dm = ensembles.truncated_poisson(3.0, k_max)
+        z = popdyn._ratios(*_random_slots())
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        k = popdyn._gather(z, dm, W1, PIECE + 9, rng, cavity)[0]
+        draws = (dm.sample_corrected if cavity else dm.sample)(ref, size=PIECE + 9)
+        assert k.dtype == dtype
+        assert np.array_equal(k, draws)
+
     @pytest.mark.parametrize("w", [1.0, -0.7])
     @pytest.mark.parametrize("cavity", [True, False])
     def test_constant_weight_matches_full_weight_arrays(self, w, cavity):
