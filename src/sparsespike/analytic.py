@@ -140,8 +140,10 @@ def lambda_signal(
     bound (lambda(x) >= sqrt(x), ``_solve_x``). The root exists down to the
     detachment point (theta_b in the regular case), where the branch meets
     the spectral edge; between there and theta_crit it describes the second
-    eigenvalue rather than the top one. Below detachment RootNotBracketed is
-    raised."""
+    eigenvalue rather than the top one. Below detachment, and at theta <= 0
+    where there is no signal, RootNotBracketed is raised."""
+    if theta <= 0:
+        raise RootNotBracketed(f"no signal branch at theta={theta:g}")
     e_w2 = weight_model.second_moment_w
     target = 1.0 / (theta * spike_model.sigma_x2)
     r, a, x_e, lam_e = _branch(degree_model, e_w2)

@@ -289,7 +289,7 @@ def structural_for(cfg: ExperimentConfig, degree_model, weight_model) -> float:
     if weight_model.values.min() < 0:
         return floor  # no Perron outlier for sign-mixed weights
     hi = analytic.gershgorin_bound(degree_model, weight_model) + 1.0
-    lam, _ = popdyn.structural_lambda(
+    lam, _, _ = popdyn.structural_lambda(
         degree_model, weight_model, popdyn_config(cfg), derive_rng(cfg.seed, 0, "structural"),
         lam_lo=floor, lam_hi=hi,
     )

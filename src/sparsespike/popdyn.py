@@ -67,8 +67,8 @@ class Population:
 # Fixed settings of the solver: the initial population and parameters, the
 # plateau window in sweeps, its allowance in standard errors and its floor
 # for zero and rounding, the replacements per batch of a sweep, the lambda
-# inflation on a non-positive omega, and the growth probe's sweeps,
-# generations and relative bisection tolerance.
+# inflation on a non-positive omega, and the structural solver's sweeps at
+# lam_hi, its probes, a probe's sweeps and the last of them it reads.
 _OMEGA_INIT = (5.0, 20.0)
 _H_INIT = (0.0, 10.0)
 _Q_INIT = 0.5
@@ -77,9 +77,10 @@ _PLATEAU_Z = 3.0
 _ZERO = 1e-12
 _CHUNK = 16_384
 _LAMBDA_BUMP = 1.5
-_PROBE_SWEEPS = 60
-_GROWTH_GENS = 30
-_LAM_TOL = 2e-3
+_RELAX_SWEEPS = 60
+_PROBES = 12
+_GROWTH_SWEEPS = 30
+_GROWTH_READ = 20
 
 
 @dataclass(frozen=True)
@@ -395,64 +396,61 @@ def structural_lambda(
     rng: np.random.Generator,
     lam_lo: float,
     lam_hi: float,
-) -> tuple[float, dict]:
-    """Structural top eigenvalue of the unspiked noise (theta = 0 reduction).
+) -> tuple[float, float, dict]:
+    """Structural top eigenvalue of the unspiked noise (theta = 0) and its
+    standard error, for non-negative weights (the Perron regime).
 
-    At a trial lambda the omega population is relaxed, then the linearized
-    bias-field recursion h <- {hW/omega}_{k-1} is iterated synchronously on
-    the frozen omega population; its mean growth factor g(lambda) decreases
-    through 1 exactly at the structural eigenvalue, which is located by
-    bisection. Requires non-negative weight support (the Perron regime: for
-    sign-mixed weights the mean-growth criterion loses meaning and the
-    spectral edge itself should be used instead).
+    A probe at lambda runs ``_sweep`` at theta = 0 (omega and h from the same
+    members), sets h back to mean 1 after each sweep and reads the mean log
+    growth g of mean h over its last sweeps, with its standard error; log g
+    falls through 0 at the eigenvalue. (Later batches of a sweep read
+    updated slots, so a sweep's g is not a generation's, but both are 1 at
+    the same lambda.) One population, relaxed at lam_hi, is carried warm
+    through a fixed number of bisection probes of [lam_lo, lam_hi]; a probe
+    whose omega turns non-positive counts as below the root and is undone.
+    The root is that of a line through the three stable probes nearest
+    log g = 0, weighted by their standard errors; its standard error follows
+    by the delta method. With no growing probe there is no outlier and
+    (lam_lo, 0.0) is returned, or NonPositiveOmega raised if a probe was
+    unstable.
+
+    Returns (lambda, se, diagnostics), ``diagnostics["probes"]`` holding each
+    probe's (lambda, mean log g, se), None for an unstable one.
     """
     if weight_model.values.min() < 0:
         raise ValueError("growth probe requires non-negative weight support")
-    n = config.n_pop
+    pop = Population(rng.uniform(*_OMEGA_INIT, config.n_pop), np.ones(config.n_pop), q=0.0, lam=lam_hi, theta=0.0)
 
-    def probe(lam: float) -> float | None:
-        omega = rng.uniform(*_OMEGA_INIT, n)
-        pop = Population(omega=omega, h=np.zeros(n), q=0.0, lam=lam, theta=0.0)
+    @np.errstate(divide="ignore", invalid="ignore")  # log g = -inf if no draw has members (k_max 1)
+    def probe(lam: float, sweeps: int) -> tuple:
+        saved, pop.lam, logs = (pop.omega.copy(), pop.h.copy()), lam, []
         try:
-            for _ in range(_PROBE_SWEEPS):
+            for _ in range(sweeps):
                 _sweep(pop, degree_model, weight_model, None, rng)
+                logs.append(np.log(growth := pop.h.mean()))
+                pop.h /= growth
         except NonPositiveOmega:
-            return None
-        h = np.ones(n)
-        logs = []
-        for gen in range(_GROWTH_GENS):
-            _, _, h_new = _gather(_ratios(pop.omega, h), degree_model, weight_model, n, rng, cavity=True)
-            growth = h_new.mean()
-            if growth <= 0:
-                return None
-            h = h_new / growth
-            if gen >= _GROWTH_GENS // 3:
-                logs.append(np.log(growth))
-        return float(np.exp(np.mean(logs)))
+            pop.omega, pop.h = saved
+            return lam, None, None
+        tail = np.asarray(logs[-_GROWTH_READ:])
+        return lam, float(tail.mean()), float(tail.std(ddof=1) / np.sqrt(tail.size))
 
     lo, hi = float(lam_lo), float(lam_hi)
-    g_lo = probe(lo)
-    tries = 0
-    while g_lo is None and tries < 8:
-        lo *= 1.02
-        g_lo = probe(lo)
-        tries += 1
-    if g_lo is None:
-        raise NonPositiveOmega("omega population unstable at the lower bracket")
-    diag = {"probes": [(lo, g_lo)]}
-    if g_lo <= 1.0:
-        # no outlier above the spectral edge: the edge is the top eigenvalue
-        diag["no_outlier"] = True
-        return lo, diag
-    while hi - lo > _LAM_TOL * max(1.0, abs(lo)):
-        mid = 0.5 * (lo + hi)
-        g = probe(mid)
-        diag["probes"].append((mid, g))
-        if g is None or g > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), diag
+    probes = [probe(hi, _RELAX_SWEEPS)]
+    for _ in range(_PROBES):
+        probes.append(probe(0.5 * (lo + hi), _GROWTH_SWEEPS))
+        mid, log_g, _ = probes[-1]
+        lo, hi = (mid, hi) if log_g is None or log_g > 0 else (lo, mid)
+    stable = [p for p in probes if p[1] is not None]
+    if all(log_g <= 0 for _, log_g, _ in stable):
+        if len(stable) < len(probes):
+            raise NonPositiveOmega(f"no probe grows, and omega turned non-positive above lambda={lam_lo:g}")
+        return float(lam_lo), 0.0, {"probes": probes}  # no outlier above the spectral edge
+    lam, log_g, se = (np.array(v) for v in zip(*sorted(stable, key=lambda p: abs(p[1]))[:3]))
+    (slope, icpt), cov = np.polyfit(lam, log_g, 1, w=1.0 / np.maximum(se, _ZERO), cov="unscaled")
+    root = -icpt / slope
+    var = (cov[1, 1] + 2.0 * root * cov[0, 1] + root * root * cov[0, 0]) / (slope * slope)
+    return float(root), float(np.sqrt(var)), {"probes": probes}
 
 
 def _law(models: tuple) -> dict:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sparsespike import analytic, ensembles, graphgen, popdyn
+from sparsespike import analytic, ensembles, graphgen, popdyn, spectral
 from sparsespike.cli import derive_rng
 
 
@@ -68,6 +68,22 @@ def rr_solved(rr_models):
         warm_start=(rep.lambda_top, float(np.sqrt(rep.overlap_sq))),
     )
     return {"pop": pop, "report": rep, "diag": diag}
+
+
+@pytest.fixture(scope="session")
+def poisson_structural_diag(poisson_models):
+    """Structural eigenvalue of the Poisson(4, 20), W = 1 noise by
+    diagonalization: the mean theta = 0 top eigenvalue of 8 instances at
+    N = 4000, its standard error, and the margin a population estimate is
+    held to: 3 of those errors plus 0.02 for the upward finite-N shift
+    (5.263 +- 0.007 at N = 4000, 5.250 +- 0.007 at N = 16000)."""
+    dm, wm, sm = poisson_models
+    tops = [
+        spectral.analyze_instance(make_instance(dm, wm, sm, 4000, 0.0, 77, i), rng=derive_rng(77, i, "eig")).lambda_top
+        for i in range(8)
+    ]
+    mean, se = float(np.mean(tops)), float(np.std(tops, ddof=1) / np.sqrt(len(tops)))
+    return {"mean": mean, "se": se, "margin": 3.0 * se + 0.02}
 
 
 def make_instance(degree_model, weight_model, spike_model, n, theta, seed, index=0):

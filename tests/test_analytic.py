@@ -150,6 +150,13 @@ class TestLambdaSignal:
         with pytest.raises(RootNotBracketed):
             analytic.lambda_signal(1.0, ensembles.regular(4), W1, GAUSS)
 
+    @pytest.mark.parametrize("theta", [0.0, -1.0])
+    def test_no_signal_branch_at_theta_zero(self, theta):
+        # 1/(theta sigma^2) has no value at theta = 0 (see the CLI test of
+        # theta = 0 on Poisson noise for the report)
+        with pytest.raises(RootNotBracketed):
+            analytic.lambda_signal(theta, ensembles.truncated_poisson(4.0, 20), W1, GAUSS)
+
     def test_between_detachment_and_threshold_returns_branch(self):
         # for theta_b < theta < theta_crit the root is the detached branch
         # (the second eigenvalue), matching the closed form

@@ -139,6 +139,33 @@ class TestAnalyticMode:
         assert float(rows[0]["theta_crit"]) == 0.0
         assert 0.0 < float(rows[0]["overlap_sq"]) < 1e-6
 
+    def test_theta_zero_on_poisson_noise(self, tmp_path):
+        # theta = 0 has no signal branch: the row reports the structural eigenvalue
+        path = write_config(
+            tmp_path, mode="analytic", theta=[0.0, 6.0], lambda_structural=5.0713,
+            degree={"kind": "truncated_poisson", "cbar": 4, "k_max": 20},
+        )
+        assert cli.main([path, "--out-dir", str(tmp_path)]) == 0
+        rows = list(csv.DictReader(line for line in open(tmp_path / "analytic.csv") if not line.startswith("#")))
+        assert [float(r["theta"]) for r in rows] == [0.0, 6.0]
+        assert rows[0]["lambda_theta"] == ""
+        assert float(rows[0]["overlap_sq"]) == 0.0
+        assert float(rows[0]["lambda_top"]) == 5.0713
+        assert float(rows[1]["lambda_theta"]) > 6.0
+
+    def test_structural_eigenvalue_solved(self, tmp_path, poisson_structural_diag):
+        # no lambda_structural in the config: the population solver supplies it
+        path = write_config(
+            tmp_path, mode="analytic", theta=[6.0], popdyn={"n_pop": 30_000},
+            degree={"kind": "truncated_poisson", "cbar": 4, "k_max": 20},
+        )
+        assert cli.main([path, "--out-dir", str(tmp_path)]) == 0
+        rows = list(csv.DictReader(line for line in open(tmp_path / "analytic.csv") if not line.startswith("#")))
+        ref = poisson_structural_diag
+        assert abs(float(rows[0]["lambda_structural"]) - ref["mean"]) < ref["margin"]
+        # about 4.26 for lambda_structural 5.25-5.26 (4.00 for 5.07)
+        assert abs(float(rows[0]["theta_crit"]) - 4.26) < 0.1
+
 
 class TestDiagMode:
     def test_rr_theta_zero_perron(self, tmp_path):

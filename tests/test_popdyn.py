@@ -537,10 +537,79 @@ class TestStructural:
         config = popdyn.PopDynConfig(n_pop=20_000)
         floor = analytic.admissible_lambda_floor(dm, 1.0)
         assert abs(floor - 2 * np.sqrt(3)) < 1e-6
-        lam, diag = popdyn.structural_lambda(
+        lam, se, diag = popdyn.structural_lambda(
             dm, wm, config, np.random.default_rng(5), lam_lo=floor, lam_hi=6.0
         )
         assert abs(lam - 4.0) < 0.05
+
+    def test_poisson_matches_diagonalization(self, poisson_models, poisson_structural_diag):
+        # heterogeneous degrees correlate a message's h with its omega; a probe
+        # that takes omega from another draw than h reads 5.07 here
+        dm, wm, _ = poisson_models
+        lam, se, diag = popdyn.structural_lambda(
+            dm, wm, popdyn.PopDynConfig(n_pop=30_000), np.random.default_rng(5),
+            lam_lo=analytic.admissible_lambda_floor(dm, 1.0), lam_hi=analytic.gershgorin_bound(dm, wm) + 1.0,
+        )
+        ref = poisson_structural_diag
+        assert abs(lam - ref["mean"]) < ref["margin"]
+        assert np.isfinite(se) and 0.0 < se < ref["margin"]
+        assert len(diag["probes"]) == 13
+
+    def test_unstable_probe_is_undone(self, poisson_models, poisson_structural_diag):
+        # a lower bracket of 2 sends the fourth probe to 4.375, where omega
+        # turns non-positive; the probes after it start from the population
+        # as it was before, not from that probe's partial sweep
+        dm, wm, _ = poisson_models
+        lam, se, diag = popdyn.structural_lambda(
+            dm, wm, popdyn.PopDynConfig(n_pop=30_000), np.random.default_rng(5), lam_lo=2.0, lam_hi=21.0,
+        )
+        assert [p[0] for p in diag["probes"] if p[1] is None] == [4.375]
+        assert abs(lam - poisson_structural_diag["mean"]) < poisson_structural_diag["margin"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k_max,expected", [(20, 4.7298), (1, 1.0)])
+    def test_no_outlier_returns_lower_bracket(self, k_max, expected):
+        # truncated Poisson(2, k_max): no probe grows and none is unstable.
+        # k_max = 1 is a matching, whose top eigenvalue is W = 1: no cavity
+        # draw has members, so mean h is 0 and log g = -inf
+        dm = ensembles.truncated_poisson(2.0, k_max)
+        floor = analytic.admissible_lambda_floor(dm, 1.0)
+        lam, se, diag = popdyn.structural_lambda(
+            dm, W1, popdyn.PopDynConfig(n_pop=20_000), np.random.default_rng(2),
+            lam_lo=floor, lam_hi=analytic.gershgorin_bound(dm, W1) + 1.0,
+        )
+        assert (lam, se) == (floor, 0.0)
+        assert abs(lam - expected) < 1e-4
+        assert all(log_g < 0 for _, log_g, _ in diag["probes"])
+
+    def test_unstable_without_growth_raises(self):
+        # 3-regular noise with weights {0.5, 1.5}: omega turns non-positive
+        # below the probes that decay
+        dm, wm = ensembles.regular(3), ensembles.weight_table([0.5, 1.5], [0.5, 0.5])
+        with pytest.raises(NonPositiveOmega):
+            popdyn.structural_lambda(
+                dm, wm, popdyn.PopDynConfig(n_pop=20_000), np.random.default_rng(3),
+                lam_lo=analytic.admissible_lambda_floor(dm, wm.second_moment_w),
+                lam_hi=analytic.gershgorin_bound(dm, wm) + 1.0,
+            )
+
+    def test_noiseless_growth_fits_without_dividing_by_zero(self, rr_models, monkeypatch):
+        # the same growth exp(4 - lambda) on every sweep, read over 16 sweeps
+        # (16 equal logs sum exactly): every probe's standard error is 0, and
+        # the line's root is exact
+        def exact_growth(pop, *models_and_rng):
+            pop.h *= np.exp(4.0 - pop.lam)
+
+        monkeypatch.setattr(popdyn, "_sweep", exact_growth)
+        monkeypatch.setattr(popdyn, "_GROWTH_READ", 16)
+        dm, wm, _ = rr_models
+        with np.errstate(divide="raise", invalid="raise"):
+            lam, se, diag = popdyn.structural_lambda(
+                dm, wm, popdyn.PopDynConfig(n_pop=2), np.random.default_rng(0), lam_lo=3.0, lam_hi=6.0
+            )
+        assert [p[2] for p in diag["probes"]] == [0.0] * 13
+        assert abs(lam - 4.0) < 1e-12
+        assert 0.0 <= se < 1e-9
 
     def test_sign_mixed_weights_rejected(self, rr_models):
         dm, _, _ = rr_models
