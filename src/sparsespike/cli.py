@@ -119,12 +119,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("theta grid is empty")
     if any(t < 0 for t in cfg.theta):
         raise ConfigError("theta values must be non-negative")
+    if len(set(cfg.theta)) < len(cfg.theta):
+        raise ConfigError(f"theta has a repeated value: {cfg.theta}")
     if cfg.c_grid is not None:
         if cfg.mode not in ("analytic", "sweep"):
             raise ConfigError(f"{cfg.mode} mode runs the degree law as given; only analytic and sweep read c_grid")
         cfg.c_grid = _numbers(cfg.c_grid, "c_grid")
         if not cfg.c_grid:
             raise ConfigError("c_grid is empty")
+        if len(set(cfg.c_grid)) < len(cfg.c_grid):
+            raise ConfigError(f"c_grid has a repeated value: {cfg.c_grid}")
     if cfg.mode == "densities" and len(cfg.theta) > 1:
         raise ConfigError(f"densities mode samples one theta, got {len(cfg.theta)} values")
     if cfg.mode in ("popdyn", "densities") and any(t <= 0 for t in cfg.theta):
@@ -135,8 +139,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("instances must be >= 1")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
-    if cfg.eig_tol <= 0:
+    if _number(cfg.eig_tol, "eig_tol") <= 0:
         raise ConfigError("eig_tol must be positive")
+    if cfg.lambda_structural is not None:
+        _number(cfg.lambda_structural, "lambda_structural")
+    for name, kind, what in (("warm_start", bool, "true or false"), ("save_checkpoint", bool, "true or false"),
+                             ("out_dir", str, "a string"), ("checkpoint", (str, type(None)), "a string or null")):
+        if not isinstance(getattr(cfg, name), kind):
+            raise ConfigError(f"{name} must be {what}, got {getattr(cfg, name)!r}")
     if cfg.density_samples < 1:
         raise ConfigError("density_samples must be >= 1")
     try:
@@ -144,7 +154,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             kind = build_models(cfg, c_value)[0].kind
             if cfg.mode in ("analytic", "sweep") and kind not in analytic.RESOLVENT_KINDS:
                 raise ConfigError(f"{cfg.mode} mode has no theta_crit route for a {kind!r} degree table")
-        popdyn_config(cfg)
+        popdyn.PopDynConfig(**cfg.popdyn)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
@@ -195,8 +205,11 @@ def build_models(cfg: ExperimentConfig, c_value=None):
     return degree_model, weight_model, spike_model
 
 
-def popdyn_config(cfg: ExperimentConfig) -> popdyn.PopDynConfig:
-    return popdyn.PopDynConfig(**cfg.popdyn)
+def _c_values(cfg: ExperimentConfig) -> list:
+    """The c grid points of a run, as its CSV ``c`` column shows them: the
+    ``c_grid`` entries, else the degree's own ``c`` or ``cbar`` as written
+    (None for a ``table`` law)."""
+    return cfg.c_grid if cfg.c_grid is not None else [cfg.degree.get("c", cfg.degree.get("cbar"))]
 
 
 @functools.lru_cache(maxsize=1)
@@ -226,7 +239,7 @@ def _instance_row(args: tuple) -> dict:
         "seed": seed_derivation(cfg.seed, index, "graph"),
         "n": cfg.n,
         "theta": theta,
-        "c": c_value if c_value is not None else _degree_param(cfg),
+        "c": c_value,
         "lambda_top": report.lambda_top,
         "lambda_second": report.lambda_second,
         "overlap": report.overlap,
@@ -235,10 +248,6 @@ def _instance_row(args: tuple) -> dict:
         "residual_second": report.residual_second,
         "iterations": report.iterations,
     }
-
-
-def _degree_param(cfg: ExperimentConfig):
-    return cfg.degree.get("c", cfg.degree.get("cbar"))
 
 
 def _load_eigensolver() -> None:
@@ -278,41 +287,43 @@ def _write_csv(path: str, fieldnames: list, rows: list, cfg: ExperimentConfig) -
 
 
 def structural_for(cfg: ExperimentConfig, degree_model, weight_model) -> float:
-    """Structural (theta=0) top eigenvalue for the configured noise."""
-    if cfg.lambda_structural is not None:
-        return float(cfg.lambda_structural)
+    """Structural (theta=0) top eigenvalue for the configured noise: the
+    closed form c w for regular constant-weight noise, else the configured
+    ``lambda_structural``, else a population-dynamics solve."""
     w = ensembles.regular_constant_weight(degree_model, weight_model)
     if w is not None:
         return degree_model.mean_c * w
+    if cfg.lambda_structural is not None:
+        return float(cfg.lambda_structural)
     e_w2 = weight_model.second_moment_w
     floor = analytic.admissible_lambda_floor(degree_model, e_w2)
     if weight_model.values.min() < 0:
         return floor  # no Perron outlier for sign-mixed weights
     hi = analytic.gershgorin_bound(degree_model, weight_model) + 1.0
     lam, _, _ = popdyn.structural_lambda(
-        degree_model, weight_model, popdyn_config(cfg), derive_rng(cfg.seed, 0, "structural"),
+        degree_model, weight_model, popdyn.PopDynConfig(**cfg.popdyn), derive_rng(cfg.seed, 0, "structural"),
         lam_lo=floor, lam_hi=hi,
     )
     return lam
 
 
-def _analytic_point(cfg: ExperimentConfig, c_value=None) -> tuple:
-    """(models, structural eigenvalue) of one c grid point, shared by all its
-    theta values; the eigenvalue is None for unit-weight regular noise, whose
-    reports are closed forms."""
-    models = build_models(cfg, c_value)
-    degree_model, weight_model, _ = models
-    if ensembles.regular_constant_weight(degree_model, weight_model) == 1.0:
-        return models, None
-    return models, structural_for(cfg, degree_model, weight_model)
-
-
-def analytic_report_for(models: tuple, lam_struct: float | None, theta: float) -> analytic.AnalyticReport:
-    """Analytic columns of one (c, theta) grid point from ``_analytic_point``."""
+def analytic_report_for(models: tuple, lam_struct: float, theta: float) -> analytic.AnalyticReport:
+    """Analytic columns of one (c, theta) grid point: the closed forms for
+    unit-weight regular noise, else the resolvent route from ``lam_struct``."""
     degree_model, weight_model, spike_model = models
-    if lam_struct is None:
+    if ensembles.regular_constant_weight(degree_model, weight_model) == 1.0:
         return analytic.rr_report(int(degree_model.mean_c), spike_model.sigma_x2, theta)
     return analytic.poisson_report(degree_model, weight_model, spike_model, theta, lam_struct)
+
+
+def _analytic_grid(cfg: ExperimentConfig):
+    """Yield (c, theta, report) c-major over the grid; each c builds its
+    models and structural eigenvalue once, shared by all its theta values."""
+    for c_value in _c_values(cfg):
+        models = build_models(cfg, c_value)
+        lam_struct = structural_for(cfg, *models[:2])
+        for theta in cfg.theta:
+            yield c_value, theta, analytic_report_for(models, lam_struct, theta)
 
 
 ANALYTIC_FIELDS = [
@@ -323,18 +334,13 @@ ANALYTIC_FIELDS = [
 
 def run_analytic(cfg: ExperimentConfig) -> list:
     rows = []
-    c_values = cfg.c_grid if cfg.c_grid is not None else [None]
-    for c_value in c_values:
-        models, lam_struct = _analytic_point(cfg, c_value)
-        for theta in cfg.theta:
-            rep = analytic_report_for(models, lam_struct, theta)
-            row = rep.as_flat_dict()
-            row["c"] = c_value if c_value is not None else _degree_param(cfg)
-            rows.append(row)
-            for key in ANALYTIC_FIELDS:
-                if row.get(key) is not None:
-                    print(f"{key}={_fmt(row[key])}")
-            print()
+    for c_value, _, rep in _analytic_grid(cfg):
+        row = {**rep.as_flat_dict(), "c": c_value}
+        rows.append(row)
+        for key in ANALYTIC_FIELDS:
+            if row.get(key) is not None:
+                print(f"{key}={_fmt(row[key])}")
+        print()
     _write_csv(os.path.join(cfg.out_dir, "analytic.csv"), ANALYTIC_FIELDS, rows, cfg)
     return rows
 
@@ -348,12 +354,12 @@ DIAG_FIELDS = [
 def run_diag(cfg: ExperimentConfig) -> list:
     _load_eigensolver()
     raw = asdict(cfg)
+    c_value, = _c_values(cfg)
     # index-major, so each instance's theta values run in turn on one build
-    tasks = [(raw, theta, None, i) for i in range(cfg.instances) for theta in cfg.theta]
+    tasks = [(raw, theta, c_value, i) for i in range(cfg.instances) for theta in cfg.theta]
     rows = _farm(cfg, tasks)
     _write_csv(os.path.join(cfg.out_dir, "diag.csv"), DIAG_FIELDS, rows, cfg)
-    summary = _aggregate(rows, cfg)
-    _write_csv(os.path.join(cfg.out_dir, "diag_summary.csv"), SUMMARY_FIELDS, summary, cfg)
+    _write_csv(os.path.join(cfg.out_dir, "diag_summary.csv"), SUMMARY_FIELDS, _aggregate(rows), cfg)
     return rows
 
 
@@ -365,7 +371,7 @@ SUMMARY_FIELDS = [
 ]
 
 
-def _aggregate(rows: list, cfg: ExperimentConfig) -> list:
+def _aggregate(rows: list) -> list:
     out = []
     keys = sorted({(r["theta"], r["c"]) for r in rows})
     for theta, c in keys:
@@ -390,16 +396,19 @@ def _aggregate(rows: list, cfg: ExperimentConfig) -> list:
     return out
 
 
-def _warm_start(cfg: ExperimentConfig, theta: float, degree_model, weight_model, spike_model):
-    """(lambda, q) from the resolvent route to start popdyn.solve at, or None
-    when warm starts are off or the route has no signal root."""
-    if not cfg.warm_start:
-        return None
-    try:
-        lam, ov = analytic.signal_and_overlap(theta, degree_model, weight_model, spike_model)
-    except SolverError:
-        return None
-    return lam, float(np.sqrt(ov))
+def _solve(cfg: ExperimentConfig, index: int, theta: float, models: tuple):
+    """``popdyn.solve`` at theta on stream ``index``, warm-started at the
+    resolvent route's (lambda, q) unless warm starts are off or the route
+    has no signal root."""
+    warm = None
+    if cfg.warm_start:
+        try:
+            lam, ov = analytic.signal_and_overlap(theta, *models)
+            warm = lam, float(np.sqrt(ov))
+        except SolverError:
+            pass
+    return popdyn.solve(theta, *models, popdyn.PopDynConfig(**cfg.popdyn), derive_rng(cfg.seed, index, "popdyn"),
+                        warm_start=warm)
 
 
 POPDYN_FIELDS = [
@@ -409,28 +418,22 @@ POPDYN_FIELDS = [
 
 
 def run_popdyn(cfg: ExperimentConfig) -> list:
-    degree_model, weight_model, spike_model = build_models(cfg)
-    pconf = popdyn_config(cfg)
+    models = build_models(cfg)
+    c_value, = _c_values(cfg)
     rows = []
     for i, theta in enumerate(cfg.theta):
-        pop, q, lam, diag = popdyn.solve(
-            theta, degree_model, weight_model, spike_model, pconf,
-            derive_rng(cfg.seed, i, "popdyn"),
-            warm_start=_warm_start(cfg, theta, degree_model, weight_model, spike_model),
-        )
+        pop, q, lam, diag = _solve(cfg, i, theta, models)
         last = diag["history"][-1]
         rows.append({
-            "theta": theta, "c": _degree_param(cfg), "lambda": lam, "q": q,
+            "theta": theta, "c": c_value, "lambda": lam, "q": q,
             "overlap_sq": q * q,
             "alpha1": last["alpha1"], "alpha2": last["alpha2"],
             "alpha1_se": last["alpha1_se"], "alpha2_se": last["alpha2_se"],
             "sweeps": pop.sweep_count, "rescale_rounds": diag["rounds"],
         })
         if cfg.save_checkpoint:
-            popdyn.save_population(
-                pop, os.path.join(cfg.out_dir, f"population_theta{theta:g}.npz"),
-                (degree_model, weight_model, spike_model), seed=cfg.seed,
-            )
+            popdyn.save_population(pop, os.path.join(cfg.out_dir, f"population_theta{theta:g}.npz"), models,
+                                   seed=cfg.seed)
     _write_csv(os.path.join(cfg.out_dir, "popdyn.csv"), POPDYN_FIELDS, rows, cfg)
     return rows
 
@@ -449,19 +452,11 @@ def _load_checkpoint(cfg: ExperimentConfig, theta: float, models: tuple) -> popd
 
 
 def run_densities(cfg: ExperimentConfig) -> dict:
-    degree_model, weight_model, spike_model = build_models(cfg)
+    models = build_models(cfg)
     theta = cfg.theta[0]
-    if cfg.checkpoint:
-        pop = _load_checkpoint(cfg, theta, (degree_model, weight_model, spike_model))
-    else:
-        pop, _, _, _ = popdyn.solve(
-            theta, degree_model, weight_model, spike_model, popdyn_config(cfg),
-            derive_rng(cfg.seed, 0, "popdyn"),
-            warm_start=_warm_start(cfg, theta, degree_model, weight_model, spike_model),
-        )
+    pop = _load_checkpoint(cfg, theta, models) if cfg.checkpoint else _solve(cfg, 0, theta, models)[0]
     header = (f"config: {cfg.canonical()}", f"seed: {cfg.seed}")
-    top, ov = observables.component_densities(pop, degree_model, weight_model, spike_model,
-                                              cfg.density_samples, derive_rng(cfg.seed, 1, "rho_top"))
+    top, ov = observables.component_densities(pop, *models, cfg.density_samples, derive_rng(cfg.seed, 1, "rho_top"))
     # before the writers: its temporary on top of what they leave in the heap would set the peak memory
     moments = observables.overlap_moments(ov)
     marg = observables.marginals(pop)
@@ -480,41 +475,19 @@ def run_densities(cfg: ExperimentConfig) -> dict:
     return {"rho_top": top, "rho_ov": ov, "marginals": marg, "moments": moments}
 
 
-SWEEP_FIELDS = [
-    "theta", "c", "instances",
-    "mean_lambda_top", "se_lambda_top", "std_lambda_top",
-    "mean_lambda_second", "se_lambda_second",
-    "mean_overlap", "mean_overlap_sq", "se_overlap_sq",
-    "analytic_lambda_theta", "analytic_overlap_sq", "theta_crit", "theta_b",
-]
+SWEEP_FIELDS = SUMMARY_FIELDS + ["analytic_lambda_theta", "analytic_overlap_sq", "theta_crit", "theta_b"]
 
 
 def run_sweep(cfg: ExperimentConfig) -> list:
     _load_eigensolver()
-    c_values = cfg.c_grid if cfg.c_grid is not None else [_degree_param(cfg)]
     raw = asdict(cfg)
-    tasks = []
-    point_index = 0
-    for c_value in c_values:
-        for theta in cfg.theta:
-            for i in range(cfg.instances):
-                tasks.append((raw, theta, c_value, point_index * cfg.instances + i))
-            point_index += 1
-    rows = _farm(cfg, tasks)
-    summary = _aggregate(rows, cfg)
-    by_point = {(s["theta"], s["c"]): s for s in summary}
-    out = []
-    for c_value in c_values:
-        models, lam_struct = _analytic_point(cfg, c_value)
-        for theta in cfg.theta:
-            rep = analytic_report_for(models, lam_struct, theta)
-            s = by_point[(theta, c_value)]
-            s = dict(s)
-            s["analytic_lambda_theta"] = rep.lambda_theta
-            s["analytic_overlap_sq"] = rep.overlap_sq
-            s["theta_crit"] = rep.theta_crit
-            s["theta_b"] = rep.theta_b
-            out.append(s)
+    points = [(c_value, theta) for c_value in _c_values(cfg) for theta in cfg.theta]
+    tasks = [(raw, theta, c_value, p * cfg.instances + i)
+             for p, (c_value, theta) in enumerate(points) for i in range(cfg.instances)]
+    by_point = {(s["c"], s["theta"]): s for s in _aggregate(_farm(cfg, tasks))}
+    out = [{**by_point[(c_value, theta)], "analytic_lambda_theta": rep.lambda_theta,
+            "analytic_overlap_sq": rep.overlap_sq, "theta_crit": rep.theta_crit, "theta_b": rep.theta_b}
+           for c_value, theta, rep in _analytic_grid(cfg)]
     _write_csv(os.path.join(cfg.out_dir, "sweep.csv"), SWEEP_FIELDS, out, cfg)
     return out
 

@@ -19,6 +19,11 @@ def write_config(tmp_path, **fields):
     return str(path)
 
 
+def _csv_rows(path) -> list:
+    with open(path) as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+
 RR4 = {"kind": "regular", "c": 4}
 PO3 = {"kind": "truncated_poisson", "cbar": 3.0, "k_max": 8}
 
@@ -94,6 +99,26 @@ class TestConfigParsing:
         ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "c_grid": [4]}, "only analytic and sweep read c_grid"),
         ({"mode": "densities", "degree": RR4, "theta": [4.0], "c_grid": [4]}, "only analytic and sweep read c_grid"),
         ({"mode": "densities", "degree": RR4, "theta": [4.0, 6.0]}, "densities mode samples one theta, got 2"),
+        # a repeated grid point would enter the summary and the SE twice
+        ({"mode": "diag", "degree": RR4, "theta": [4.0, 4.0], "instances": 2}, "theta has a repeated value"),
+        ({"mode": "analytic", "degree": RR4, "theta": [0.0, -0.0]}, "theta has a repeated value"),
+        ({"mode": "sweep", "degree": RR4, "c_grid": [3, 3], "instances": 2}, "c_grid has a repeated value"),
+        ({"mode": "analytic", "degree": PO3, "c_grid": [4, 4.0]}, "c_grid has a repeated value"),
+        # scalar fields run as written too
+        ({"mode": "diag", "degree": RR4, "eig_tol": "1e-10"}, "eig_tol must be a finite number"),
+        ({"mode": "diag", "degree": RR4, "eig_tol": float("nan")}, "eig_tol must be a finite number"),
+        ({"mode": "diag", "degree": RR4, "eig_tol": True}, "eig_tol must be a finite number"),
+        ({"mode": "diag", "degree": RR4, "eig_tol": 0}, "eig_tol must be positive"),
+        ({"mode": "analytic", "degree": PO3, "lambda_structural": "5.0"}, "lambda_structural must be a finite number"),
+        ({"mode": "analytic", "degree": PO3, "lambda_structural": True}, "lambda_structural must be a finite number"),
+        ({"mode": "analytic", "degree": PO3, "lambda_structural": float("inf")}, "lambda_structural must be"),
+        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "warm_start": "no"}, "warm_start must be true or false"),
+        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "warm_start": 0}, "warm_start must be true or false"),
+        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "save_checkpoint": "false"},
+         "save_checkpoint must be true or false"),
+        ({"mode": "diag", "degree": RR4, "out_dir": 5}, "out_dir must be a string"),
+        ({"mode": "diag", "degree": RR4, "out_dir": None}, "out_dir must be a string"),
+        ({"mode": "densities", "degree": RR4, "theta": [4.0], "checkpoint": 7}, "checkpoint must be a string or null"),
     ])
     def test_rejects_bad_fields(self, raw, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -152,6 +177,15 @@ class TestAnalyticMode:
         assert float(rows[0]["overlap_sq"]) == 0.0
         assert float(rows[0]["lambda_top"]) == 5.0713
         assert float(rows[1]["lambda_theta"]) > 6.0
+
+    def test_regular_closed_form_beats_supplied_structural(self, tmp_path):
+        # c w is exact for regular constant-weight noise: a supplied value is ignored
+        path = write_config(tmp_path, mode="analytic", degree=RR4, weight={"kind": "constant", "w": 0.7},
+                            lambda_structural=3.0, theta=[0.0, 2.0, 5.0])
+        assert cli.main([path, "--out-dir", str(tmp_path)]) == 0
+        rows = _csv_rows(tmp_path / "analytic.csv")
+        assert [float(r["lambda_structural"]) for r in rows] == [2.8] * 3
+        assert all(float(r["lambda_top"]) >= 2.8 for r in rows)
 
     def test_structural_eigenvalue_solved(self, tmp_path, poisson_structural_diag):
         # no lambda_structural in the config: the population solver supplies it
@@ -292,6 +326,40 @@ def test_structural_eigenvalue_once_per_c(tmp_path, monkeypatch, mode):
     with open(tmp_path / csv_name) as fh:
         rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
     assert len(rows) == 6
+
+
+@pytest.mark.parametrize("fields", [
+    {"degree": RR4, "c_grid": [3, 4], "theta": [0.5, 2.0, 4.0]},
+    {"degree": {"kind": "truncated_poisson", "cbar": 3.5, "k_max": 12}, "c_grid": [3.5, 4],
+     "lambda_structural": 4.9, "theta": [0.0, 1.0, 4.0]},
+])
+def test_analytic_and_sweep_share_the_analytic_columns(tmp_path, fields):
+    texts = {}
+    for mode in ("analytic", "sweep"):
+        out = tmp_path / mode
+        assert cli.main([write_config(tmp_path, mode=mode, n=60, instances=1, **fields), "--out-dir", str(out)]) == 0
+        prefix = "analytic_" if mode == "sweep" else ""
+        texts[mode] = [(r["c"], r["theta"], r["theta_crit"], r["theta_b"], r[prefix + "lambda_theta"],
+                        r[prefix + "overlap_sq"]) for r in _csv_rows(out / f"{mode}.csv")]
+    assert len(texts["analytic"]) == 6
+    assert texts["analytic"] == texts["sweep"]
+
+
+@pytest.mark.parametrize("degree,c_text", [
+    (RR4, "4"),
+    ({"kind": "truncated_poisson", "cbar": 3, "k_max": 8}, "3"),
+    ({"kind": "truncated_poisson", "cbar": 3.50, "k_max": 8}, "3.5"),
+    ({"kind": "table", "probs": [0.0, 0.2, 0.3, 0.5]}, ""),
+])
+def test_c_column_is_the_degree_parameter(tmp_path, degree, c_text):
+    # diag and popdyn run the degree law as given; its c or cbar fills the c column
+    for mode, files in (("diag", ("diag.csv", "diag_summary.csv")), ("popdyn", ("popdyn.csv",))):
+        out = tmp_path / mode
+        path = write_config(tmp_path, mode=mode, degree=degree, theta=[4.0], n=60, instances=2,
+                            popdyn={"n_pop": 2000, "alpha_samples": 20_000, "alpha_tol": 0.1})
+        assert cli.main([path, "--out-dir", str(out)]) == 0
+        for name in files:
+            assert [r["c"] for r in _csv_rows(out / name)] == [c_text] * (2 if name == "diag.csv" else 1)
 
 
 TOY_POPDYN = {"n_pop": 5000, "alpha_samples": 50_000, "alpha_tol": 0.05}
