@@ -139,6 +139,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("instances must be >= 1")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
+    if cfg.eig_max_iter < 1:
+        raise ConfigError("eig_max_iter must be >= 1")
     if _number(cfg.eig_tol, "eig_tol") <= 0:
         raise ConfigError("eig_tol must be positive")
     if cfg.lambda_structural is not None:
@@ -163,45 +165,50 @@ def parse_config(raw: dict) -> ExperimentConfig:
 def build_models(cfg: ExperimentConfig, c_value=None):
     """Instantiate (degree, weight, spike) models; c_value overrides the
     degree parameter for sweep grid points. An int parameter must be an int
-    and a real one a finite number (ConfigError otherwise), so the models
-    run the values the config and its CSV columns show."""
+    and a real one a finite number, and a law may hold no field its kind
+    does not read (ConfigError otherwise), so the models run the values the
+    config and its CSV columns show."""
     deg = dict(cfg.degree)
     kind = deg.pop("kind", None)
 
     def degree_param(key):
-        return (deg.get(key), f"degree.{key}") if c_value is None else (c_value, "c_grid entry")
+        value = deg.pop(key, None)
+        return (value, f"degree.{key}") if c_value is None else (c_value, "c_grid entry")
 
     if kind == "regular":
         degree_model = ensembles.regular(_integer(*degree_param("c")))
     elif kind == "truncated_poisson":
         degree_model = ensembles.truncated_poisson(_number(*degree_param("cbar")),
-                                                   _integer(deg.get("k_max", 20), "degree.k_max"))
+                                                   _integer(deg.pop("k_max", 20), "degree.k_max"))
     elif kind == "table":
-        degree_model = ensembles.degree_table(deg.get("probs"))
+        degree_model = ensembles.degree_table(deg.pop("probs", None))
     else:
         raise ValueError(f"unknown degree kind {kind!r}")
 
     wgt = dict(cfg.weight)
     wkind = wgt.pop("kind", None)
     if wkind == "constant":
-        weight_model = ensembles.constant_weight(_number(wgt.get("w", 1.0), "weight.w"))
+        weight_model = ensembles.constant_weight(_number(wgt.pop("w", 1.0), "weight.w"))
     elif wkind == "rademacher_scaled":
-        weight_model = ensembles.rademacher_weight(_number(wgt.get("scale"), "weight.scale"))
+        weight_model = ensembles.rademacher_weight(_number(wgt.pop("scale", None), "weight.scale"))
     elif wkind == "custom_table":
-        weight_model = ensembles.weight_table(wgt.get("values"), wgt.get("probs"))
+        weight_model = ensembles.weight_table(wgt.pop("values", None), wgt.pop("probs", None))
     else:
         raise ValueError(f"unknown weight kind {wkind!r}")
 
     spk = dict(cfg.spike)
     skind = spk.pop("kind", None)
     if skind == "gaussian":
-        spike_model = ensembles.gaussian_spike(_number(spk.get("sigma_x2", 1.0), "spike.sigma_x2"))
+        spike_model = ensembles.gaussian_spike(_number(spk.pop("sigma_x2", 1.0), "spike.sigma_x2"))
     elif skind == "rademacher":
-        spike_model = ensembles.rademacher_spike(_number(spk.get("sigma_x2", 1.0), "spike.sigma_x2"))
+        spike_model = ensembles.rademacher_spike(_number(spk.pop("sigma_x2", 1.0), "spike.sigma_x2"))
     elif skind == "custom":
-        spike_model = ensembles.custom_spike(spk.get("values"), spk.get("probs"))
+        spike_model = ensembles.custom_spike(spk.pop("values", None), spk.pop("probs", None))
     else:
         raise ValueError(f"unknown spike kind {skind!r}")
+    for law, law_kind, unread in (("degree", kind, deg), ("weight", wkind, wgt), ("spike", skind, spk)):
+        if unread:
+            raise ConfigError(f"a {law_kind!r} {law} law does not read {', '.join(map(repr, sorted(unread)))}")
     return degree_model, weight_model, spike_model
 
 
@@ -493,7 +500,10 @@ def run_sweep(cfg: ExperimentConfig) -> list:
 
 
 def run(cfg: ExperimentConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create out_dir {cfg.out_dir!r}: {exc}") from exc
     if cfg.mode == "analytic":
         run_analytic(cfg)
     elif cfg.mode == "diag":

@@ -13,56 +13,51 @@ from math import lgamma, log
 
 import numpy as np
 
-_TOL = 1e-12
-
-# Cells of the bucketed degree draw. A power of two, so u * _CELLS is exact
+# Cells of the bucketed inverse-CDF draw. A power of two, so u * _CELLS is exact
 # and u lies in cell floor(u * _CELLS) = j exactly when j/_CELLS <= u < (j+1)/_CELLS.
 _CELLS = 4096
 
-
-def _cdf_table(p: np.ndarray) -> np.ndarray:
-    """Inverse-CDF table of p. A cumsum can end one ulp below 1.0, where a
-    uniform draw would land past the table, so the entries from the last
-    positive p_k on are set to exactly 1.0; no other draw changes."""
-    cdf = np.cumsum(p)
-    cdf[np.flatnonzero(p)[-1]:] = 1.0
-    cdf.flags.writeable = False
-    return cdf
-
-
-def _cell_table(cdf: np.ndarray) -> np.ndarray:
-    """``searchsorted(cdf, u, side="right")`` for every u in each cell, or -1
-    where a CDF entry lies inside the cell and the answer depends on u."""
-    edges = np.arange(_CELLS + 1) / _CELLS
-    lo = np.searchsorted(cdf, edges[:-1], side="right")
-    table = np.where(np.searchsorted(cdf, edges[1:], side="left") == lo, lo, -1)
-    table.flags.writeable = False
-    return table
-
-
-# Draws per piece of an array draw's temporaries (the degree cell lookup
-# here, the gather's member terms in popdyn): they are formed this many
+# Draws per piece of an array draw's temporaries (the cell lookup here,
+# the gather's member terms in popdyn): they are formed this many
 # draws at a time, so their memory does not grow with the draw.
 _PIECE = 1 << 15
 
 
-def _inverse_cdf(cdf: np.ndarray, cells: np.ndarray, rng: np.random.Generator, size):
-    """Inverse-CDF draws, equal to ``searchsorted(cdf, u, side="right")`` on
-    ``u = rng.random(size)``: an array draw reads its cell's answer and
-    searches only where the cell holds a CDF entry, ``_PIECE`` draws at a
-    time."""
-    u = rng.random(size)
-    if size is None:
-        return int(np.searchsorted(cdf, u, side="right"))
-    out = np.empty(u.size, np.intp)
-    for lo in range(0, u.size, _PIECE):
-        up = u[lo:lo + _PIECE]
-        op = out[lo:lo + _PIECE]
-        cells.take((up * _CELLS).astype(np.intp), out=op)
-        split = op < 0
-        if split.any():
-            op[split] = np.searchsorted(cdf, up[split], side="right")
-    return out
+class _Draw:
+    """Inverse-CDF draws of indices into a probability table p, equal to
+    ``searchsorted(cdf, u, side="right")`` on ``u = rng.random(size)``.
+
+    A cumsum can end one ulp below 1.0, where a uniform draw would land
+    past the table, so ``cdf`` is set to exactly 1.0 from the last positive
+    p on; no other draw changes. ``cells`` holds the search's answer for
+    every u in each of ``_CELLS`` cells, or -1 where a CDF entry lies inside
+    the cell and the answer depends on u: an array draw reads its cell's
+    answer and searches only in such cells, ``_PIECE`` draws at a time.
+    """
+
+    def __init__(self, p: np.ndarray):
+        cdf = np.cumsum(p)
+        cdf[np.flatnonzero(p)[-1]:] = 1.0
+        edges = np.arange(_CELLS + 1) / _CELLS
+        lo = np.searchsorted(cdf, edges[:-1], side="right")
+        cells = np.where(np.searchsorted(cdf, edges[1:], side="left") == lo, lo, -1)
+        cdf.flags.writeable = False
+        cells.flags.writeable = False
+        self.cdf, self.cells = cdf, cells
+
+    def __call__(self, rng: np.random.Generator, size=None) -> np.ndarray | int:
+        u = rng.random(size)
+        if size is None:
+            return int(np.searchsorted(self.cdf, u, side="right"))
+        out = np.empty(u.size, np.intp)
+        for lo in range(0, u.size, _PIECE):
+            up = u[lo:lo + _PIECE]
+            op = out[lo:lo + _PIECE]
+            self.cells.take((up * _CELLS).astype(np.intp), out=op)
+            split = op < 0
+            if split.any():
+                op[split] = np.searchsorted(self.cdf, up[split], side="right")
+        return out
 
 
 def _integer(value, name: str) -> int:
@@ -88,6 +83,19 @@ def _as_prob_table(p: np.ndarray, what: str) -> np.ndarray:
     return p
 
 
+def _finite_table(values, probs, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """A finite law's (values, probs) as read-only arrays: the values a copy,
+    1-d and finite, the probabilities a table of the same size."""
+    v = np.array(values, dtype=float)
+    if v.ndim != 1 or not np.all(np.isfinite(v)):
+        raise ValueError(f"{what}: bad support values")
+    p = _as_prob_table(probs, what)
+    if v.size != p.size:
+        raise ValueError(f"{what}: values/probabilities size mismatch")
+    v.flags.writeable = False
+    return v, p
+
+
 @dataclass(frozen=True)
 class DegreeModel:
     """Bounded-support degree distribution p_k, k = 0..k_max.
@@ -107,7 +115,6 @@ class DegreeModel:
         object.__setattr__(self, "probs", p)
         k = np.arange(p.size, dtype=float)
         object.__setattr__(self, "mean_c", float((k * p).sum()))
-        assert abs(p.sum() - 1.0) < _TOL
 
     @property
     def k_max(self) -> int:
@@ -124,28 +131,20 @@ class DegreeModel:
         return r
 
     @cached_property
-    def _cdf(self) -> np.ndarray:
-        return _cdf_table(self.probs)
+    def _draw(self) -> _Draw:
+        return _Draw(self.probs)
 
     @cached_property
-    def _rcdf(self) -> np.ndarray:
-        return _cdf_table(self.r)
-
-    @cached_property
-    def _cells(self) -> np.ndarray:
-        return _cell_table(self._cdf)
-
-    @cached_property
-    def _rcells(self) -> np.ndarray:
-        return _cell_table(self._rcdf)
+    def _rdraw(self) -> _Draw:
+        return _Draw(self.r)
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray | int:
         """Draw degrees i.i.d. from p_k."""
-        return _inverse_cdf(self._cdf, self._cells, rng, size)
+        return self._draw(rng, size)
 
     def sample_corrected(self, rng: np.random.Generator, size=None) -> np.ndarray | int:
         """Draw degrees i.i.d. from the size-biased table r_k."""
-        return _inverse_cdf(self._rcdf, self._rcells, rng, size)
+        return self._rdraw(rng, size)
 
 
 def truncated_poisson(cbar: float, k_max: int) -> DegreeModel:
@@ -205,7 +204,6 @@ def sample_degree_sequence(model: DegreeModel, n: int, rng: np.random.Generator)
                 return degrees
     i = int(rng.integers(n))
     degrees[i] += 1 if degrees[i] + 1 <= model.k_max else -1
-    assert degrees.sum() % 2 == 0
     return degrees
 
 
@@ -215,44 +213,35 @@ class WeightModel:
     (value, probability). ``zeta`` is the largest |support point|.
     """
 
-    kind: str
     values: np.ndarray
     probs: np.ndarray
     second_moment_w: float = field(init=False)
     zeta: float = field(init=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or not np.all(np.isfinite(v)):
-            raise ValueError("WeightModel: bad support values")
-        p = _as_prob_table(self.probs, "WeightModel")
-        if v.size != p.size:
-            raise ValueError("WeightModel: values/probabilities size mismatch")
+        v, p = _finite_table(self.values, self.probs, "WeightModel")
         m2 = float((v * v * p).sum())
         if m2 <= 0:
             raise ValueError("WeightModel: E[W^2] must be positive")
-        v = v.copy()
-        v.flags.writeable = False
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "second_moment_w", m2)
         object.__setattr__(self, "zeta", float(np.abs(v).max()))
 
     @cached_property
-    def _cdf(self) -> np.ndarray:
-        return _cdf_table(self.probs)
+    def _draw(self) -> _Draw:
+        return _Draw(self.probs)
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray | float:
         if self.values.size == 1:
             w = self.values[0]
             return np.full(size, w) if size is not None else float(w)
-        idx = np.searchsorted(self._cdf, rng.random(size), side="right")
-        out = self.values[idx]
+        out = self.values[self._draw(rng, size)]
         return out if size is not None else float(out)
 
 
 def constant_weight(w: float) -> WeightModel:
-    return WeightModel(kind="constant", values=np.array([float(w)]), probs=np.array([1.0]))
+    return WeightModel(values=np.array([float(w)]), probs=np.array([1.0]))
 
 
 def regular_constant_weight(degree_model: DegreeModel, weight_model: WeightModel) -> float | None:
@@ -267,15 +256,11 @@ def rademacher_weight(scale: float) -> WeightModel:
     """Symmetric two-point law +-scale with equal mass."""
     if not scale > 0:
         raise ValueError("scale must be positive")
-    return WeightModel(
-        kind="rademacher_scaled",
-        values=np.array([-float(scale), float(scale)]),
-        probs=np.array([0.5, 0.5]),
-    )
+    return WeightModel(values=np.array([-float(scale), float(scale)]), probs=np.array([0.5, 0.5]))
 
 
 def weight_table(values, probs) -> WeightModel:
-    return WeightModel(kind="custom_table", values=np.asarray(values, float), probs=np.asarray(probs, float))
+    return WeightModel(values=values, probs=probs)
 
 
 @dataclass(frozen=True)
@@ -294,27 +279,24 @@ class SpikeModel:
     probs: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.kind not in ("gaussian", "rademacher", "custom"):
+            raise ValueError(f"SpikeModel: unknown kind {self.kind!r}")
         if not (np.isfinite(self.sigma_x2) and self.sigma_x2 > 0):
             raise ValueError("SpikeModel: variance must be finite and positive")
         if self.kind == "custom":
-            v = np.asarray(self.values, dtype=float)
-            p = _as_prob_table(self.probs, "SpikeModel")
-            if v.size != p.size:
-                raise ValueError("SpikeModel: values/probabilities size mismatch")
+            v, p = _finite_table(self.values, self.probs, "SpikeModel")
             mean = float((v * p).sum())
             if abs(mean) > 1e-12:
                 raise ValueError(f"SpikeModel: law must be centered, got E[X]={mean:g}")
             var = float((v * v * p).sum()) - mean**2
             if abs(self.sigma_x2 - var) > 1e-12 * var:
                 raise ValueError(f"SpikeModel: sigma_x2={self.sigma_x2:g} but the table's variance is {var:g}")
-            v = v.copy()
-            v.flags.writeable = False
             object.__setattr__(self, "values", v)
             object.__setattr__(self, "probs", p)
 
     @cached_property
-    def _cdf(self) -> np.ndarray:
-        return _cdf_table(self.probs)
+    def _draw(self) -> _Draw:
+        return _Draw(self.probs)
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray | float:
         # the draws are scaled in place: the same multiplies, no second array
@@ -326,8 +308,7 @@ class SpikeModel:
             out -= 1.0
             out *= np.sqrt(self.sigma_x2)
         else:
-            idx = np.searchsorted(self._cdf, rng.random(size), side="right")
-            out = self.values[idx]
+            out = self.values[self._draw(rng, size)]
         return out if size is not None else float(out)
 
 
@@ -340,7 +321,6 @@ def rademacher_spike(sigma_x2: float = 1.0) -> SpikeModel:
 
 
 def custom_spike(values, probs) -> SpikeModel:
-    v = np.asarray(values, dtype=float)
-    p = _as_prob_table(np.asarray(probs, float), "SpikeModel")
+    v, p = _finite_table(values, probs, "SpikeModel")
     var = float((v * v * p).sum()) - float((v * p).sum()) ** 2
     return SpikeModel(kind="custom", sigma_x2=var, values=v, probs=p)

@@ -18,6 +18,7 @@ bit.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +97,10 @@ class PopDynConfig:
         if self.n_pop < 2:
             raise ValueError("n_pop must be at least 2")
         for name in ("alpha_tol", "lambda_init"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            # the bound rejects NaN, infinity and an int too large for a double
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= sys.float_info.max:
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
         if self.max_rescales < 1 or self.max_sweeps < 1 or self.alpha_samples < 1:
             raise ValueError("budgets must be positive")
 

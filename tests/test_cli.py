@@ -119,6 +119,25 @@ class TestConfigParsing:
         ({"mode": "diag", "degree": RR4, "out_dir": 5}, "out_dir must be a string"),
         ({"mode": "diag", "degree": RR4, "out_dir": None}, "out_dir must be a string"),
         ({"mode": "densities", "degree": RR4, "theta": [4.0], "checkpoint": 7}, "checkpoint must be a string or null"),
+        ({"mode": "diag", "degree": RR4, "eig_max_iter": 0}, "eig_max_iter must be >= 1"),
+        ({"mode": "diag", "degree": RR4, "eig_max_iter": -3}, "eig_max_iter must be >= 1"),
+        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"alpha_tol": float("nan")}},
+         "alpha_tol must be a finite positive number"),
+        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"alpha_tol": True}},
+         "alpha_tol must be a finite positive number"),
+        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "warm_start": False, "popdyn": {"lambda_init": float("inf")}},
+         "lambda_init must be a finite positive number"),
+        # a law field its kind does not read would run unread, or show in a CSV column it does not set
+        ({"mode": "diag", "degree": {"kind": "regular", "c": 4, "cbar": 9, "k_max": 3}},
+         "a 'regular' degree law does not read 'cbar', 'k_max'"),
+        ({"mode": "diag", "degree": {"kind": "table", "probs": [0.0, 0.5, 0.5], "c": 7}},
+         "a 'table' degree law does not read 'c'"),
+        ({"mode": "analytic", "degree": RR4, "weight": {"kind": "constant", "w": 1.0, "scale": 3}},
+         "a 'constant' weight law does not read 'scale'"),
+        ({"mode": "analytic", "degree": RR4, "spike": {"kind": "custom", "values": [-1, 1], "probs": [1, 1],
+                                                        "sigma_x2": 2.0}}, "a 'custom' spike law does not read 'sigma_x2'"),
+        ({"mode": "sweep", "degree": {"kind": "truncated_poisson", "cbar": 3, "c": 3}, "c_grid": [3, 4]},
+         "a 'truncated_poisson' degree law does not read 'c'"),
     ])
     def test_rejects_bad_fields(self, raw, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -518,6 +537,14 @@ class TestMainExitCodes:
             path.write_text(text)
             assert cli.main([str(path), flag, value]) == 2
             assert "config must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("below_file", [False, True], ids=["empty", "below_a_file"])
+    def test_out_dir_that_cannot_be_made(self, tmp_path, capsys, below_file):
+        (tmp_path / "file").write_text("")
+        out_dir = str(tmp_path / "file" / "out") if below_file else ""
+        path = write_config(tmp_path, mode="analytic", degree=RR4, theta=[4.0], out_dir=out_dir)
+        assert cli.main([path]) == 2
+        assert "cannot create out_dir" in capsys.readouterr().err
 
     def test_success_and_overrides(self, tmp_path, capsys):
         path = write_config(tmp_path, mode="analytic", degree=RR4, theta=[4.0])

@@ -188,6 +188,23 @@ class TestBucketedDraw:
         assert draw(rng) == int(np.searchsorted(cdf, ref.random(), side="right"))
         assert rng.random() == ref.random()
 
+    @pytest.mark.parametrize("model", [
+        ensembles.weight_table([0.5, 1.5, 1.0], [0.2, 0.3, 0.5]),
+        ensembles.rademacher_weight(0.5),
+        ensembles.custom_spike([-2.0, -1.0, 1.0, 2.0], [0.1, 0.4, 0.4, 0.1]),
+    ], ids=["weight_table", "rademacher_weight", "custom_spike"])
+    def test_tables_draw_their_values(self, model):
+        # weight and spike tables draw through the same lookup as degrees:
+        # the values a plain search picks on the same uniforms, bit for bit
+        cdf = np.cumsum(model.probs)
+        assert cdf[-1] == 1.0
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        for size in (0, 1, 16_384, 3 * 2**15 + 7):
+            expected = model.values[np.searchsorted(cdf, ref.random(size), side="right")]
+            assert model.sample(rng, size=size).tobytes() == expected.tobytes()
+        assert model.sample(rng) == float(model.values[np.searchsorted(cdf, ref.random(), side="right")])
+        assert rng.random() == ref.random()
+
 
 class _TopUniform:
     """Stands in for a Generator whose ``random`` returns the largest double
@@ -319,6 +336,17 @@ class TestSpikeModel:
         with pytest.raises(ValueError):
             ensembles.SpikeModel(kind="custom", sigma_x2=1.0,
                                  values=np.array([0.0, 1.0]), probs=np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("values", [[np.nan, 1.0], [-np.inf, np.inf], [-np.inf, 1.0], [[-1.0, 1.0]]],
+                             ids=["nan", "both_inf", "minus_inf", "2-d"])
+    def test_custom_rejects_bad_values(self, values):
+        # the table check WeightModel runs: a centred-looking NaN or 2-d table is no law
+        with pytest.raises(ValueError, match="SpikeModel: bad support values"):
+            ensembles.SpikeModel(kind="custom", sigma_x2=1.0, values=np.array(values), probs=np.array([0.5, 0.5]))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown kind 'laplace'"):
+            ensembles.SpikeModel(kind="laplace", sigma_x2=1.0)
 
     def test_custom_centered(self):
         model = ensembles.custom_spike([-1.0, 1.0], [0.5, 0.5])

@@ -35,6 +35,13 @@ class TestInit:
         assert pop.q == 0.5
         assert pop.lam == 10.0
 
+    @pytest.mark.parametrize("name", ["alpha_tol", "lambda_init"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, 0.0, -1.0, "1", 10**400],
+                             ids=["nan", "inf", "true", "zero", "negative", "string", "huge_int"])
+    def test_config_rejects_bad_tolerance_and_start(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a finite positive number"):
+            popdyn.PopDynConfig(**{name: value})
+
     def test_equal_seeds_identical(self):
         config = popdyn.PopDynConfig(n_pop=100)
         a = popdyn.init_population(config, np.random.default_rng(4))
@@ -49,7 +56,7 @@ def _replay(dm, wm, b, n_slots, rng, cavity):
     and per member count t > 0, the members of the draws with t members and,
     unless the weight law is one point, then their weights. Returns k and
     each draw's member slots and weights (1.0 for a one-point law)."""
-    k = np.searchsorted(dm._rcdf if cavity else dm._cdf, rng.random(b), side="right")
+    k = np.searchsorted((dm._rdraw if cavity else dm._draw).cdf, rng.random(b), side="right")
     terms = k - 1 if cavity else k
     members, weights = [()] * b, [()] * b
     for lo in range(0, b, PIECE):
