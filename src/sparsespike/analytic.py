@@ -3,9 +3,7 @@ point m(lambda), the threshold function Q(lambda) with its inverse and
 derivative, recovery thresholds, signal-eigenvalue and squared-overlap
 curves.
 
-Everything here is a pure function of value inputs. The population-based
-estimator ``q_general`` is the independent Monte Carlo counterpart of the
-fixed-point route; the two are cross-checked in the test suite.
+Everything here is a pure function of value inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import numpy as np
 
 from .ensembles import DegreeModel, SpikeModel, WeightModel, _integer, regular_constant_weight
 from .errors import NegativeDenominator, NoConvergence, RootNotBracketed
-from .popdyn import Population, _full_nodes
 
 # Degree kinds whose threshold ``theta_crit`` reads off the resolvent route.
 RESOLVENT_KINDS = ("truncated_poisson", "regular")
@@ -35,12 +32,8 @@ def _bisect(above, lo: float, hi: float) -> float:
     return hi
 
 
-def _lambda_of_x(x: float, r: np.ndarray, a: np.ndarray) -> float:
-    return float(x * np.sqrt((r / (x - a)).sum()))
-
-
-def _branch(degree_model: DegreeModel, e_w2: float):
-    """(r_k, a_k, x_e, lambda(x_e)): the stable branch of the m equation.
+class _Branch:
+    """The stable branch of the m equation, and the threshold function Q on it.
 
     With x = lambda/m and a_k = (k-1) E[W^2], over the k with r_k > 0, the
     m equation reads m^2 = S0(x) = sum_k r_k / (x - a_k), so
@@ -48,48 +41,54 @@ def _branch(degree_model: DegreeModel, e_w2: float):
     h(x) = sum_k r_k (x - 2 a_k) / (x - a_k)^2. h > 0 is the stability of
     the fixed point, and on (a_max, inf) h has a single root x*, in
     (a_max, 2 a_max]: h / S0 = 1 - sum_k r_k a_k / (x - a_k)^2 / S0 grows
-    with x by Chebyshev's sum inequality. Q's sum runs to the largest k
-    with p_k > 0, one term past the m equation, so the edge is
-    x_e = max(x*, k_max E[W^2]).
+    with x by Chebyshev's sum inequality. Q(lambda) = sum_k p_k /
+    (lambda - k E[W^2] m) = P0(x) / sqrt(S0(x)), with P0 the same sum over
+    the p_k > 0 and poles b_k = k E[W^2]; it runs one term past the m
+    equation, so the edge is x_e = max(x*, k_max E[W^2]).
     """
-    mask = degree_model.r > 0
-    r = degree_model.r[mask]
-    a = (np.flatnonzero(mask) - 1.0) * e_w2
-    x_star = a[-1]
-    if x_star > 0:
-        def stable(x):
-            return float((r * (x - 2.0 * a) / (x - a) ** 2).sum()) > 0
 
-        x_star = _bisect(stable, a[-1], 2.0 * a[-1])
-    x_e = max(x_star, np.flatnonzero(degree_model.probs)[-1] * e_w2)
-    return r, a, x_e, _lambda_of_x(x_e, r, a)
+    def __init__(self, degree_model: DegreeModel, e_w2: float):
+        mask = degree_model.r > 0
+        r = self.r = degree_model.r[mask]
+        a = self.a = (np.flatnonzero(mask) - 1.0) * e_w2
+        k = np.flatnonzero(degree_model.probs)
+        self.p, self.b = degree_model.probs[k], k * e_w2
+        x_star = a[-1]
+        if x_star > 0:
+            def stable(x):
+                return float((r * (x - 2.0 * a) / (x - a) ** 2).sum()) > 0
 
+            x_star = _bisect(stable, a[-1], 2.0 * a[-1])
+        self.x_e = max(x_star, self.b[-1])
+        self.lam_e = self.lam(self.x_e)
 
-def _solve_x(lam: float, degree_model: DegreeModel, e_w2: float) -> float:
-    """x = lambda/m on the stable branch, bisected on [x_e, lambda^2]
-    (lambda(x) >= sqrt(x) because every a_k >= 0)."""
-    r, a, x_e, lam_e = _branch(degree_model, e_w2)
-    if not lam >= lam_e:
-        raise NegativeDenominator(f"lambda={lam:g} is below the spectral edge {lam_e:.12g}")
-    if lam == lam_e:
-        return x_e
-    return _bisect(lambda x: _lambda_of_x(x, r, a) >= lam, x_e, max(lam * lam, x_e))
+    def lam(self, x: float) -> float:
+        return float(x * np.sqrt((self.r / (x - self.a)).sum()))
 
+    def x_of(self, lam: float) -> float:
+        """x on the branch, bisected on [x_e, lambda^2] (lambda(x) >= sqrt(x)
+        because every a_k >= 0)."""
+        if not lam >= self.lam_e:
+            raise NegativeDenominator(f"lambda={lam:g} is below the spectral edge {self.lam_e:.12g}")
+        if lam == self.lam_e:
+            return self.x_e
+        return _bisect(lambda x: self.lam(x) >= lam, self.x_e, max(lam * lam, self.x_e))
 
-def q_tilde(lam: float, degree_model: DegreeModel, e_w2: float) -> float:
-    """Threshold function Q(lambda) = sum_k p_k / (lambda - k E[W^2] m(lambda)).
+    def q(self, x: float) -> float:
+        """Q = P0 / sqrt(S0), strictly decreasing in x; +inf at an edge set
+        by k_max E[W^2], where P0's last pole sits."""
+        return _sums(x, self.p, self.b)[0] / np.sqrt(_sums(x, self.r, self.a)[0])
 
-    For a truncated Poisson table this reduces exactly to
-    (c/cbar) m + p_{k_max} / (lambda - k_max E[W^2] m); for a regular model
-    it collapses to the single-branch closed form. Each denominator is
-    m (x - k E[W^2]) with x = lambda/m; at an edge set by k_max E[W^2]
-    (see ``_branch``) the last one vanishes and Q is +inf.
-    """
-    x = _solve_x(lam, degree_model, e_w2)
-    p = degree_model.probs
-    k = np.flatnonzero(p > 0)
-    with np.errstate(divide="ignore"):
-        return float((p[k] / (x - k * e_w2)).sum()) * x / lam
+    def q_prime(self, x: float) -> float:
+        """dQ/dlambda in closed form: with S1, P1 the sums of the squared
+        terms, d lambda/dx = (2 S0 - x S1) / (2 sqrt(S0)), where 2 S0 - x S1
+        is h, so Q' = (P0 S1 - 2 P1 S0) / (S0 (2 S0 - x S1)). Unbounded at
+        the edge."""
+        if x == self.x_e:
+            raise NegativeDenominator(f"Q'(lambda) is unbounded at the spectral edge {self.lam_e:.12g}")
+        s0, s1 = _sums(x, self.r, self.a)
+        p0, p1 = _sums(x, self.p, self.b)
+        return (p0 * s1 - 2.0 * p1 * s0) / (s0 * (2.0 * s0 - x * s1))
 
 
 def _sums(x: float, w: np.ndarray, poles: np.ndarray) -> tuple[float, float]:
@@ -99,20 +98,19 @@ def _sums(x: float, w: np.ndarray, poles: np.ndarray) -> tuple[float, float]:
     return float((w * g).sum()), float((w * g * g).sum())
 
 
-def q_tilde_prime(lam: float, degree_model: DegreeModel, e_w2: float) -> float:
-    """dQ/dlambda in closed form. With S0, S1 = sum_k r_k / (x - a_k)^{1,2}
-    (``_branch``) and P0, P1 the same sums over p_k with poles at k E[W^2],
-    Q = P0 / sqrt(S0) and d lambda/dx = (2 S0 - x S1) / (2 sqrt(S0)), where
-    2 S0 - x S1 is ``_branch``'s h, so
-    Q' = (P0 S1 - 2 P1 S0) / (S0 (2 S0 - x S1)). Unbounded at the edge."""
-    x = _solve_x(lam, degree_model, e_w2)
-    r, a, x_e, _ = _branch(degree_model, e_w2)
-    if x == x_e:
-        raise NegativeDenominator(f"Q'(lambda) is unbounded at the spectral edge {lam:.12g}")
-    k = np.flatnonzero(degree_model.probs)
-    s0, s1 = _sums(x, r, a)
-    p0, p1 = _sums(x, degree_model.probs[k], k * e_w2)
-    return (p0 * s1 - 2.0 * p1 * s0) / (s0 * (2.0 * s0 - x * s1))
+def _solve_x(lam: float, degree_model: DegreeModel, e_w2: float) -> float:
+    """x = lambda/m on the stable branch (``_Branch``)."""
+    return _Branch(degree_model, e_w2).x_of(lam)
+
+
+def q_tilde(lam: float, degree_model: DegreeModel, e_w2: float) -> float:
+    """Threshold function Q(lambda) = sum_k p_k / (lambda - k E[W^2] m(lambda)),
+    read at x = lambda/m on the branch (``_Branch.q``). For a truncated
+    Poisson table it reduces exactly to (c/cbar) m + p_{k_max} /
+    (lambda - k_max E[W^2] m); for a regular model it collapses to the
+    single-branch closed form. At an edge set by k_max E[W^2] it is +inf."""
+    branch = _Branch(degree_model, e_w2)
+    return float(branch.q(branch.x_of(lam)))
 
 
 def gershgorin_bound(degree_model: DegreeModel, weight_model: WeightModel) -> float:
@@ -121,11 +119,36 @@ def gershgorin_bound(degree_model: DegreeModel, weight_model: WeightModel) -> fl
 
 
 def admissible_lambda_floor(degree_model: DegreeModel, e_w2: float) -> float:
-    """Spectral edge of the resolvent route, lambda(x_e) (``_branch``): the
+    """Spectral edge of the resolvent route, lambda(x_e) (``_Branch``): the
     smallest lambda with a stable m fixed point and non-negative Q
     denominators, and the lower end of every root bracket here. For
     c-regular noise it is the bulk edge 2 sqrt((c-1) E[W^2])."""
-    return _branch(degree_model, e_w2)[3]
+    return _Branch(degree_model, e_w2).lam_e
+
+
+def _signal_root(theta, degree_model, weight_model, spike_model) -> tuple[float, _Branch]:
+    """(x, branch) at the unique root of Q = 1/(theta sigma_x^2), bisected
+    once in x, where Q decreases strictly, on [x_e, lambda_hi^2] with
+    lambda_hi a Gershgorin-padded bound (lambda(x) >= sqrt(x)). The root
+    exists down to the detachment point (theta_b in the regular case), where
+    the branch meets the spectral edge. Below detachment, and at theta <= 0
+    where there is no signal, RootNotBracketed is raised."""
+    if theta <= 0:
+        raise RootNotBracketed(f"no signal branch at theta={theta:g}")
+    target = 1.0 / (theta * spike_model.sigma_x2)
+    branch = _Branch(degree_model, weight_model.second_moment_w)
+    q_lo = branch.q(branch.x_e)
+    if q_lo <= target:
+        raise RootNotBracketed(
+            f"Q at the spectral edge ({q_lo:g}) does not exceed 1/(theta sigma^2)={target:g}; "
+            "theta is at or below the recovery threshold"
+        )
+    lam_hi = max(gershgorin_bound(degree_model, weight_model) + 2.0 * theta * spike_model.sigma_x2, branch.lam_e * 2)
+    while branch.q(lam_hi * lam_hi) >= target:
+        lam_hi *= 2.0
+        if lam_hi > 1e12:
+            raise NoConvergence("failed to bracket the signal eigenvalue from above")
+    return _bisect(lambda x: branch.q(x) <= target, branch.x_e, lam_hi * lam_hi), branch
 
 
 def lambda_signal(
@@ -134,38 +157,11 @@ def lambda_signal(
     weight_model: WeightModel,
     spike_model: SpikeModel,
 ) -> float:
-    """Signal eigenvalue: the unique root of Q(lambda) = 1/(theta sigma_x^2),
-    bisected once in x = lambda/m, where Q = P0 / sqrt(S0) (``q_tilde_prime``)
-    decreases strictly, on [x_e, lambda_hi^2] with lambda_hi a Gershgorin-padded
-    bound (lambda(x) >= sqrt(x), ``_solve_x``). The root exists down to the
-    detachment point (theta_b in the regular case), where the branch meets
-    the spectral edge; between there and theta_crit it describes the second
-    eigenvalue rather than the top one. Below detachment, and at theta <= 0
-    where there is no signal, RootNotBracketed is raised."""
-    if theta <= 0:
-        raise RootNotBracketed(f"no signal branch at theta={theta:g}")
-    e_w2 = weight_model.second_moment_w
-    target = 1.0 / (theta * spike_model.sigma_x2)
-    r, a, x_e, lam_e = _branch(degree_model, e_w2)
-    k = np.flatnonzero(degree_model.probs)
-    p, b = degree_model.probs[k], k * e_w2
-
-    def q_of_x(x):
-        return _sums(x, p, b)[0] / np.sqrt(_sums(x, r, a)[0])
-
-    q_lo = q_of_x(x_e)
-    if q_lo <= target:
-        raise RootNotBracketed(
-            f"Q at the spectral edge ({q_lo:g}) does not exceed 1/(theta sigma^2)={target:g}; "
-            "theta is at or below the recovery threshold"
-        )
-    lam_hi = max(gershgorin_bound(degree_model, weight_model) + 2.0 * theta * spike_model.sigma_x2, lam_e * 2)
-    while q_of_x(lam_hi * lam_hi) >= target:
-        lam_hi *= 2.0
-        if lam_hi > 1e12:
-            raise NoConvergence("failed to bracket the signal eigenvalue from above")
-    x = _bisect(lambda x: q_of_x(x) <= target, x_e, lam_hi * lam_hi)
-    return _lambda_of_x(x, r, a)
+    """Signal eigenvalue lambda_theta, the root of Q(lambda) = 1/(theta
+    sigma_x^2) (``_signal_root``). Between detachment and theta_crit it
+    describes the second eigenvalue rather than the top one."""
+    x, branch = _signal_root(theta, degree_model, weight_model, spike_model)
+    return branch.lam(x)
 
 
 def signal_and_overlap(
@@ -175,28 +171,9 @@ def signal_and_overlap(
     spike_model: SpikeModel,
 ) -> tuple[float, float]:
     """(lambda_theta, squared overlap) from one root solve: ``lambda_signal``
-    and  -1 / (sigma_x^2 theta^2 Q'(lambda_theta))."""
-    lam = lambda_signal(theta, degree_model, weight_model, spike_model)
-    qp = q_tilde_prime(lam, degree_model, weight_model.second_moment_w)
-    return lam, -1.0 / (spike_model.sigma_x2 * theta**2 * qp)
-
-
-def q_general(
-    population: Population,
-    degree_model: DegreeModel,
-    weight_model: WeightModel,
-    rng: np.random.Generator,
-    samples: int = 1_000_000,
-) -> float:
-    """Monte Carlo Q_hat(lambda) = < integral {dpi}_k {drho_W}_k
-    1/(lambda - {W^2/omega}_k) > over an equilibrated population; the
-    gather's bias sums are not used."""
-    total = 0.0
-    count = 0
-    for _, den, _ in _full_nodes(population, degree_model, weight_model, samples, rng):
-        total += float(np.divide(1.0, den, out=den).sum())
-        count += den.size
-    return total / count
+    and -1 / (sigma_x^2 theta^2 Q'(lambda_theta)), Q' read at the root's x."""
+    x, branch = _signal_root(theta, degree_model, weight_model, spike_model)
+    return branch.lam(x), -1.0 / (spike_model.sigma_x2 * theta**2 * branch.q_prime(x))
 
 
 def theta_crit(
@@ -296,9 +273,8 @@ def poisson_report(
 ) -> AnalyticReport:
     """Semi-analytic report for a truncated-Poisson (or any resolvent-route)
     ensemble; ``lambda_structural`` comes from a theta=0 population run."""
-    e_w2 = weight_model.second_moment_w
     t_crit = theta_crit(degree_model, weight_model, spike_model, lambda_structural)
-    edge = admissible_lambda_floor(degree_model, e_w2)
+    edge = admissible_lambda_floor(degree_model, weight_model.second_moment_w)
     if theta > t_crit:
         lam, ov = signal_and_overlap(theta, degree_model, weight_model, spike_model)
         lam_top = lam

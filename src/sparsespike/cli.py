@@ -153,9 +153,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("density_samples must be >= 1")
     try:
         for c_value in cfg.c_grid if cfg.c_grid is not None else [None]:
-            kind = build_models(cfg, c_value)[0].kind
-            if cfg.mode in ("analytic", "sweep") and kind not in analytic.RESOLVENT_KINDS:
-                raise ConfigError(f"{cfg.mode} mode has no theta_crit route for a {kind!r} degree table")
+            degree_model, weight_model, _ = build_models(cfg, c_value)
+            if cfg.mode not in ("analytic", "sweep"):
+                continue
+            if degree_model.kind not in analytic.RESOLVENT_KINDS:
+                raise ConfigError(f"{cfg.mode} mode has no theta_crit route for a {degree_model.kind!r} degree table")
+            if cfg.lambda_structural is not None and ensembles.regular_constant_weight(degree_model, weight_model) is None:
+                edge = analytic.admissible_lambda_floor(degree_model, weight_model.second_moment_w)
+                if cfg.lambda_structural < edge:
+                    raise ConfigError(f"lambda_structural={cfg.lambda_structural:g} is below the spectral edge {edge:.12g}")
         popdyn.PopDynConfig(**cfg.popdyn)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -302,8 +308,7 @@ def structural_for(cfg: ExperimentConfig, degree_model, weight_model) -> float:
         return degree_model.mean_c * w
     if cfg.lambda_structural is not None:
         return float(cfg.lambda_structural)
-    e_w2 = weight_model.second_moment_w
-    floor = analytic.admissible_lambda_floor(degree_model, e_w2)
+    floor = analytic.admissible_lambda_floor(degree_model, weight_model.second_moment_w)
     if weight_model.values.min() < 0:
         return floor  # no Perron outlier for sign-mixed weights
     hi = analytic.gershgorin_bound(degree_model, weight_model) + 1.0

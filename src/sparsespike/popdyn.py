@@ -348,6 +348,23 @@ def alpha_pair(
     )
 
 
+def q_general(
+    pop: Population,
+    degree_model: DegreeModel,
+    weight_model: WeightModel,
+    rng: np.random.Generator,
+    samples: int = 1_000_000,
+) -> float:
+    """Monte Carlo Q_hat(lambda) = < integral {dpi}_k {drho_W}_k
+    1/(lambda - {W^2/omega}_k) > over an equilibrated population, the mean
+    that ``alpha_pair``'s alpha2 scales by theta sigma_x^2; the counterpart
+    of ``analytic.q_tilde``. The gather's bias sums are not used."""
+    total = 0.0
+    for _, den, _ in _full_nodes(pop, degree_model, weight_model, samples, rng):
+        total += float(np.divide(1.0, den, out=den).sum())
+    return total / samples
+
+
 def solve(
     theta: float,
     degree_model: DegreeModel,

@@ -78,7 +78,7 @@ class TestQTilde:
         # Q_hat from the equilibrated population against the fixed-point route
         dm, wm, _ = poisson_models
         pop = poisson_solved["pop"]
-        qhat = analytic.q_general(pop, dm, wm, np.random.default_rng(0), 400_000)
+        qhat = popdyn.q_general(pop, dm, wm, np.random.default_rng(0), 400_000)
         qfix = analytic.q_tilde(pop.lam, dm, 1.0)
         assert abs(qhat - qfix) / qfix < 3e-3
 
@@ -88,7 +88,7 @@ class TestQTilde:
         for dm in (ensembles.truncated_poisson(4.0, 20), ensembles.truncated_poisson(3.0, 8)):
             edge = analytic.admissible_lambda_floor(dm, 1.0)
             for lam in (edge * (1.0 + 1e-4), edge * (1.0 + 1e-3), edge * 1.05, 6.0, 8.0, 12.0):
-                qp = analytic.q_tilde_prime(lam, dm, 1.0)
+                qp = analytic._Branch(dm, 1.0).q_prime(analytic._solve_x(lam, dm, 1.0))
                 step = 1e-4 * (lam - edge)
                 fd = (analytic.q_tilde(lam + step, dm, 1.0) - analytic.q_tilde(lam - step, dm, 1.0)) / (2 * step)
                 assert abs(qp - fd) < 1e-7 * abs(qp)
@@ -97,7 +97,7 @@ class TestQTilde:
     def test_prime_unbounded_at_edge(self):
         for dm in (ensembles.truncated_poisson(4.0, 20), ensembles.truncated_poisson(3.0, 8)):
             with pytest.raises(NegativeDenominator):
-                analytic.q_tilde_prime(analytic.admissible_lambda_floor(dm, 1.0), dm, 1.0)
+                analytic._Branch(dm, 1.0).q_prime(analytic._solve_x(analytic.admissible_lambda_floor(dm, 1.0), dm, 1.0))
 
 
 class TestQGeneral:
@@ -106,13 +106,13 @@ class TestQGeneral:
         # denominator 4 - 4/3 = 8/3, so Q_hat = 3/8 with zero variance
         pop = popdyn.Population(omega=np.full(1000, 3.0), h=np.zeros(1000),
                                 q=0.0, lam=4.0, theta=0.0)
-        qhat = analytic.q_general(pop, ensembles.regular(4), W1, np.random.default_rng(0), 20_000)
+        qhat = popdyn.q_general(pop, ensembles.regular(4), W1, np.random.default_rng(0), 20_000)
         assert abs(qhat - 0.375) < 1e-12
 
     def test_large_lambda(self):
         pop = popdyn.Population(omega=np.full(1000, 3.0), h=np.zeros(1000),
                                 q=0.0, lam=1e6, theta=0.0)
-        qhat = analytic.q_general(pop, ensembles.regular(4), W1, np.random.default_rng(2), 5_000)
+        qhat = popdyn.q_general(pop, ensembles.regular(4), W1, np.random.default_rng(2), 5_000)
         assert abs(qhat - 1e-6) < 1e-8
 
 
@@ -172,6 +172,28 @@ class TestLambdaSignal:
         assert lam >= analytic.admissible_lambda_floor(dm, 1.0)
         assert 0.0 < ov < 1e-6
 
+    @pytest.mark.parametrize("cbar, k_max, lam_s", [(3.0, 8, 4.2438), (4.0, 20, 5.2552), (3.5, 12, 4.9)])
+    def test_root_at_theta_crit_is_structural(self, cbar, k_max, lam_s):
+        # theta_crit and the signal root read one Q: at theta_crit the root is lambda_s
+        dm = ensembles.truncated_poisson(cbar, k_max)
+        theta = analytic.theta_crit(dm, W1, GAUSS, lam_s)
+        assert abs(analytic.lambda_signal(theta, dm, W1, GAUSS) - lam_s) <= np.spacing(lam_s)
+
+    @pytest.mark.parametrize("dm, wm", [
+        (ensembles.regular(4), W1),
+        (ensembles.truncated_poisson(4.0, 20), W1),
+        (ensembles.truncated_poisson(3.0, 8), ensembles.rademacher_weight(0.8)),
+    ], ids=["rr4", "po4", "po3-rademacher"])
+    def test_overlap_solve_has_the_same_root(self, dm, wm):
+        for theta in np.linspace(0.25, 12.0, 48):
+            try:
+                lam = analytic.lambda_signal(theta, dm, wm, GAUSS)
+            except RootNotBracketed:
+                with pytest.raises(RootNotBracketed):
+                    analytic.signal_and_overlap(theta, dm, wm, GAUSS)
+                continue
+            assert analytic.signal_and_overlap(theta, dm, wm, GAUSS)[0] == lam
+
     def test_poisson_vs_popdyn(self, poisson_solved):
         lam_an = poisson_solved["lambda_analytic"]
         assert abs(poisson_solved["pop"].lam - lam_an) / lam_an < 0.005
@@ -195,6 +217,15 @@ class TestOverlapSq:
         fd = (analytic.lambda_signal(theta + step, dm, W1, GAUSS)
               - analytic.lambda_signal(theta - step, dm, W1, GAUSS)) / (2 * step)
         assert abs(ov - fd) < 1e-4 * abs(fd)
+
+    @pytest.mark.parametrize("c", [3, 4, 5, 8])
+    def test_rr_closed_form_to_ten_ulps(self, c):
+        # Q' is read at the root's own x, so the route keeps the closed form's digits
+        dm = ensembles.regular(c)
+        for theta in np.linspace(1.05, 4.0, 12) * analytic.rr_report(c, 1.0, 0.0).theta_crit:
+            closed = analytic.rr_report(c, 1.0, theta).overlap_sq
+            ov = analytic.signal_and_overlap(theta, dm, W1, GAUSS)[1]
+            assert abs(ov - closed) <= 10 * np.spacing(closed)
 
     def test_derivative_identity_poisson(self):
         dm = ensembles.truncated_poisson(4.0, 20)
@@ -264,7 +295,7 @@ class TestRRReport:
         om_bar = 0.5 * (rep.lambda_top + np.sqrt(rep.lambda_top**2 - 12.0))
         pop = popdyn.Population(omega=np.full(100, om_bar), h=np.zeros(100),
                                 q=0.0, lam=rep.lambda_top, theta=4.0)
-        qhat = analytic.q_general(pop, ensembles.regular(4), W1, np.random.default_rng(0), 1000)
+        qhat = popdyn.q_general(pop, ensembles.regular(4), W1, np.random.default_rng(0), 1000)
         assert abs(4.0 * qhat - 1.0) < 1e-9  # theta sigma^2 Q(lambda_theta) = 1
 
 

@@ -26,6 +26,8 @@ def _csv_rows(path) -> list:
 
 RR4 = {"kind": "regular", "c": 4}
 PO3 = {"kind": "truncated_poisson", "cbar": 3.0, "k_max": 8}
+PO35_RADEMACHER = {"degree": {"kind": "truncated_poisson", "cbar": 3.5, "k_max": 12},
+                   "weight": {"kind": "rademacher_scaled", "scale": 1.0}}
 
 
 class TestSeedDerivation:
@@ -138,10 +140,27 @@ class TestConfigParsing:
                                                         "sigma_x2": 2.0}}, "a 'custom' spike law does not read 'sigma_x2'"),
         ({"mode": "sweep", "degree": {"kind": "truncated_poisson", "cbar": 3, "c": 3}, "c_grid": [3, 4]},
          "a 'truncated_poisson' degree law does not read 'c'"),
+        # a supplied structural eigenvalue below the spectral edge, caught before any graph is built
+        ({"mode": "analytic", **PO35_RADEMACHER, "lambda_structural": 4.2},
+         "lambda_structural=4.2 is below the spectral edge 4.25883741616"),
+        ({"mode": "sweep", **PO35_RADEMACHER, "lambda_structural": 4.2, "n": 300, "instances": 2},
+         "lambda_structural=4.2 is below the spectral edge 4.25883741616"),
+        ({"mode": "sweep", "degree": PO3, "c_grid": [3, 5], "lambda_structural": 4.3},
+         "lambda_structural=4.3 is below the spectral edge 4.42650712585"),
     ])
     def test_rejects_bad_fields(self, raw, fragment):
         with pytest.raises(ConfigError, match=fragment):
             cli.parse_config(raw)
+
+    def test_structural_at_the_edge_accepted(self):
+        # equality is admissible; regular constant-weight noise reads c w, not the value
+        degree_model, weight_model, _ = cli.build_models(cli.parse_config({"mode": "analytic", **PO35_RADEMACHER}))
+        edge = cli.analytic.admissible_lambda_floor(degree_model, weight_model.second_moment_w)
+        cli.parse_config({"mode": "analytic", **PO35_RADEMACHER, "lambda_structural": edge})
+        with pytest.raises(ConfigError, match="below the spectral edge"):
+            cli.parse_config({"mode": "analytic", **PO35_RADEMACHER, "lambda_structural": np.nextafter(edge, 0.0)})
+        cli.parse_config({"mode": "sweep", "degree": RR4, "weight": {"kind": "constant", "w": 0.7},
+                          "lambda_structural": 0.5})
 
 
 class TestAnalyticMode:
@@ -309,6 +328,17 @@ class TestSweepMode:
             assert row["instances"] == 2
         at4 = [r for r in rows if r["theta"] == 4.0 and r["c"] == 4][0]
         assert abs(at4["analytic_lambda_theta"] - 4.944271909999159) < 1e-12
+
+    def test_parallel_serial_equivalence(self, tmp_path):
+        # each (c, theta) point draws its own instances, whichever worker builds them
+        raw = {"mode": "sweep", "degree": {"kind": "truncated_poisson", "cbar": 4, "k_max": 20},
+               "theta": [2.0, 6.0], "lambda_structural": 5.0713, "n": 300, "instances": 2, "seed": 5}
+        texts = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            cli.run(cli.parse_config({**raw, "out_dir": str(out), "workers": workers}))
+            texts.append((out / "sweep.csv").read_text().replace(str(out), "OUT").replace(f'"workers": {workers}', "W"))
+        assert texts[0] == texts[1] == texts[2]
 
     def test_sweep_rerun_byte_identical(self, tmp_path):
         raw = {"mode": "sweep", "degree": RR4, "theta": [0.5, 4.0], "c_grid": [4],

@@ -230,7 +230,7 @@ class TestInPlaceFormulas:
         pop = _random_population()
         blocks = _blocks(pop, self.DM, wm, self.N, np.random.default_rng(5))
         expected = sum(float((1.0 / (pop.lam - s_w2)).sum()) for _, s_w2, _ in blocks) / self.N
-        assert analytic.q_general(pop, self.DM, wm, np.random.default_rng(5), self.N) == expected
+        assert popdyn.q_general(pop, self.DM, wm, np.random.default_rng(5), self.N) == expected
 
 
 class TestGatherMemory:
