@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .ensembles import DegreeModel, SpikeModel, WeightModel, _integer, regular_constant_weight
-from .errors import NegativeDenominator, NoConvergence, RootNotBracketed
+from .errors import NegativeDenominator, RootNotBracketed
 
 # Degree kinds whose threshold ``theta_crit`` reads off the resolvent route.
 RESOLVENT_KINDS = ("truncated_poisson", "regular")
@@ -98,11 +98,6 @@ def _sums(x: float, w: np.ndarray, poles: np.ndarray) -> tuple[float, float]:
     return float((w * g).sum()), float((w * g * g).sum())
 
 
-def _solve_x(lam: float, degree_model: DegreeModel, e_w2: float) -> float:
-    """x = lambda/m on the stable branch (``_Branch``)."""
-    return _Branch(degree_model, e_w2).x_of(lam)
-
-
 def q_tilde(lam: float, degree_model: DegreeModel, e_w2: float) -> float:
     """Threshold function Q(lambda) = sum_k p_k / (lambda - k E[W^2] m(lambda)),
     read at x = lambda/m on the branch (``_Branch.q``). For a truncated
@@ -128,8 +123,7 @@ def admissible_lambda_floor(degree_model: DegreeModel, e_w2: float) -> float:
 
 def _signal_root(theta, degree_model, weight_model, spike_model) -> tuple[float, _Branch]:
     """(x, branch) at the unique root of Q = 1/(theta sigma_x^2), bisected
-    once in x, where Q decreases strictly, on [x_e, lambda_hi^2] with
-    lambda_hi a Gershgorin-padded bound (lambda(x) >= sqrt(x)). The root
+    once in x, where Q decreases strictly, on [x_e, lambda_hi^2]. The root
     exists down to the detachment point (theta_b in the regular case), where
     the branch meets the spectral edge. Below detachment, and at theta <= 0
     where there is no signal, RootNotBracketed is raised."""
@@ -144,10 +138,7 @@ def _signal_root(theta, degree_model, weight_model, spike_model) -> tuple[float,
             "theta is at or below the recovery threshold"
         )
     lam_hi = max(gershgorin_bound(degree_model, weight_model) + 2.0 * theta * spike_model.sigma_x2, branch.lam_e * 2)
-    while branch.q(lam_hi * lam_hi) >= target:
-        lam_hi *= 2.0
-        if lam_hi > 1e12:
-            raise NoConvergence("failed to bracket the signal eigenvalue from above")
+    # Q <= 1/(lambda - k_max zeta) <= target/2 at lambda >= lam_hi, and lambda(x) >= sqrt(x)
     return _bisect(lambda x: branch.q(x) <= target, branch.x_e, lam_hi * lam_hi), branch
 
 
@@ -183,16 +174,14 @@ def theta_crit(
     lambda_structural: float,
 ) -> float:
     """Recovery threshold 1 / (sigma_x^2 Q(lambda_{theta=0})), Q from the
-    resolvent-moment route (``RESOLVENT_KINDS`` degree tables only).
-    ``lambda_structural`` must be supplied by the caller (the structural
-    eigenvalue from a theta=0 population run, the closed form c for
-    regular noise, or the spectral edge when no outlier exists)."""
+    resolvent-moment route (``RESOLVENT_KINDS`` degree tables only), at the
+    caller's ``lambda_structural`` (from a theta=0 population run, or the
+    spectral edge when no outlier exists). Regular constant-weight noise
+    reads ``rr_report``'s closed form instead: on the chain c = 2 its c w
+    can round below the route's edge, where the route raises."""
     w = regular_constant_weight(degree_model, weight_model)
     if w is not None:
-        # closed form w c(c-2) / (sigma^2 (c-1)); also covers the marginal
-        # chain c = 2, where the resolvent route degenerates (double root)
-        c = degree_model.mean_c
-        return w * c * (c - 2.0) / (spike_model.sigma_x2 * (c - 1.0))
+        return rr_report(degree_model.k_max, spike_model.sigma_x2, 0.0, w).theta_crit
     if degree_model.kind not in RESOLVENT_KINDS:
         raise ValueError(f"no theta_crit route for {degree_model.kind!r} degree tables")
     q0 = q_tilde(lambda_structural, degree_model, weight_model.second_moment_w)
@@ -224,38 +213,38 @@ class AnalyticReport:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-def rr_report(c: int, sigma_x2: float, theta: float) -> AnalyticReport:
-    """Closed forms for random-regular noise with unit weights.
+def rr_report(c: int, sigma_x2: float, theta: float, w: float = 1.0) -> AnalyticReport:
+    """Closed forms for c-regular noise with one positive constant weight w,
+    which is w times unit-weight noise: each eigenvalue and threshold is w
+    times its unit-weight value at theta / w, the overlap that value itself.
 
     theta_b marks detachment of the signal eigenvalue from the bulk edge
-    2 sqrt(c-1); theta_crit marks it overtaking the structural eigenvalue c.
-    c_crit and c_b are the same thresholds read along the c axis at fixed
-    theta.
+    2 w sqrt(c-1); theta_crit marks it overtaking the structural eigenvalue
+    c w. c_crit and c_b are the same thresholds read along the c axis at
+    fixed theta. theta = 0 has no signal branch (``lambda_theta`` None).
     """
     c = _integer(c, "c")
     if c < 2:
         raise ValueError("random-regular closed forms need c >= 2")
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
-    ts = theta * sigma_x2
+    if theta < 0 or not w > 0:
+        raise ValueError("theta must be non-negative and w positive")
+    ts = theta * sigma_x2 / w
     root = np.sqrt(ts * ts + 4.0)
-    t_crit = c * (c - 2.0) / (sigma_x2 * (c - 1.0))
-    t_b = (c - 2.0) / (sigma_x2 * np.sqrt(c - 1.0))
-    bulk = 2.0 * np.sqrt(c - 1.0)
-    lam_branch = 0.5 * (c * root - (c - 2.0) * ts)
-    lam_theta = lam_branch if theta >= t_b else None
+    t_crit = w * c * (c - 2.0) / (sigma_x2 * (c - 1.0))
+    t_b = w * (c - 2.0) / (sigma_x2 * np.sqrt(c - 1.0))
+    lam_branch = w * 0.5 * (c * root - (c - 2.0) * ts)
     if theta > t_crit:
         lam_top = lam_branch
-        ov = c * theta * sigma_x2**2 / (2.0 * root) - (c - 2.0) * sigma_x2 / 2.0
+        ov = c * (theta / w) * sigma_x2**2 / (2.0 * root) - (c - 2.0) * sigma_x2 / 2.0
     else:
-        lam_top = float(c)
+        lam_top = c * w
         ov = 0.0
     return AnalyticReport(
         theta=float(theta),
         theta_crit=t_crit,
-        lambda_structural=float(c),
-        bulk_edge=bulk,
-        lambda_theta=lam_theta,
+        lambda_structural=c * w,
+        bulk_edge=w * 2.0 * np.sqrt(c - 1.0),
+        lambda_theta=lam_branch if theta > 0 and theta >= t_b else None,
         lambda_top=lam_top,
         overlap_sq=ov,
         theta_b=t_b,

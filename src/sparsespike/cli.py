@@ -110,9 +110,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"mode must be one of {MODES}, got {raw['mode']!r}")
     if "degree" not in raw or not isinstance(raw["degree"], dict):
         raise ConfigError("missing or invalid field 'degree'")
+    for key in ("weight", "spike", "popdyn"):
+        if not isinstance(raw.get(key, {}), dict):
+            raise ConfigError(f"{key} must be a JSON object, got {raw[key]!r}")
     _require_ints(ExperimentConfig, raw, "")
-    if isinstance(raw.get("popdyn"), dict):
-        _require_ints(popdyn.PopDynConfig, raw["popdyn"], "popdyn.")
+    _require_ints(popdyn.PopDynConfig, raw.get("popdyn", {}), "popdyn.")
     cfg = ExperimentConfig(**raw)
     cfg.theta = [float(t) for t in _numbers(cfg.theta, "theta")]
     if not cfg.theta:
@@ -305,7 +307,7 @@ def structural_for(cfg: ExperimentConfig, degree_model, weight_model) -> float:
     ``lambda_structural``, else a population-dynamics solve."""
     w = ensembles.regular_constant_weight(degree_model, weight_model)
     if w is not None:
-        return degree_model.mean_c * w
+        return analytic.rr_report(degree_model.k_max, 1.0, 0.0, w).lambda_structural
     if cfg.lambda_structural is not None:
         return float(cfg.lambda_structural)
     floor = analytic.admissible_lambda_floor(degree_model, weight_model.second_moment_w)
@@ -321,10 +323,11 @@ def structural_for(cfg: ExperimentConfig, degree_model, weight_model) -> float:
 
 def analytic_report_for(models: tuple, lam_struct: float, theta: float) -> analytic.AnalyticReport:
     """Analytic columns of one (c, theta) grid point: the closed forms for
-    unit-weight regular noise, else the resolvent route from ``lam_struct``."""
+    regular constant-weight noise, else the resolvent route from ``lam_struct``."""
     degree_model, weight_model, spike_model = models
-    if ensembles.regular_constant_weight(degree_model, weight_model) == 1.0:
-        return analytic.rr_report(int(degree_model.mean_c), spike_model.sigma_x2, theta)
+    w = ensembles.regular_constant_weight(degree_model, weight_model)
+    if w is not None:
+        return analytic.rr_report(degree_model.k_max, spike_model.sigma_x2, theta, w)
     return analytic.poisson_report(degree_model, weight_model, spike_model, theta, lam_struct)
 
 

@@ -33,10 +33,6 @@ class NotConverged(SolverError):
     """Krylov eigensolver failed to reach the residual tolerance within max_iter."""
 
 
-class NoConvergence(SolverError):
-    """Scalar fixed-point iteration failed to converge (lambda inadmissible)."""
-
-
 class NegativeDenominator(SolverError):
     """A resolvent denominator lambda - k*E[W^2]*m crossed zero during iteration."""
 

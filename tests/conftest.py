@@ -76,14 +76,14 @@ def poisson_structural_diag(poisson_models):
     diagonalization: the mean theta = 0 top eigenvalue of 8 instances at
     N = 4000, its standard error, and the margin a population estimate is
     held to: 3 of those errors plus 0.02 for the upward finite-N shift
-    (5.263 +- 0.007 at N = 4000, 5.250 +- 0.007 at N = 16000)."""
+    (5.263 +- 0.007 at N = 4000, 5.250 +- 0.007 at N = 16000). The
+    theta = 0 instances come with it; instance i's eigensolver stream is
+    derive_rng(77, i, "eig")."""
     dm, wm, sm = poisson_models
-    tops = [
-        spectral.analyze_instance(make_instance(dm, wm, sm, 4000, 0.0, 77, i), rng=derive_rng(77, i, "eig")).lambda_top
-        for i in range(8)
-    ]
+    instances = [make_instance(dm, wm, sm, 4000, 0.0, 77, i) for i in range(8)]
+    tops = [spectral.analyze_instance(a, rng=derive_rng(77, i, "eig")).lambda_top for i, a in enumerate(instances)]
     mean, se = float(np.mean(tops)), float(np.std(tops, ddof=1) / np.sqrt(len(tops)))
-    return {"mean": mean, "se": se, "margin": 3.0 * se + 0.02}
+    return {"mean": mean, "se": se, "margin": 3.0 * se + 0.02, "instances": instances}
 
 
 def make_instance(degree_model, weight_model, spike_model, n, theta, seed, index=0):

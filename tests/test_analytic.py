@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sparsespike import analytic, ensembles, popdyn
-from sparsespike.errors import NegativeDenominator, NoConvergence, RootNotBracketed
+from sparsespike.errors import NegativeDenominator, RootNotBracketed
 
 W1 = ensembles.constant_weight(1.0)
 GAUSS = ensembles.gaussian_spike(1.0)
@@ -13,7 +13,7 @@ GAUSS = ensembles.gaussian_spike(1.0)
 
 def stable_m(lam, degree_model, e_w2):
     """m on the stable branch, read off x = lambda/m."""
-    return lam / analytic._solve_x(lam, degree_model, e_w2)
+    return lam / analytic._Branch(degree_model, e_w2).x_of(lam)
 
 
 def brute_m(lam, degree_model, e_w2, iters=2000):
@@ -44,7 +44,7 @@ class TestSolveM:
         assert abs(m - brute_m(6.0, dm, 1.0)) < 1e-10
 
     def test_below_edge_fails(self):
-        with pytest.raises((NegativeDenominator, NoConvergence)):
+        with pytest.raises(NegativeDenominator):
             stable_m(3.0, ensembles.regular(4), 1.0)
 
 
@@ -87,8 +87,9 @@ class TestQTilde:
         # the tangency-bound (3, 8) edge; the step shrinks with the distance
         for dm in (ensembles.truncated_poisson(4.0, 20), ensembles.truncated_poisson(3.0, 8)):
             edge = analytic.admissible_lambda_floor(dm, 1.0)
+            branch = analytic._Branch(dm, 1.0)
             for lam in (edge * (1.0 + 1e-4), edge * (1.0 + 1e-3), edge * 1.05, 6.0, 8.0, 12.0):
-                qp = analytic._Branch(dm, 1.0).q_prime(analytic._solve_x(lam, dm, 1.0))
+                qp = branch.q_prime(branch.x_of(lam))
                 step = 1e-4 * (lam - edge)
                 fd = (analytic.q_tilde(lam + step, dm, 1.0) - analytic.q_tilde(lam - step, dm, 1.0)) / (2 * step)
                 assert abs(qp - fd) < 1e-7 * abs(qp)
@@ -96,8 +97,9 @@ class TestQTilde:
 
     def test_prime_unbounded_at_edge(self):
         for dm in (ensembles.truncated_poisson(4.0, 20), ensembles.truncated_poisson(3.0, 8)):
+            branch = analytic._Branch(dm, 1.0)
             with pytest.raises(NegativeDenominator):
-                analytic._Branch(dm, 1.0).q_prime(analytic._solve_x(analytic.admissible_lambda_floor(dm, 1.0), dm, 1.0))
+                branch.q_prime(branch.x_of(analytic.admissible_lambda_floor(dm, 1.0)))
 
 
 class TestQGeneral:
@@ -122,6 +124,14 @@ class TestThetaCrit:
 
     def test_marginal_chain(self):
         assert analytic.theta_crit(ensembles.regular(2), W1, GAUSS, 2.0) == 0.0
+
+    @pytest.mark.parametrize("w", [0.7, 1.0, 2.0])
+    @pytest.mark.parametrize("c", [2, 3, 4, 10])
+    def test_regular_constant_weight(self, c, w):
+        # w c (c - 2) / (sigma^2 (c - 1)), the chain c = 2 included, whose
+        # structural eigenvalue c w the route cannot take
+        dm, wm = ensembles.regular(c), ensembles.constant_weight(w)
+        assert analytic.theta_crit(dm, wm, GAUSS, c * w) == pytest.approx(w * c * (c - 2) / (c - 1), rel=1e-15)
 
     def test_large_c_trend_to_dense(self):
         # weights 1/sqrt(c): thresholds rise monotonically to 1/sigma^2,
@@ -270,19 +280,52 @@ class TestRRReport:
             assert rep.lambda_theta > rep.lambda_structural
             assert 0 < rep.overlap_sq <= 1.0
 
-    @pytest.mark.parametrize("c", [2, 3, 4, 10])
-    def test_generic_route_matches_closed_forms(self, c):
+    @pytest.mark.parametrize("c,w", [pytest.param(c, w, id=str(c) if w == 1.0 else f"{c}-w{w}")
+                                     for w in (1.0, 0.7, 2.0) for c in (2, 3, 4, 10)])
+    def test_generic_route_matches_closed_forms(self, c, w):
         # the resolvent route against the closed forms to near machine
         # precision: the branch above theta_b, the overlap above theta_crit;
         # theta_b is 0 for the chain c = 2, so its grid is positive thetas
-        dm = ensembles.regular(c)
-        rep = analytic.rr_report(c, 1.0, 0.0)
+        dm, wm = ensembles.regular(c), ensembles.constant_weight(w)
+        rep = analytic.rr_report(c, 1.0, 0.0, w)
         scale = rep.theta_b if rep.theta_b > 0 else 0.1
         for theta in scale * np.array([1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0]):
-            closed = analytic.rr_report(c, 1.0, theta)
-            assert abs(analytic.lambda_signal(theta, dm, W1, GAUSS) - closed.lambda_theta) < 1e-12
+            closed = analytic.rr_report(c, 1.0, theta, w)
+            assert abs(analytic.lambda_signal(theta, dm, wm, GAUSS) - closed.lambda_theta) < 1e-12
             if theta > closed.theta_crit:
-                assert abs(analytic.signal_and_overlap(theta, dm, W1, GAUSS)[1] - closed.overlap_sq) < 1e-12
+                assert abs(analytic.signal_and_overlap(theta, dm, wm, GAUSS)[1] - closed.overlap_sq) < 1e-12
+
+    @pytest.mark.parametrize("w", [1.0, 0.7])
+    @pytest.mark.parametrize("c", [2, 3, 4, 10])
+    def test_theta_zero_has_no_signal_branch(self, c, w):
+        # theta_b = 0 on the chain c = 2, but theta = 0 has no signal at all
+        assert analytic.rr_report(c, 1.0, 0.0, w).lambda_theta is None
+        assert analytic.rr_report(c, 1.0, 50.0, w).lambda_theta is not None
+
+    @pytest.mark.parametrize("sigma_x2", [1.0, 2.5])
+    @pytest.mark.parametrize("c", [2, 3, 4, 10])
+    def test_weight_scales_the_unit_closed_forms(self, c, sigma_x2):
+        # w times unit-weight noise: eigenvalues and thresholds scale by w at
+        # theta / w, the overlap is the unit-weight one there
+        for w in (0.3, 0.7, 2.0):
+            for theta in (0.5, 1.0, 3.0, 8.0):
+                rep, unit = analytic.rr_report(c, sigma_x2, theta, w), analytic.rr_report(c, sigma_x2, theta / w)
+                for name in ("theta_crit", "theta_b", "lambda_structural", "bulk_edge", "lambda_top"):
+                    assert getattr(rep, name) == pytest.approx(w * getattr(unit, name), rel=1e-15, abs=1e-15)
+                if unit.lambda_theta is None:  # below theta_b
+                    assert rep.lambda_theta is None
+                else:
+                    assert rep.lambda_theta == pytest.approx(w * unit.lambda_theta, rel=1e-15)
+                assert rep.overlap_sq == pytest.approx(unit.overlap_sq, rel=1e-14, abs=1e-15)
+                assert (rep.c_crit, rep.c_b) == pytest.approx((unit.c_crit, unit.c_b), rel=1e-15)
+                # c_crit is the c at which theta is the threshold
+                cc = rep.c_crit
+                assert w * cc * (cc - 2.0) / (sigma_x2 * (cc - 1.0)) == pytest.approx(theta, rel=1e-14)
+
+    @pytest.mark.parametrize("w", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_weight(self, w):
+        with pytest.raises(ValueError, match="w positive"):
+            analytic.rr_report(4, 1.0, 4.0, w)
 
     def test_rr_vs_generic_pipeline(self):
         # closed forms against the generic resolvent machinery, 1e-6

@@ -147,6 +147,12 @@ class TestConfigParsing:
          "lambda_structural=4.2 is below the spectral edge 4.25883741616"),
         ({"mode": "sweep", "degree": PO3, "c_grid": [3, 5], "lambda_structural": 4.3},
          "lambda_structural=4.3 is below the spectral edge 4.42650712585"),
+        # a law or popdyn block must be an object, as degree is, not a list of pairs
+        ({"mode": "analytic", "degree": RR4, "weight": [["kind", "constant"], ["w", 1.0]]},
+         "weight must be a JSON object"),
+        ({"mode": "analytic", "degree": RR4, "spike": [["kind", "gaussian"]]}, "spike must be a JSON object"),
+        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": [["n_pop", 1000]]},
+         "popdyn must be a JSON object"),
     ])
     def test_rejects_bad_fields(self, raw, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -224,6 +230,29 @@ class TestAnalyticMode:
         rows = _csv_rows(tmp_path / "analytic.csv")
         assert [float(r["lambda_structural"]) for r in rows] == [2.8] * 3
         assert all(float(r["lambda_top"]) >= 2.8 for r in rows)
+
+    def test_regular_weight_reads_every_closed_form(self, tmp_path):
+        # w != 1 fills theta_b, c_crit and c_b too, the closed forms scaled by w
+        path = write_config(tmp_path, mode="analytic", degree=RR4, weight={"kind": "constant", "w": 0.7},
+                            theta=[0.5, 2.0, 5.0])
+        assert cli.main([path, "--out-dir", str(tmp_path)]) == 0
+        for row in _csv_rows(tmp_path / "analytic.csv"):
+            rep = cli.analytic.rr_report(4, 1.0, float(row["theta"]), 0.7)
+            for name, value in rep.as_flat_dict().items():
+                assert float(row[name]) == value
+            assert (row["lambda_theta"] == "") == (rep.lambda_theta is None)
+        assert float(row["theta_b"]) == pytest.approx(0.8083, abs=1e-4)
+
+    @pytest.mark.parametrize("mode", ["analytic", "sweep"])
+    def test_regular_chain_theta_zero_has_no_signal(self, tmp_path, mode):
+        # theta_b = 0 on the chain c = 2, yet theta = 0 has no signal branch
+        path = write_config(tmp_path, mode=mode, degree={"kind": "regular", "c": 2}, theta=[0.0, 1.0],
+                            n=60, instances=1)
+        assert cli.main([path, "--out-dir", str(tmp_path)]) == 0
+        column = "lambda_theta" if mode == "analytic" else "analytic_lambda_theta"
+        rows = _csv_rows(tmp_path / f"{mode}.csv")
+        assert rows[0][column] == ""
+        assert float(rows[1][column]) > 2.0
 
     def test_structural_eigenvalue_solved(self, tmp_path, poisson_structural_diag):
         # no lambda_structural in the config: the population solver supplies it
@@ -647,3 +676,4 @@ def test_farm_forks_after_eigensolver_import(tmp_path, mode):
             "cli._farm = wrapped\n"
             "assert cli.main(sys.argv[1:]) == 0")
     assert _python(code, path) == "True"
+

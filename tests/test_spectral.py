@@ -2,10 +2,12 @@
 the matvec budget, variational dominance, and the empirical recovery
 observables."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sparsespike import ensembles, graphgen, spectral
+from sparsespike import analytic, ensembles, graphgen, spectral
 from sparsespike.cli import derive_rng
 from sparsespike.errors import NotConverged
 from conftest import make_instance
@@ -215,3 +217,21 @@ class TestObservables:
         products = a.x * rep.v_top
         assert abs(products.mean() - rep.overlap) < 1e-12
         assert abs(rep.v_top @ rep.v_top - a.n) < 1e-8 * a.n
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.15])
+def test_poisson_transition_at_theta_crit(factor, poisson_models, poisson_structural_diag):
+    # the transition itself on heterogeneous noise: theta_crit read by the
+    # route at the diagonalized structural eigenvalue; the fixture's 8
+    # Poisson(4, 20) instances at N = 4000 (seed 77) show no overlap 10%
+    # below it and the route's overlap 15% above it (seeds 77-82 read
+    # overlap^2 0.004-0.031 below, and within 0.026 of 0.81 above, SE 0.008-0.013)
+    dm, wm, sm = poisson_models
+    theta = factor * analytic.theta_crit(dm, wm, sm, poisson_structural_diag["mean"])
+    ov2 = np.array([spectral.analyze_instance(replace(a, theta=theta), rng=derive_rng(77, i, "eig")).overlap_sq
+                    for i, a in enumerate(poisson_structural_diag["instances"])])
+    se = ov2.std(ddof=1) / np.sqrt(ov2.size)
+    if factor < 1:
+        assert ov2.mean() < 0.1
+    else:
+        assert abs(ov2.mean() - analytic.signal_and_overlap(theta, dm, wm, sm)[1]) < 0.05 + 3.0 * se
