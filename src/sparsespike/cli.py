@@ -20,14 +20,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import analytic, ensembles, graphgen, observables, popdyn, spectral
-from .errors import (
-    ConfigError,
-    GenerationError,
-    SolverError,
-    SparseSpikeError,
-)
-
-MODES = ("analytic", "popdyn", "diag", "densities", "sweep")
+from .errors import ConfigError, SolverError, SparseSpikeError
 
 
 def seed_derivation(master_seed: int, instance_index: int, role_tag: str) -> int:
@@ -66,19 +59,11 @@ class ExperimentConfig:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _integer(value, name: str) -> int:
-    """``value`` if it is an int; a bool or a float (1.0 included) is a ConfigError."""
-    try:
-        return ensembles._integer(value, name)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _require_ints(cls, raw: dict, prefix: str) -> None:
     """Reject a value that is not an int (1.0 included) in an int field of ``cls``."""
     for f in fields(cls):
         if f.type in (int, "int") and f.name in raw:
-            _integer(raw[f.name], prefix + f.name)
+            ensembles._integer(raw[f.name], prefix + f.name)
 
 
 def _number(value, name: str) -> float:
@@ -98,6 +83,15 @@ def _numbers(value, name: str) -> list:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
+    """``raw`` as a checked config. A ValueError or TypeError that a check
+    raises, a model constructor's included, becomes a ConfigError here."""
+    try:
+        return _checked_config(raw)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _checked_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     known = set(ExperimentConfig.__dataclass_fields__)
@@ -153,20 +147,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"{name} must be {what}, got {getattr(cfg, name)!r}")
     if cfg.density_samples < 1:
         raise ConfigError("density_samples must be >= 1")
-    try:
-        for c_value in cfg.c_grid if cfg.c_grid is not None else [None]:
-            degree_model, weight_model, _ = build_models(cfg, c_value)
-            if cfg.mode not in ("analytic", "sweep"):
-                continue
-            if degree_model.kind not in analytic.RESOLVENT_KINDS:
-                raise ConfigError(f"{cfg.mode} mode has no theta_crit route for a {degree_model.kind!r} degree table")
-            if cfg.lambda_structural is not None and ensembles.regular_constant_weight(degree_model, weight_model) is None:
-                edge = analytic.admissible_lambda_floor(degree_model, weight_model.second_moment_w)
-                if cfg.lambda_structural < edge:
-                    raise ConfigError(f"lambda_structural={cfg.lambda_structural:g} is below the spectral edge {edge:.12g}")
-        popdyn.PopDynConfig(**cfg.popdyn)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    for c_value in cfg.c_grid if cfg.c_grid is not None else [None]:
+        degree_model, weight_model, _ = build_models(cfg, c_value)
+        if cfg.mode not in ("analytic", "sweep"):
+            continue
+        if degree_model.kind not in analytic.RESOLVENT_KINDS:
+            raise ConfigError(f"{cfg.mode} mode has no theta_crit route for a {degree_model.kind!r} degree table")
+        if cfg.lambda_structural is not None and ensembles.regular_constant_weight(degree_model, weight_model) is None:
+            edge = analytic.admissible_lambda_floor(degree_model, weight_model.second_moment_w)
+            if cfg.lambda_structural < edge:
+                raise ConfigError(f"lambda_structural={cfg.lambda_structural:g} is below the spectral edge {edge:.12g}")
+    popdyn.PopDynConfig(**cfg.popdyn)
     return cfg
 
 
@@ -174,8 +165,8 @@ def build_models(cfg: ExperimentConfig, c_value=None):
     """Instantiate (degree, weight, spike) models; c_value overrides the
     degree parameter for sweep grid points. An int parameter must be an int
     and a real one a finite number, and a law may hold no field its kind
-    does not read (ConfigError otherwise), so the models run the values the
-    config and its CSV columns show."""
+    does not read (ValueError or ConfigError otherwise), so the models run
+    the values the config and its CSV columns show."""
     deg = dict(cfg.degree)
     kind = deg.pop("kind", None)
 
@@ -184,10 +175,10 @@ def build_models(cfg: ExperimentConfig, c_value=None):
         return (value, f"degree.{key}") if c_value is None else (c_value, "c_grid entry")
 
     if kind == "regular":
-        degree_model = ensembles.regular(_integer(*degree_param("c")))
+        degree_model = ensembles.regular(ensembles._integer(*degree_param("c")))
     elif kind == "truncated_poisson":
         degree_model = ensembles.truncated_poisson(_number(*degree_param("cbar")),
-                                                   _integer(deg.pop("k_max", 20), "degree.k_max"))
+                                                   ensembles._integer(deg.pop("k_max", 20), "degree.k_max"))
     elif kind == "table":
         degree_model = ensembles.degree_table(deg.pop("probs", None))
     else:
@@ -273,11 +264,13 @@ def _load_eigensolver() -> None:
 
 
 def _farm(cfg: ExperimentConfig, tasks: list) -> list:
-    """Run instance tasks, deterministically ordered by task index."""
-    if cfg.workers > 1:
+    """Run instance tasks, deterministically ordered by task index, on at
+    most one worker per task."""
+    workers = min(cfg.workers, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only for a pool
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_instance_row, tasks))
     else:
         rows = [_instance_row(t) for t in tasks]
@@ -292,11 +285,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _header(cfg: ExperimentConfig) -> tuple:
+    """Every artifact's header lines, each written after "# ": the canonical
+    config and the master seed."""
+    return f"config: {cfg.canonical()}", f"seed: {cfg.seed}"
+
+
 def _write_csv(path: str, fieldnames: list, rows: list, cfg: ExperimentConfig) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(f"# config: {cfg.canonical()}\n")
-        fh.write(f"# seed: {cfg.seed}\n")
-        fh.write(",".join(fieldnames) + "\n")
+        fh.write("".join(f"# {line}\n" for line in _header(cfg)) + ",".join(fieldnames) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(row.get(name)) for name in fieldnames) + "\n")
 
@@ -470,7 +467,7 @@ def run_densities(cfg: ExperimentConfig) -> dict:
     models = build_models(cfg)
     theta = cfg.theta[0]
     pop = _load_checkpoint(cfg, theta, models) if cfg.checkpoint else _solve(cfg, 0, theta, models)[0]
-    header = (f"config: {cfg.canonical()}", f"seed: {cfg.seed}")
+    header = _header(cfg)
     top, ov = observables.component_densities(pop, *models, cfg.density_samples, derive_rng(cfg.seed, 1, "rho_top"))
     # before the writers: its temporary on top of what they leave in the heap would set the peak memory
     moments = observables.overlap_moments(ov)
@@ -507,23 +504,17 @@ def run_sweep(cfg: ExperimentConfig) -> list:
     return out
 
 
+RUNNERS = {"analytic": run_analytic, "popdyn": run_popdyn, "diag": run_diag, "densities": run_densities,
+           "sweep": run_sweep}
+MODES = tuple(RUNNERS)
+
+
 def run(cfg: ExperimentConfig) -> int:
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create out_dir {cfg.out_dir!r}: {exc}") from exc
-    if cfg.mode == "analytic":
-        run_analytic(cfg)
-    elif cfg.mode == "diag":
-        run_diag(cfg)
-    elif cfg.mode == "popdyn":
-        run_popdyn(cfg)
-    elif cfg.mode == "densities":
-        run_densities(cfg)
-    elif cfg.mode == "sweep":
-        run_sweep(cfg)
-    else:
-        raise ConfigError(f"unknown mode {cfg.mode!r}")
+    RUNNERS[cfg.mode](cfg)
     return 0
 
 
@@ -537,30 +528,19 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", default=None, help="override the output directory")
     parser.add_argument("--workers", type=int, default=None, help="override the worker count")
     args = parser.parse_args(argv)
-    try:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     overrides = {"seed": args.seed, "out_dir": args.out_dir, "workers": args.workers}
-    if isinstance(raw, dict):  # parse_config rejects any other JSON value
-        raw.update((key, value) for key, value in overrides.items() if value is not None)
     try:
-        cfg = parse_config(raw)
-        return run(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except GenerationError as exc:
-        print(f"generation failure: {exc}", file=sys.stderr)
-        return 4
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+            raise ConfigError(str(exc)) from exc
+        if isinstance(raw, dict):  # parse_config rejects any other JSON value
+            raw.update((key, value) for key, value in overrides.items() if value is not None)
+        return run(parse_config(raw))
     except SparseSpikeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

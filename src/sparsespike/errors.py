@@ -1,20 +1,26 @@
 """Exception hierarchy shared across the package.
 
-Error classes map onto CLI exit codes: ConfigError -> 2, solver
-non-convergence -> 3, instance-generation failure -> 4.
+Each family carries the CLI exit code and the stderr label of its errors:
+ConfigError 2, SolverError 3, GenerationError 4, any other package error 1.
 """
 
 
 class SparseSpikeError(Exception):
     """Base class for all package errors."""
 
+    exit_code, label = 1, "error"
+
 
 class ConfigError(SparseSpikeError):
     """Invalid experiment configuration (bad field, missing key, bad grid)."""
 
+    exit_code, label = 2, "config error"
+
 
 class GenerationError(SparseSpikeError):
     """Base for graph/instance generation failures."""
+
+    exit_code, label = 4, "generation failure"
 
 
 class InfeasibleSequence(GenerationError):
@@ -27,6 +33,8 @@ class RestartBudgetExhausted(GenerationError):
 
 class SolverError(SparseSpikeError):
     """Base for iterative-solver failures."""
+
+    exit_code, label = 3, "solver failure"
 
 
 class NotConverged(SolverError):

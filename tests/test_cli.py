@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sparsespike import cli, popdyn
-from sparsespike.errors import ConfigError
+from sparsespike.errors import ConfigError, GenerationError, SolverError, SparseSpikeError
 
 
 def write_config(tmp_path, **fields):
@@ -554,8 +554,28 @@ class TestDensitiesCheckpoint:
 
 
 class TestMainExitCodes:
+    @pytest.mark.parametrize("error,code,label", [
+        (SparseSpikeError, 1, "error"),
+        (ConfigError, 2, "config error"),
+        (SolverError, 3, "solver failure"),
+        (GenerationError, 4, "generation failure"),
+    ])
+    def test_each_error_family(self, tmp_path, capsys, monkeypatch, error, code, label):
+        def failing(cfg):
+            raise error("at run")
+
+        monkeypatch.setattr(cli, "run", failing)
+        assert cli.main([write_config(tmp_path, mode="analytic", degree=RR4)]) == code
+        assert capsys.readouterr().err == f"{label}: at run\n"
+
     def test_missing_file(self, capsys):
         assert cli.main(["/nonexistent/config.json"]) == 2
+
+    def test_file_that_is_not_text(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff{}")
+        assert cli.main([str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_config_error(self, tmp_path):
         path = write_config(tmp_path, mode="warp", degree=RR4)
@@ -662,6 +682,34 @@ def test_densities_run_loads_no_scipy(tmp_path):
     code = ("import sys; from sparsespike import cli; "
             f"assert cli.main(sys.argv[1:]) == 0; print({SCIPY_LOADED})")
     assert _python(code, path).splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("instances,pools", [(2, [2]), (1, [])])
+def test_farm_starts_no_more_workers_than_tasks(tmp_path, monkeypatch, instances, pools):
+    # a process pool forks all max_workers processes at its first submit; this
+    # stand-in records the size it is asked for and runs the tasks here
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    raw = {"mode": "diag", "degree": RR4, "theta": [4.0], "n": 50, "instances": instances, "out_dir": str(tmp_path)}
+    rows = cli.run_diag(cli.parse_config({**raw, "workers": 8}))
+    assert sizes == pools
+    assert rows == cli.run_diag(cli.parse_config(raw))
 
 
 @pytest.mark.parametrize("mode", ["diag", "sweep"])
