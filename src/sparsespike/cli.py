@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import analytic, ensembles, graphgen, observables, popdyn, spectral
-from .errors import ConfigError, SolverError, SparseSpikeError
+from .errors import ConfigError, SparseSpikeError
 
 
 def seed_derivation(master_seed: int, instance_index: int, role_tag: str) -> int:
@@ -50,7 +50,6 @@ class ExperimentConfig:
     eig_tol: float = 1e-10
     eig_max_iter: int = 20_000
     lambda_structural: float | None = None
-    warm_start: bool = True
     density_samples: int = 200_000
     checkpoint: str | None = None
     save_checkpoint: bool = False
@@ -141,10 +140,13 @@ def _checked_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("eig_tol must be positive")
     if cfg.lambda_structural is not None:
         _number(cfg.lambda_structural, "lambda_structural")
-    for name, kind, what in (("warm_start", bool, "true or false"), ("save_checkpoint", bool, "true or false"),
-                             ("out_dir", str, "a string"), ("checkpoint", (str, type(None)), "a string or null")):
+    for name, kind, what in (("save_checkpoint", bool, "true or false"), ("out_dir", str, "a string"),
+                             ("checkpoint", (str, type(None)), "a string or null")):
         if not isinstance(getattr(cfg, name), kind):
             raise ConfigError(f"{name} must be {what}, got {getattr(cfg, name)!r}")
+    names = [_checkpoint_name(theta) for theta in cfg.theta]
+    if cfg.save_checkpoint and len(set(names)) < len(names):
+        raise ConfigError(f"theta values {cfg.theta} would share a checkpoint name: {names}")
     if cfg.density_samples < 1:
         raise ConfigError("density_samples must be >= 1")
     for c_value in cfg.c_grid if cfg.c_grid is not None else [None]:
@@ -409,24 +411,18 @@ def _aggregate(rows: list) -> list:
 
 
 def _solve(cfg: ExperimentConfig, index: int, theta: float, models: tuple):
-    """``popdyn.solve`` at theta on stream ``index``, warm-started at the
-    resolvent route's (lambda, q) unless warm starts are off or the route
-    has no signal root."""
-    warm = None
-    if cfg.warm_start:
-        try:
-            lam, ov = analytic.signal_and_overlap(theta, *models)
-            warm = lam, float(np.sqrt(ov))
-        except SolverError:
-            pass
+    """``popdyn.solve`` at theta on stream ``index``, at the resolvent
+    route's (lambda, q); a route without a signal root raises its SolverError."""
+    lam, ov = analytic.signal_and_overlap(theta, *models)
     return popdyn.solve(theta, *models, popdyn.PopDynConfig(**cfg.popdyn), derive_rng(cfg.seed, index, "popdyn"),
-                        warm_start=warm)
+                        lam, float(np.sqrt(ov)))
 
 
-POPDYN_FIELDS = [
-    "theta", "c", "lambda", "q", "overlap_sq", "alpha1", "alpha2", "alpha1_se", "alpha2_se",
-    "sweeps", "rescale_rounds",
-]
+def _checkpoint_name(theta: float) -> str:
+    return f"population_theta{theta:g}.npz"
+
+
+POPDYN_FIELDS = ["theta", "c", "lambda", "q", "overlap_sq", "alpha1", "alpha2", "alpha1_se", "alpha2_se", "sweeps"]
 
 
 def run_popdyn(cfg: ExperimentConfig) -> list:
@@ -441,11 +437,10 @@ def run_popdyn(cfg: ExperimentConfig) -> list:
             "overlap_sq": q * q,
             "alpha1": last["alpha1"], "alpha2": last["alpha2"],
             "alpha1_se": last["alpha1_se"], "alpha2_se": last["alpha2_se"],
-            "sweeps": pop.sweep_count, "rescale_rounds": diag["rounds"],
+            "sweeps": pop.sweep_count,
         })
         if cfg.save_checkpoint:
-            popdyn.save_population(pop, os.path.join(cfg.out_dir, f"population_theta{theta:g}.npz"), models,
-                                   seed=cfg.seed)
+            popdyn.save_population(pop, os.path.join(cfg.out_dir, _checkpoint_name(theta)), models, seed=cfg.seed)
     _write_csv(os.path.join(cfg.out_dir, "popdyn.csv"), POPDYN_FIELDS, rows, cfg)
     return rows
 

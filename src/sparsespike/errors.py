@@ -61,5 +61,5 @@ class MaxSweepsExceeded(SolverError):
     """Population moments failed to plateau within the sweep budget."""
 
 
-class MaxRescalesExceeded(SolverError):
-    """(q, lambda) rescaling loop failed to converge within the outer budget."""
+class AlphaMismatch(SolverError):
+    """alpha1 or alpha2 of a solved population is further than alpha_tol from 1."""

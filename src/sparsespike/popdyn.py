@@ -1,6 +1,6 @@
 """Population-dynamics solver for the joint law of cavity precision/bias
-pairs (omega, h), including the rescaling loop that pins down the order
-parameters (q, lambda) for a given signal strength theta.
+pairs (omega, h), and its check of given order parameters (q, lambda), such
+as the resolvent route's, at a signal strength theta.
 
 A population is a Monte Carlo representation of the fixed-point density:
 N_p pairs updated by replacement. One sweep replaces every slot once, in
@@ -11,8 +11,7 @@ when each of the four moments (mean and variance of omega and h) has the
 same mean over the last two windows of 10 sweeps to within 3 standard
 errors of that moment in the population, a test that scales with N_p.
 All randomness flows through the caller's Generator, so equal seeds
-reproduce populations, alpha estimates, and rescale trajectories bit for
-bit.
+reproduce populations and alpha estimates bit for bit.
 """
 
 from __future__ import annotations
@@ -24,12 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import _PIECE, DegreeModel, SpikeModel, WeightModel
-from .errors import (
-    MaxRescalesExceeded,
-    MaxSweepsExceeded,
-    NonPositiveDenominator,
-    NonPositiveOmega,
-)
+from .errors import AlphaMismatch, MaxSweepsExceeded, NonPositiveDenominator, NonPositiveOmega
 
 MOMENT_KEYS = ("mean_omega", "var_omega", "mean_h", "var_h")
 
@@ -87,31 +81,28 @@ _GROWTH_READ = 20
 @dataclass(frozen=True)
 class PopDynConfig:
     n_pop: int = 200_000
-    lambda_init: float = 10.0
     alpha_tol: float = 1e-2
-    max_rescales: int = 50
     alpha_samples: int = 1_000_000
     max_sweeps: int = 600
 
     def __post_init__(self):
         if self.n_pop < 2:
             raise ValueError("n_pop must be at least 2")
-        for name in ("alpha_tol", "lambda_init"):
-            value = getattr(self, name)
-            # the bound rejects NaN, infinity and an int too large for a double
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= sys.float_info.max:
-                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-        if self.max_rescales < 1 or self.max_sweeps < 1 or self.alpha_samples < 1:
+        tol = self.alpha_tol
+        # the bound rejects NaN, infinity and an int too large for a double
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol <= sys.float_info.max:
+            raise ValueError(f"alpha_tol must be a finite positive number, got {tol!r}")
+        if self.max_sweeps < 1 or self.alpha_samples < 1:
             raise ValueError("budgets must be positive")
 
 
-def init_population(config: PopDynConfig, rng: np.random.Generator, theta: float = 0.0) -> Population:
-    """Uniformly initialized population with the configured lambda."""
+def init_population(config: PopDynConfig, rng: np.random.Generator, lam: float, theta: float = 0.0) -> Population:
+    """Uniformly initialized population at lambda ``lam``."""
     return Population(
         omega=rng.uniform(*_OMEGA_INIT, config.n_pop),
         h=rng.uniform(*_H_INIT, config.n_pop),
         q=_Q_INIT,
-        lam=config.lambda_init,
+        lam=float(lam),
         theta=float(theta),
     )
 
@@ -348,23 +339,6 @@ def alpha_pair(
     )
 
 
-def q_general(
-    pop: Population,
-    degree_model: DegreeModel,
-    weight_model: WeightModel,
-    rng: np.random.Generator,
-    samples: int = 1_000_000,
-) -> float:
-    """Monte Carlo Q_hat(lambda) = < integral {dpi}_k {drho_W}_k
-    1/(lambda - {W^2/omega}_k) > over an equilibrated population, the mean
-    that ``alpha_pair``'s alpha2 scales by theta sigma_x^2; the counterpart
-    of ``analytic.q_tilde``. The gather's bias sums are not used."""
-    total = 0.0
-    for _, den, _ in _full_nodes(pop, degree_model, weight_model, samples, rng):
-        total += float(np.divide(1.0, den, out=den).sum())
-    return total / samples
-
-
 def solve(
     theta: float,
     degree_model: DegreeModel,
@@ -372,41 +346,32 @@ def solve(
     spike_model: SpikeModel,
     config: PopDynConfig,
     rng: np.random.Generator,
-    warm_start: tuple[float, float] | None = None,
+    lam: float,
+    q: float,
 ):
-    """Alternate equilibration and (q, lambda) rescaling until alpha1 and
-    alpha2 sit at 1 within the configured tolerance.
+    """Check (lambda, q), e.g. the resolvent route's, by one pass of
+    population dynamics: build the population there, equilibrate it once
+    and estimate one alpha pair. The population is accepted if alpha1 and
+    alpha2 both sit within the configured tolerance of 1; otherwise
+    AlphaMismatch is raised.
 
-    ``warm_start=(lambda, q)`` seeds the parameters (e.g. from closed-form
-    predictions); the population is still equilibrated and the alphas
-    verified before the triple is accepted.
-
-    Returns (population, q, lambda, diagnostics).
+    Returns (population, q, lambda, diagnostics), ``diagnostics["history"]``
+    holding the one pass's entry.
     """
     if theta <= 0:
         raise ValueError("solve targets the spiked phase; use theta > 0")
-    pop = init_population(config, rng, theta=theta)
-    if warm_start is not None:
-        pop.lam, pop.q = float(warm_start[0]), float(warm_start[1])
-    history = []
-    for round_idx in range(config.max_rescales):
-        eq = equilibrate(pop, config, degree_model, weight_model, spike_model, rng)
-        a1, se1, a2, se2 = alpha_pair(
-            pop, degree_model, weight_model, spike_model, rng, config.alpha_samples
+    pop = init_population(config, rng, lam, theta)
+    pop.q = float(q)
+    eq = equilibrate(pop, config, degree_model, weight_model, spike_model, rng)
+    a1, se1, a2, se2 = alpha_pair(pop, degree_model, weight_model, spike_model, rng, config.alpha_samples)
+    if not (abs(a1 - 1.0) <= config.alpha_tol and abs(a2 - 1.0) <= config.alpha_tol):
+        raise AlphaMismatch(
+            f"alphas not within {config.alpha_tol:g} of 1 at lambda={pop.lam:g}, q={pop.q:g}: "
+            f"alpha1={a1:.4f} +/- {se1:.4f}, alpha2={a2:.4f} +/- {se2:.4f}"
         )
-        history.append(
-            {"round": round_idx, "lambda": pop.lam, "q": pop.q, "alpha1": a1, "alpha2": a2,
-             "alpha1_se": se1, "alpha2_se": se2, "sweeps": eq["sweeps"], "moment_se": eq["moment_se"]}
-        )
-        if abs(a1 - 1.0) <= config.alpha_tol and abs(a2 - 1.0) <= config.alpha_tol:
-            diagnostics = {"history": history, "rounds": round_idx + 1, "final_equilibration": eq}
-            return pop, pop.q, pop.lam, diagnostics
-        pop.q = float(pop.q / np.sqrt(a1))
-        pop.lam = float(pop.lam * a2)
-    raise MaxRescalesExceeded(
-        f"alphas not within {config.alpha_tol:g} of 1 after {config.max_rescales} rescalings "
-        f"(last: alpha1={history[-1]['alpha1']:.4f}, alpha2={history[-1]['alpha2']:.4f})"
-    )
+    entry = {"lambda": pop.lam, "q": pop.q, "alpha1": a1, "alpha2": a2, "alpha1_se": se1, "alpha2_se": se2,
+             "sweeps": eq["sweeps"], "moment_se": eq["moment_se"]}
+    return pop, pop.q, pop.lam, {"history": [entry], "rounds": 1, "final_equilibration": eq}
 
 
 def structural_lambda(

@@ -33,16 +33,14 @@ def rr_models():
 
 @pytest.fixture(scope="session")
 def poisson_solved(poisson_models):
-    """Poisson c=4, k_max=20, theta=6 population, warm-started from the
-    resolvent route; moderate size for unit-test speed."""
+    """Poisson c=4, k_max=20, theta=6 population, solved at the resolvent
+    route's (lambda, q); moderate size for unit-test speed."""
     dm, wm, sm = poisson_models
     theta = 6.0
     lam, ov = analytic.signal_and_overlap(theta, dm, wm, sm)
     q = float(np.sqrt(ov))
     config = popdyn.PopDynConfig(n_pop=50_000, alpha_samples=400_000)
-    pop, q_out, lam_out, diag = popdyn.solve(
-        theta, dm, wm, sm, config, np.random.default_rng(1234), warm_start=(lam, q)
-    )
+    pop, q_out, lam_out, diag = popdyn.solve(theta, dm, wm, sm, config, np.random.default_rng(1234), lam, q)
     return {"pop": pop, "lambda_analytic": lam, "q_analytic": q, "diag": diag, "theta": theta}
 
 
@@ -51,8 +49,8 @@ def theta_zero_poisson_pop(poisson_models):
     """theta = 0 population at an admissible lambda (structural reduction);
     its h moments decay to zero."""
     dm, wm, _ = poisson_models
-    config = popdyn.PopDynConfig(n_pop=20_000, lambda_init=6.0)
-    pop = popdyn.init_population(config, np.random.default_rng(0), theta=0.0)
+    config = popdyn.PopDynConfig(n_pop=20_000)
+    pop = popdyn.init_population(config, np.random.default_rng(0), 6.0, theta=0.0)
     popdyn.equilibrate(pop, config, dm, wm, None, np.random.default_rng(1))
     return pop
 
@@ -64,8 +62,7 @@ def rr_solved(rr_models):
     rep = analytic.rr_report(4, 1.0, 4.0)
     config = popdyn.PopDynConfig(n_pop=20_000, alpha_samples=200_000)
     pop, q_out, lam_out, diag = popdyn.solve(
-        4.0, dm, wm, sm, config, np.random.default_rng(77),
-        warm_start=(rep.lambda_top, float(np.sqrt(rep.overlap_sq))),
+        4.0, dm, wm, sm, config, np.random.default_rng(77), rep.lambda_top, float(np.sqrt(rep.overlap_sq)),
     )
     return {"pop": pop, "report": rep, "diag": diag}
 

@@ -52,8 +52,7 @@ def poisson_full_solve():
     lam_an, ov_an = analytic.signal_and_overlap(theta, dm, wm, sm)
     config = popdyn.PopDynConfig(n_pop=200_000)
     pop, q, lam, diag = popdyn.solve(
-        theta, dm, wm, sm, config, derive_rng(SEED, 0, "popdyn"),
-        warm_start=(lam_an, float(np.sqrt(ov_an))),
+        theta, dm, wm, sm, config, derive_rng(SEED, 0, "popdyn"), lam_an, float(np.sqrt(ov_an)),
     )
     return {"pop": pop, "lambda_analytic": lam_an, "overlap_analytic": ov_an,
             "diag": diag, "models": (dm, wm, sm), "theta": theta}
@@ -175,8 +174,8 @@ def test_criterion_6_structural_zero_spike_reduction():
     """theta=0: popdyn collapsed fixed point gives lambda_top = 4 within
     1e-6; signed empirical overlap within 3 std-err of 0 over 25 instances."""
     dm, wm, sm = rr4_models()
-    config = popdyn.PopDynConfig(n_pop=20_000, lambda_init=4.0)
-    pop = popdyn.init_population(config, derive_rng(SEED + 3, 0, "init"))
+    config = popdyn.PopDynConfig(n_pop=20_000)
+    pop = popdyn.init_population(config, derive_rng(SEED + 3, 0, "init"), 4.0)
     popdyn.equilibrate(pop, config, dm, wm, None, derive_rng(SEED + 3, 0, "eq"))
     om_bar = pop.omega.mean()
     lam_top = om_bar + 3.0 / om_bar

@@ -75,10 +75,11 @@ class TestQTilde:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_population_cross_oracle(self, poisson_solved, poisson_models):
-        # Q_hat from the equilibrated population against the fixed-point route
-        dm, wm, _ = poisson_models
+        # Q_hat = alpha2 / (theta sigma^2) from the equilibrated population
+        # against the fixed-point route
+        dm, wm, sm = poisson_models
         pop = poisson_solved["pop"]
-        qhat = popdyn.q_general(pop, dm, wm, np.random.default_rng(0), 400_000)
+        qhat = popdyn.alpha_pair(pop, dm, wm, sm, np.random.default_rng(0), 400_000)[2] / pop.theta
         qfix = analytic.q_tilde(pop.lam, dm, 1.0)
         assert abs(qhat - qfix) / qfix < 3e-3
 
@@ -103,18 +104,20 @@ class TestQTilde:
 
 
 class TestQGeneral:
+    """Q_hat read as ``alpha_pair``'s alpha2 at theta sigma^2 = 1."""
+
     def test_collapsed_rr_population(self):
         # omega identically 3 at lambda = 4: every sample sees the same
         # denominator 4 - 4/3 = 8/3, so Q_hat = 3/8 with zero variance
         pop = popdyn.Population(omega=np.full(1000, 3.0), h=np.zeros(1000),
-                                q=0.0, lam=4.0, theta=0.0)
-        qhat = popdyn.q_general(pop, ensembles.regular(4), W1, np.random.default_rng(0), 20_000)
+                                q=0.0, lam=4.0, theta=1.0)
+        qhat = popdyn.alpha_pair(pop, ensembles.regular(4), W1, GAUSS, np.random.default_rng(0), 20_000)[2]
         assert abs(qhat - 0.375) < 1e-12
 
     def test_large_lambda(self):
         pop = popdyn.Population(omega=np.full(1000, 3.0), h=np.zeros(1000),
-                                q=0.0, lam=1e6, theta=0.0)
-        qhat = popdyn.q_general(pop, ensembles.regular(4), W1, np.random.default_rng(2), 5_000)
+                                q=0.0, lam=1e6, theta=1.0)
+        qhat = popdyn.alpha_pair(pop, ensembles.regular(4), W1, GAUSS, np.random.default_rng(2), 5_000)[2]
         assert abs(qhat - 1e-6) < 1e-8
 
 
@@ -338,8 +341,8 @@ class TestRRReport:
         om_bar = 0.5 * (rep.lambda_top + np.sqrt(rep.lambda_top**2 - 12.0))
         pop = popdyn.Population(omega=np.full(100, om_bar), h=np.zeros(100),
                                 q=0.0, lam=rep.lambda_top, theta=4.0)
-        qhat = popdyn.q_general(pop, ensembles.regular(4), W1, np.random.default_rng(0), 1000)
-        assert abs(4.0 * qhat - 1.0) < 1e-9  # theta sigma^2 Q(lambda_theta) = 1
+        alpha2 = popdyn.alpha_pair(pop, ensembles.regular(4), W1, GAUSS, np.random.default_rng(0), 1000)[2]
+        assert abs(alpha2 - 1.0) < 1e-9  # theta sigma^2 Q(lambda_theta) = 1
 
 
 def stability_margin(lam, degree_model, e_w2):

@@ -114,8 +114,8 @@ class TestConfigParsing:
         ({"mode": "analytic", "degree": PO3, "lambda_structural": "5.0"}, "lambda_structural must be a finite number"),
         ({"mode": "analytic", "degree": PO3, "lambda_structural": True}, "lambda_structural must be a finite number"),
         ({"mode": "analytic", "degree": PO3, "lambda_structural": float("inf")}, "lambda_structural must be"),
-        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "warm_start": "no"}, "warm_start must be true or false"),
-        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "warm_start": 0}, "warm_start must be true or false"),
+        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "warm_start": True}, "unknown config field 'warm_start'"),
+        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"max_rescales": 1}}, "max_rescales"),
         ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "save_checkpoint": "false"},
          "save_checkpoint must be true or false"),
         ({"mode": "diag", "degree": RR4, "out_dir": 5}, "out_dir must be a string"),
@@ -127,8 +127,7 @@ class TestConfigParsing:
          "alpha_tol must be a finite positive number"),
         ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"alpha_tol": True}},
          "alpha_tol must be a finite positive number"),
-        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "warm_start": False, "popdyn": {"lambda_init": float("inf")}},
-         "lambda_init must be a finite positive number"),
+        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"lambda_init": 10.0}}, "lambda_init"),
         # a law field its kind does not read would run unread, or show in a CSV column it does not set
         ({"mode": "diag", "degree": {"kind": "regular", "c": 4, "cbar": 9, "k_max": 3}},
          "a 'regular' degree law does not read 'cbar', 'k_max'"),
@@ -475,6 +474,16 @@ class TestPopdynMode:
         assert (tmp_path / "population_theta4.npz").exists()
         assert (tmp_path / "popdyn.csv").exists()
 
+    def test_checkpoint_names_must_differ(self, tmp_path, capsys):
+        # theta = 4 and 4.0000001 would both save population_theta4.npz, the
+        # second overwriting the first; the grid runs without checkpoints
+        raw = {"mode": "popdyn", "degree": RR4, "theta": [4.0, 4.0000001], "out_dir": str(tmp_path / "out")}
+        path = write_config(tmp_path, **raw, save_checkpoint=True)
+        assert cli.main([path]) == 2
+        assert "would share a checkpoint name" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert cli.parse_config(raw).theta == [4.0, 4.0000001]
+
 
 class TestDensitiesMode:
     def test_files_written(self, tmp_path):
@@ -591,14 +600,24 @@ class TestMainExitCodes:
         assert cli.main([path]) == 4
 
     def test_solver_failure(self, tmp_path):
-        # one rescale round with an unreachable tolerance from a cold start
+        # an unreachable tolerance at the route's (lambda, q)
         path = write_config(
-            tmp_path, mode="popdyn", degree=RR4, theta=[4.0],
-            out_dir=str(tmp_path / "out"), warm_start=False,
-            popdyn={"n_pop": 2000, "alpha_samples": 10_000, "alpha_tol": 1e-4,
-                    "max_rescales": 1},
+            tmp_path, mode="popdyn", degree=RR4, theta=[4.0], out_dir=str(tmp_path / "out"),
+            popdyn={"n_pop": 2000, "alpha_samples": 10_000, "alpha_tol": 1e-4},
         )
         assert cli.main([path]) == 3
+
+    @pytest.mark.parametrize("mode", ["popdyn", "densities"])
+    def test_no_signal_root_exits_before_any_sweep(self, tmp_path, capsys, monkeypatch, mode):
+        # RR4 at theta = 1 is below detachment (theta_b = 2/sqrt(3)): the route
+        # has no signal root, and the run ends with its message before any sweep
+        def no_sweep(*args):
+            raise AssertionError("a population sweep ran")
+
+        monkeypatch.setattr(popdyn, "_sweep", no_sweep)
+        path = write_config(tmp_path, mode=mode, degree=RR4, theta=[1.0], out_dir=str(tmp_path / "out"))
+        assert cli.main([path]) == 3
+        assert "theta is at or below the recovery threshold" in capsys.readouterr().err
 
     def test_eigensolver_budget_exhausted(self, tmp_path):
         # 3 matvecs cannot converge: NotConverged reaches main as a solver failure

@@ -224,14 +224,6 @@ class TestInPlaceFormulas:
                     float(a2.mean()), float(a2.std() / np.sqrt(n)))
         assert popdyn.alpha_pair(pop, self.DM, wm, sm, np.random.default_rng(4), self.N) == expected
 
-    @pytest.mark.parametrize("wm", [W1, ensembles.rademacher_weight(0.5)], ids=["constant", "rademacher"])
-    def test_q_general(self, wm):
-        # the mean of 1/(lambda - {W^2/omega}_k), summed block by block
-        pop = _random_population()
-        blocks = _blocks(pop, self.DM, wm, self.N, np.random.default_rng(5))
-        expected = sum(float((1.0 / (pop.lam - s_w2)).sum()) for _, s_w2, _ in blocks) / self.N
-        assert popdyn.q_general(pop, self.DM, wm, np.random.default_rng(5), self.N) == expected
-
 
 class TestGatherMemory:
     """The Monte Carlo estimators form the member indices and terms a piece

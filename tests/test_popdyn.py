@@ -1,5 +1,5 @@
 """Population dynamics: update semantics, equilibration, alpha estimators,
-and the (q, lambda) rescaling loop."""
+and the one-pass check of (q, lambda)."""
 
 import copy
 
@@ -10,6 +10,7 @@ from scipy import stats
 from sparsespike import analytic, ensembles, popdyn
 from sparsespike.cli import derive_rng
 from sparsespike.errors import (
+    AlphaMismatch,
     MaxSweepsExceeded,
     NonPositiveDenominator,
     NonPositiveOmega,
@@ -28,14 +29,14 @@ def small_config(**overrides):
 class TestInit:
     def test_ranges_and_defaults(self):
         config = popdyn.PopDynConfig(n_pop=10)
-        pop = popdyn.init_population(config, np.random.default_rng(0))
+        pop = popdyn.init_population(config, np.random.default_rng(0), 10.0)
         assert pop.n_pop == 10
         assert np.all((pop.omega >= 5.0) & (pop.omega <= 20.0))
         assert np.all((pop.h >= 0.0) & (pop.h <= 10.0))
         assert pop.q == 0.5
         assert pop.lam == 10.0
 
-    @pytest.mark.parametrize("name", ["alpha_tol", "lambda_init"])
+    @pytest.mark.parametrize("name", ["alpha_tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, 0.0, -1.0, "1", 10**400],
                              ids=["nan", "inf", "true", "zero", "negative", "string", "huge_int"])
     def test_config_rejects_bad_tolerance_and_start(self, name, value):
@@ -44,8 +45,8 @@ class TestInit:
 
     def test_equal_seeds_identical(self):
         config = popdyn.PopDynConfig(n_pop=100)
-        a = popdyn.init_population(config, np.random.default_rng(4))
-        b = popdyn.init_population(config, np.random.default_rng(4))
+        a = popdyn.init_population(config, np.random.default_rng(4), 10.0)
+        b = popdyn.init_population(config, np.random.default_rng(4), 10.0)
         assert np.array_equal(a.omega, b.omega)
         assert np.array_equal(a.h, b.h)
 
@@ -313,9 +314,8 @@ class TestUpdateStep:
         # bit-identical whether or not a spike model is supplied
         config = popdyn.PopDynConfig(n_pop=2000)
         dm = ensembles.truncated_poisson(4.0, 20)
-        pop_a = popdyn.init_population(config, np.random.default_rng(7))
-        pop_b = popdyn.init_population(config, np.random.default_rng(7))
-        pop_a.lam = pop_b.lam = 7.0
+        pop_a = popdyn.init_population(config, np.random.default_rng(7), 7.0)
+        pop_b = popdyn.init_population(config, np.random.default_rng(7), 7.0)
         rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
         popdyn._sweep(pop_a, dm, W1, GAUSS, rng_a)
         popdyn._sweep(pop_b, dm, W1, None, rng_b)
@@ -327,8 +327,8 @@ class TestEquilibrate:
     def test_rr_collapse(self):
         # deterministic contraction: at lambda = c the omega population
         # collapses onto c - 1 to machine precision
-        config = small_config(n_pop=5000, lambda_init=4.0)
-        pop = popdyn.init_population(config, np.random.default_rng(0))
+        config = small_config(n_pop=5000)
+        pop = popdyn.init_population(config, np.random.default_rng(0), 4.0)
         popdyn.equilibrate(pop, config, ensembles.regular(4), W1, None, np.random.default_rng(1))
         assert abs(pop.omega.mean() - 3.0) < 1e-6
         assert pop.omega.var() < 1e-12
@@ -336,8 +336,8 @@ class TestEquilibrate:
     def test_lambda_bump_on_non_positive_omega(self):
         # lambda = 2 is below the RR c=4 bulk edge 2 sqrt(3): equilibration
         # must inflate lambda rather than store omega <= 0
-        config = small_config(n_pop=5000, lambda_init=2.0)
-        pop = popdyn.init_population(config, np.random.default_rng(0))
+        config = small_config(n_pop=5000)
+        pop = popdyn.init_population(config, np.random.default_rng(0), 2.0)
         diag = popdyn.equilibrate(pop, config, ensembles.regular(4), W1, None, np.random.default_rng(1))
         assert diag["lambda_bumps"] >= 1
         assert pop.lam > 2 * np.sqrt(3)
@@ -346,8 +346,7 @@ class TestEquilibrate:
     def test_max_sweeps(self):
         config = small_config(n_pop=2000, max_sweeps=3)
         dm = ensembles.truncated_poisson(4.0, 20)
-        pop = popdyn.init_population(config, np.random.default_rng(0), theta=6.0)
-        pop.lam = 7.0
+        pop = popdyn.init_population(config, np.random.default_rng(0), 7.0, theta=6.0)
         with pytest.raises(MaxSweepsExceeded):
             popdyn.equilibrate(pop, config, dm, W1, GAUSS, np.random.default_rng(1))
 
@@ -485,22 +484,13 @@ class TestSolve:
         assert abs(pop.omega.mean() - om_bar) < 1e-6
         assert pop.omega.std() < 1e-9
 
-    def test_rr_cold_start_converges(self, rr_models):
-        dm, wm, sm = rr_models
-        config = small_config(n_pop=10_000, alpha_samples=150_000, alpha_tol=0.02)
-        pop, q, lam, diag = popdyn.solve(4.0, dm, wm, sm, config, np.random.default_rng(15))
-        rep = analytic.rr_report(4, 1.0, 4.0)
-        assert abs(lam - rep.lambda_top) / rep.lambda_top < 0.01
-        assert abs(q - np.sqrt(rep.overlap_sq)) < 0.03
-
     def test_deterministic_replay(self, poisson_models):
         dm, wm, sm = poisson_models
         config = small_config(n_pop=5000, alpha_samples=50_000, alpha_tol=0.05)
-        warm = (6.685781102320185, 0.9376042707519016)
         out = []
         for _ in range(2):
             pop, q, lam, diag = popdyn.solve(
-                6.0, dm, wm, sm, config, np.random.default_rng(99), warm_start=warm
+                6.0, dm, wm, sm, config, np.random.default_rng(99), 6.685781102320185, 0.9376042707519016
             )
             out.append((pop.omega.copy(), pop.h.copy(), q, lam,
                         [(h["alpha1"], h["alpha2"]) for h in diag["history"]]))
@@ -510,17 +500,16 @@ class TestSolve:
 
     @pytest.mark.parametrize("n_pop", [20_000, 200_000])
     def test_default_config_converges_at_two_sizes(self, n_pop):
-        # truncated Poisson(3, 8), W = 1, theta = 6, warm-started at the
-        # analytic (lambda, q): on this seed a plateau test with a fixed
+        # truncated Poisson(3, 8), W = 1, theta = 6, at the analytic
+        # (lambda, q): on this seed a plateau test with a fixed
         # relative tolerance of 1e-3 found no plateau in 600 sweeps at N_p 2e4
         dm = ensembles.truncated_poisson(3.0, 8)
         lam = analytic.lambda_signal(6.0, dm, W1, GAUSS)
         q = float(np.sqrt(analytic.signal_and_overlap(6.0, dm, W1, GAUSS)[1]))
         _, _, _, diag = popdyn.solve(
             6.0, dm, W1, GAUSS, popdyn.PopDynConfig(n_pop=n_pop),
-            derive_rng(1004, 0, "popdyn"), warm_start=(lam, q),
+            derive_rng(1004, 0, "popdyn"), lam, q,
         )
-        assert diag["rounds"] == 1
         assert diag["history"][0]["sweeps"] <= 60
 
     def test_history_carries_standard_errors(self, poisson_solved):
@@ -532,10 +521,23 @@ class TestSolve:
         _, se = poisson_solved["pop"].moments()
         assert diag["final_equilibration"]["moment_se"] == se
 
+    def test_unreachable_tolerance_raises_after_one_pass(self, rr_models, monkeypatch):
+        # one equilibration and one alpha pair, then the error names both
+        # alphas with their standard errors; no second pass
+        calls = []
+        for name in ("equilibrate", "alpha_pair"):
+            fn = getattr(popdyn, name)
+            monkeypatch.setattr(popdyn, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+        rep = analytic.rr_report(4, 1.0, 4.0)
+        config = small_config(n_pop=2000, alpha_samples=10_000, alpha_tol=1e-9)
+        with pytest.raises(AlphaMismatch, match=r"alpha1=\S+ \+/- \S+, alpha2=\S+ \+/- \S+"):
+            popdyn.solve(4.0, *rr_models, config, np.random.default_rng(0), rep.lambda_top, np.sqrt(rep.overlap_sq))
+        assert calls == ["equilibrate", "alpha_pair"]
+
     def test_solve_rejects_theta_zero(self, rr_models):
         dm, wm, sm = rr_models
         with pytest.raises(ValueError):
-            popdyn.solve(0.0, dm, wm, sm, small_config(), np.random.default_rng(0))
+            popdyn.solve(0.0, dm, wm, sm, small_config(), np.random.default_rng(0), 4.0, 0.5)
 
 
 class TestStructural:
