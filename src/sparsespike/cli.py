@@ -51,8 +51,6 @@ class ExperimentConfig:
     eig_max_iter: int = 20_000
     lambda_structural: float | None = None
     density_samples: int = 200_000
-    checkpoint: str | None = None
-    save_checkpoint: bool = False
 
     def canonical(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -116,9 +114,10 @@ def _checked_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("theta values must be non-negative")
     if len(set(cfg.theta)) < len(cfg.theta):
         raise ConfigError(f"theta has a repeated value: {cfg.theta}")
+    for name in ("c_grid", "lambda_structural"):
+        if getattr(cfg, name) is not None and cfg.mode not in ("analytic", "sweep"):
+            raise ConfigError(f"only analytic and sweep read {name}, not {cfg.mode} mode")
     if cfg.c_grid is not None:
-        if cfg.mode not in ("analytic", "sweep"):
-            raise ConfigError(f"{cfg.mode} mode runs the degree law as given; only analytic and sweep read c_grid")
         cfg.c_grid = _numbers(cfg.c_grid, "c_grid")
         if not cfg.c_grid:
             raise ConfigError("c_grid is empty")
@@ -140,13 +139,8 @@ def _checked_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("eig_tol must be positive")
     if cfg.lambda_structural is not None:
         _number(cfg.lambda_structural, "lambda_structural")
-    for name, kind, what in (("save_checkpoint", bool, "true or false"), ("out_dir", str, "a string"),
-                             ("checkpoint", (str, type(None)), "a string or null")):
-        if not isinstance(getattr(cfg, name), kind):
-            raise ConfigError(f"{name} must be {what}, got {getattr(cfg, name)!r}")
-    names = [_checkpoint_name(theta) for theta in cfg.theta]
-    if cfg.save_checkpoint and len(set(names)) < len(names):
-        raise ConfigError(f"theta values {cfg.theta} would share a checkpoint name: {names}")
+    if not isinstance(cfg.out_dir, str):
+        raise ConfigError(f"out_dir must be a string, got {cfg.out_dir!r}")
     if cfg.density_samples < 1:
         raise ConfigError("density_samples must be >= 1")
     for c_value in cfg.c_grid if cfg.c_grid is not None else [None]:
@@ -418,10 +412,6 @@ def _solve(cfg: ExperimentConfig, index: int, theta: float, models: tuple):
                         lam, float(np.sqrt(ov)))
 
 
-def _checkpoint_name(theta: float) -> str:
-    return f"population_theta{theta:g}.npz"
-
-
 POPDYN_FIELDS = ["theta", "c", "lambda", "q", "overlap_sq", "alpha1", "alpha2", "alpha1_se", "alpha2_se", "sweeps"]
 
 
@@ -439,29 +429,13 @@ def run_popdyn(cfg: ExperimentConfig) -> list:
             "alpha1_se": last["alpha1_se"], "alpha2_se": last["alpha2_se"],
             "sweeps": pop.sweep_count,
         })
-        if cfg.save_checkpoint:
-            popdyn.save_population(pop, os.path.join(cfg.out_dir, _checkpoint_name(theta)), models, seed=cfg.seed)
     _write_csv(os.path.join(cfg.out_dir, "popdyn.csv"), POPDYN_FIELDS, rows, cfg)
     return rows
 
 
-def _load_checkpoint(cfg: ExperimentConfig, theta: float, models: tuple) -> popdyn.Population:
-    """The population saved at the configured checkpoint, which must have
-    been solved for the config's ensemble ``models`` at theta."""
-    path = cfg.checkpoint
-    try:
-        pop = popdyn.load_population(path, models)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load checkpoint {path!r}: {exc}") from exc
-    if pop.theta != theta:
-        raise ConfigError(f"checkpoint {path!r} was solved at theta={pop.theta!r}, config has theta={theta!r}")
-    return pop
-
-
 def run_densities(cfg: ExperimentConfig) -> dict:
     models = build_models(cfg)
-    theta = cfg.theta[0]
-    pop = _load_checkpoint(cfg, theta, models) if cfg.checkpoint else _solve(cfg, 0, theta, models)[0]
+    pop = _solve(cfg, 0, cfg.theta[0], models)[0]
     header = _header(cfg)
     top, ov = observables.component_densities(pop, *models, cfg.density_samples, derive_rng(cfg.seed, 1, "rho_top"))
     # before the writers: its temporary on top of what they leave in the heap would set the peak memory

@@ -2,8 +2,8 @@
 overlap-component densities with the degree of each sample, marginal CDFs
 of omega and h, and overlap moments.
 
-Sampling is read-only over a frozen population, so one checkpoint serves
-every observable.
+Sampling is read-only over a frozen population, so one solved population
+serves every observable.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ reproduce populations and alpha estimates bit for bit.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
 
@@ -59,19 +58,17 @@ class Population:
         return mom, se
 
 
-# Fixed settings of the solver: the initial population and parameters, the
-# plateau window in sweeps, its allowance in standard errors and its floor
-# for zero and rounding, the replacements per batch of a sweep, the lambda
-# inflation on a non-positive omega, and the structural solver's sweeps at
-# lam_hi, its probes, a probe's sweeps and the last of them it reads.
+# Fixed settings of the solver: the initial population, the plateau window
+# in sweeps, its allowance in standard errors and its floor for zero and
+# rounding, the replacements per batch of a sweep, and the structural
+# solver's sweeps at lam_hi, its probes, a probe's sweeps and the last of
+# them it reads.
 _OMEGA_INIT = (5.0, 20.0)
 _H_INIT = (0.0, 10.0)
-_Q_INIT = 0.5
 _PLATEAU_WINDOW = 10
 _PLATEAU_Z = 3.0
 _ZERO = 1e-12
 _CHUNK = 16_384
-_LAMBDA_BUMP = 1.5
 _RELAX_SWEEPS = 60
 _PROBES = 12
 _GROWTH_SWEEPS = 30
@@ -96,12 +93,13 @@ class PopDynConfig:
             raise ValueError("budgets must be positive")
 
 
-def init_population(config: PopDynConfig, rng: np.random.Generator, lam: float, theta: float = 0.0) -> Population:
-    """Uniformly initialized population at lambda ``lam``."""
+def init_population(config: PopDynConfig, rng: np.random.Generator, lam: float, q: float = 0.0,
+                    theta: float = 0.0) -> Population:
+    """Uniformly initialized population at (lambda, q) = (``lam``, ``q``)."""
     return Population(
         omega=rng.uniform(*_OMEGA_INIT, config.n_pop),
         h=rng.uniform(*_H_INIT, config.n_pop),
-        q=_Q_INIT,
+        q=float(q),
         lam=float(lam),
         theta=float(theta),
     )
@@ -231,33 +229,20 @@ def equilibrate(
     errors of that moment in the current population, so the test scales
     with N_p; a moment whose window means are both below 1e-12 in size has
     decayed to zero and passes, and 1e-12 of the moment is allowed for
-    rounding. The result carries these errors as ``moment_se``. On a
-    NonPositiveOmega event lambda is inflated by a factor 1.5, the moment
-    traces reset, and equilibration restarts (omega > 0 defines the
-    admissible lambda region, so the only safe move is up).
+    rounding. The result carries these errors as ``moment_se``. Lambda
+    stays as given: a sweep that turns omega non-positive raises
+    NonPositiveOmega, naming lambda.
     """
     traces = {key: [] for key in MOMENT_KEYS}
-    bumps = 0
-    sweeps = 0
-    while sweeps < config.max_sweeps:
-        try:
-            _sweep(pop, degree_model, weight_model, spike_model, rng)
-        except NonPositiveOmega:
-            bumps += 1
-            if bumps > 60:
-                raise
-            pop.lam *= _LAMBDA_BUMP
-            for key in MOMENT_KEYS:
-                traces[key].clear()
-            continue
-        sweeps += 1
+    for sweeps in range(1, config.max_sweeps + 1):
+        _sweep(pop, degree_model, weight_model, spike_model, rng)
         mom, se = pop.moments()
         for key in MOMENT_KEYS:
             traces[key].append(mom[key])
         if _plateaued(traces, se):
             return {
                 "sweeps": sweeps,
-                "lambda_bumps": bumps,
+                "lambda_bumps": 0,  # lambda never moves; bench/tracing.py reads the key
                 "traces": {key: np.asarray(val) for key, val in traces.items()},
                 "moment_se": se,
             }
@@ -360,8 +345,7 @@ def solve(
     """
     if theta <= 0:
         raise ValueError("solve targets the spiked phase; use theta > 0")
-    pop = init_population(config, rng, lam, theta)
-    pop.q = float(q)
+    pop = init_population(config, rng, lam, q, theta)
     eq = equilibrate(pop, config, degree_model, weight_model, spike_model, rng)
     a1, se1, a2, se2 = alpha_pair(pop, degree_model, weight_model, spike_model, rng, config.alpha_samples)
     if not (abs(a1 - 1.0) <= config.alpha_tol and abs(a2 - 1.0) <= config.alpha_tol):
@@ -436,47 +420,3 @@ def structural_lambda(
     root = -icpt / slope
     var = (cov[1, 1] + 2.0 * root * cov[0, 1] + root * root * cov[0, 0]) / (slope * slope)
     return float(root), float(np.sqrt(var)), {"probes": probes}
-
-
-def _law(models: tuple) -> dict:
-    """The normal form of a (degree, weight, spike) ensemble: the tables its
-    models hold, so two configs that build the same models have equal laws."""
-    degree, weight, spike = models
-    spike_law = [spike.kind, spike.sigma_x2, *(t if t is None else t.tolist() for t in (spike.values, spike.probs))]
-    return {"degree": degree.probs.tolist(), "weight": [weight.values.tolist(), weight.probs.tolist()], "spike": spike_law}
-
-
-def save_population(pop: Population, path: str, models: tuple, seed: int | None = None) -> None:
-    """Checkpoint (omega, h) plus parameters and the law of the ensemble ``models``
-    = (degree, weight, spike) it was solved for; reloadable without re-equilibration."""
-    np.savez(
-        path,
-        omega=pop.omega,
-        h=pop.h,
-        q=pop.q,
-        lam=pop.lam,
-        theta=pop.theta,
-        sweep_count=pop.sweep_count,
-        seed=-1 if seed is None else seed,
-        law=json.dumps(_law(models)),
-    )
-
-
-def load_population(path: str, models: tuple) -> Population:
-    """The checkpointed population; a ValueError unless it was saved under
-    the law of ``models``."""
-    with np.load(path) as data:
-        saved = json.loads(str(data["law"])) if "law" in data.files else None
-        if not isinstance(saved, dict):
-            raise ValueError("the checkpoint names no ensemble law")
-        differ = [part for part, law in _law(models).items() if saved.get(part) != law]
-        if differ:
-            raise ValueError(f"the checkpoint was solved under another {'/'.join(differ)} law than the config's")
-        return Population(
-            omega=data["omega"],
-            h=data["h"],
-            q=float(data["q"]),
-            lam=float(data["lam"]),
-            theta=float(data["theta"]),
-            sweep_count=int(data["sweep_count"]),
-        )

@@ -117,10 +117,10 @@ class TestConfigParsing:
         ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "warm_start": True}, "unknown config field 'warm_start'"),
         ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"max_rescales": 1}}, "max_rescales"),
         ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "save_checkpoint": "false"},
-         "save_checkpoint must be true or false"),
+         "unknown config field 'save_checkpoint'"),
         ({"mode": "diag", "degree": RR4, "out_dir": 5}, "out_dir must be a string"),
         ({"mode": "diag", "degree": RR4, "out_dir": None}, "out_dir must be a string"),
-        ({"mode": "densities", "degree": RR4, "theta": [4.0], "checkpoint": 7}, "checkpoint must be a string or null"),
+        ({"mode": "densities", "degree": RR4, "theta": [4.0], "checkpoint": 7}, "unknown config field 'checkpoint'"),
         ({"mode": "diag", "degree": RR4, "eig_max_iter": 0}, "eig_max_iter must be >= 1"),
         ({"mode": "diag", "degree": RR4, "eig_max_iter": -3}, "eig_max_iter must be >= 1"),
         ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"alpha_tol": float("nan")}},
@@ -152,6 +152,12 @@ class TestConfigParsing:
         ({"mode": "analytic", "degree": RR4, "spike": [["kind", "gaussian"]]}, "spike must be a JSON object"),
         ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": [["n_pop", 1000]]},
          "popdyn must be a JSON object"),
+        # a structural eigenvalue that only analytic and sweep would read
+        ({"mode": "diag", "degree": PO3, "lambda_structural": 5.0}, "only analytic and sweep read lambda_structural"),
+        ({"mode": "popdyn", "degree": PO3, "theta": [6.0], "lambda_structural": 5.0},
+         "only analytic and sweep read lambda_structural"),
+        ({"mode": "densities", "degree": PO3, "theta": [6.0], "lambda_structural": 5.0},
+         "only analytic and sweep read lambda_structural"),
     ])
     def test_rejects_bad_fields(self, raw, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -191,7 +197,7 @@ class TestAnalyticMode:
         path = write_config(tmp_path, mode=mode, degree={"kind": "regular", "c": 2}, theta=[1.0],
                             n=60, instances=1)
         assert cli.main([path, "--out-dir", str(tmp_path)]) == 0
-        rows = list(csv.DictReader(line for line in open(tmp_path / f"{mode}.csv") if not line.startswith("#")))
+        rows = _csv_rows(tmp_path / f"{mode}.csv")
         assert float(rows[0]["theta_crit"]) == 0.0
         assert float(rows[0]["theta_b"]) == 0.0
 
@@ -203,7 +209,7 @@ class TestAnalyticMode:
             degree={"kind": "truncated_poisson", "cbar": 3.5, "k_max": 20},
         )
         assert cli.main([path, "--out-dir", str(tmp_path)]) == 0
-        rows = list(csv.DictReader(line for line in open(tmp_path / "analytic.csv") if not line.startswith("#")))
+        rows = _csv_rows(tmp_path / "analytic.csv")
         assert float(rows[0]["theta_crit"]) == 0.0
         assert 0.0 < float(rows[0]["overlap_sq"]) < 1e-6
 
@@ -214,7 +220,7 @@ class TestAnalyticMode:
             degree={"kind": "truncated_poisson", "cbar": 4, "k_max": 20},
         )
         assert cli.main([path, "--out-dir", str(tmp_path)]) == 0
-        rows = list(csv.DictReader(line for line in open(tmp_path / "analytic.csv") if not line.startswith("#")))
+        rows = _csv_rows(tmp_path / "analytic.csv")
         assert [float(r["theta"]) for r in rows] == [0.0, 6.0]
         assert rows[0]["lambda_theta"] == ""
         assert float(rows[0]["overlap_sq"]) == 0.0
@@ -260,7 +266,7 @@ class TestAnalyticMode:
             degree={"kind": "truncated_poisson", "cbar": 4, "k_max": 20},
         )
         assert cli.main([path, "--out-dir", str(tmp_path)]) == 0
-        rows = list(csv.DictReader(line for line in open(tmp_path / "analytic.csv") if not line.startswith("#")))
+        rows = _csv_rows(tmp_path / "analytic.csv")
         ref = poisson_structural_diag
         assert abs(float(rows[0]["lambda_structural"]) - ref["mean"]) < ref["margin"]
         # about 4.26 for lambda_structural 5.25-5.26 (4.00 for 5.07)
@@ -332,8 +338,7 @@ class TestDiagMode:
         path = write_config(tmp_path, mode="diag", degree={"kind": "table", "probs": [1.0]},
                             theta=[0, 1], n=50, instances=2, out_dir=str(out))
         assert cli.main([path]) == 0
-        with open(out / "diag.csv") as fh:
-            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        rows = _csv_rows(out / "diag.csv")
         assert len(rows) == 4
         for row in rows:
             lam, lam2 = float(row["lambda_top"]), float(row["lambda_second"])
@@ -400,8 +405,7 @@ def test_structural_eigenvalue_once_per_c(tmp_path, monkeypatch, mode):
     cli.run(cfg)
     assert len(calls) == 2 and len(set(calls)) == 2
     csv_name = "analytic.csv" if mode == "analytic" else "sweep.csv"
-    with open(tmp_path / csv_name) as fh:
-        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    rows = _csv_rows(tmp_path / csv_name)
     assert len(rows) == 6
 
 
@@ -465,24 +469,13 @@ class TestPopdynMode:
     def test_rr_small(self, tmp_path):
         cfg = cli.parse_config({
             "mode": "popdyn", "degree": RR4, "theta": [4.0],
-            "out_dir": str(tmp_path), "seed": 3, "save_checkpoint": True,
+            "out_dir": str(tmp_path), "seed": 3,
             "popdyn": {"n_pop": 5000, "alpha_samples": 50_000, "alpha_tol": 0.05},
         })
         rows = cli.run_popdyn(cfg)
         assert len(rows) == 1
         assert abs(rows[0]["lambda"] - 4.944271909999159) / 4.944 < 0.01
-        assert (tmp_path / "population_theta4.npz").exists()
         assert (tmp_path / "popdyn.csv").exists()
-
-    def test_checkpoint_names_must_differ(self, tmp_path, capsys):
-        # theta = 4 and 4.0000001 would both save population_theta4.npz, the
-        # second overwriting the first; the grid runs without checkpoints
-        raw = {"mode": "popdyn", "degree": RR4, "theta": [4.0, 4.0000001], "out_dir": str(tmp_path / "out")}
-        path = write_config(tmp_path, **raw, save_checkpoint=True)
-        assert cli.main([path]) == 2
-        assert "would share a checkpoint name" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-        assert cli.parse_config(raw).theta == [4.0, 4.0000001]
 
 
 class TestDensitiesMode:
@@ -507,59 +500,6 @@ class TestDensitiesMode:
         (files_a, out_a), (files_b, out_b) = _two_runs(tmp_path, capsys, raw)
         assert len(files_a) == 6 and b"overlap_sq=" in out_a
         assert files_a == files_b and out_a == out_b
-
-
-class TestDensitiesCheckpoint:
-    @staticmethod
-    def _checkpoint(tmp_path, theta, **law):
-        # saved under the ensemble of an RR4 densities config with ``law``'s fields
-        cfg = cli.parse_config({"mode": "densities", "degree": RR4, "theta": [theta], **law})
-        rng = np.random.default_rng(0)
-        pop = popdyn.Population(omega=rng.uniform(2.0, 4.0, 500), h=rng.standard_normal(500),
-                                q=0.9, lam=20.0, theta=theta)
-        path = str(tmp_path / f"population_theta{theta:g}.npz")
-        popdyn.save_population(pop, path, cli.build_models(cfg), seed=0)
-        return path
-
-    def _run(self, tmp_path, checkpoint, theta):
-        path = write_config(tmp_path, mode="densities", degree=RR4, theta=[theta], checkpoint=checkpoint,
-                            density_samples=1000, out_dir=str(tmp_path / "out"))
-        return cli.main([path])
-
-    def test_matching_theta_loads(self, tmp_path, capsys):
-        assert self._run(tmp_path, self._checkpoint(tmp_path, 6.0), 6.0) == 0
-        assert (tmp_path / "out" / "rho_top_samples.csv").exists()
-
-    def test_theta_mismatch_is_config_error(self, tmp_path, capsys):
-        # a theta = 6 population must not be written under a theta = 3 header
-        assert self._run(tmp_path, self._checkpoint(tmp_path, 6.0), 3.0) == 2
-        assert "theta=6.0" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "rho_top_samples.csv").exists()
-
-    def test_law_spelled_with_defaults_loads(self, tmp_path, capsys):
-        # {"kind": "constant"} and the default {"kind": "constant", "w": 1.0}
-        # are one weight law, and so are the two spellings of the spike
-        path = self._checkpoint(tmp_path, 6.0, weight={"kind": "constant"}, spike={"kind": "gaussian"})
-        assert self._run(tmp_path, path, 6.0) == 0
-
-    def test_other_ensemble_is_config_error(self, tmp_path, capsys):
-        # a population solved for Poisson noise must not be sampled under RR4
-        path = self._checkpoint(tmp_path, 6.0, degree={"kind": "truncated_poisson", "cbar": 3.0, "k_max": 8})
-        assert self._run(tmp_path, path, 6.0) == 2
-        assert "another degree law" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "rho_top_samples.csv").exists()
-
-    def test_checkpoint_without_law_is_config_error(self, tmp_path, capsys):
-        # a checkpoint in the format that recorded no law
-        path = str(tmp_path / "old.npz")
-        np.savez(path, omega=np.full(500, 3.0), h=np.zeros(500), q=0.9, lam=20.0, theta=6.0,
-                 sweep_count=0, seed=0)
-        assert self._run(tmp_path, path, 6.0) == 2
-        assert "no ensemble law" in capsys.readouterr().err
-
-    def test_missing_checkpoint_is_config_error(self, tmp_path, capsys):
-        assert self._run(tmp_path, str(tmp_path / "absent.npz"), 6.0) == 2
-        assert "absent.npz" in capsys.readouterr().err
 
 
 class TestMainExitCodes:

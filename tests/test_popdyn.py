@@ -33,8 +33,9 @@ class TestInit:
         assert pop.n_pop == 10
         assert np.all((pop.omega >= 5.0) & (pop.omega <= 20.0))
         assert np.all((pop.h >= 0.0) & (pop.h <= 10.0))
-        assert pop.q == 0.5
-        assert pop.lam == 10.0
+        assert (pop.lam, pop.q, pop.theta) == (10.0, 0.0, 0.0)
+        pop = popdyn.init_population(config, np.random.default_rng(0), 10.0, 0.7, 6.0)
+        assert (pop.lam, pop.q, pop.theta) == (10.0, 0.7, 6.0)
 
     @pytest.mark.parametrize("name", ["alpha_tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, 0.0, -1.0, "1", 10**400],
@@ -333,15 +334,14 @@ class TestEquilibrate:
         assert abs(pop.omega.mean() - 3.0) < 1e-6
         assert pop.omega.var() < 1e-12
 
-    def test_lambda_bump_on_non_positive_omega(self):
+    def test_non_positive_omega_keeps_lambda(self):
         # lambda = 2 is below the RR c=4 bulk edge 2 sqrt(3): equilibration
-        # must inflate lambda rather than store omega <= 0
+        # raises at the lambda it was given instead of moving it
         config = small_config(n_pop=5000)
         pop = popdyn.init_population(config, np.random.default_rng(0), 2.0)
-        diag = popdyn.equilibrate(pop, config, ensembles.regular(4), W1, None, np.random.default_rng(1))
-        assert diag["lambda_bumps"] >= 1
-        assert pop.lam > 2 * np.sqrt(3)
-        assert np.all(pop.omega > 0)
+        with pytest.raises(NonPositiveOmega, match="lambda=2 "):
+            popdyn.equilibrate(pop, config, ensembles.regular(4), W1, None, np.random.default_rng(1))
+        assert pop.lam == 2.0
 
     def test_max_sweeps(self):
         config = small_config(n_pop=2000, max_sweeps=3)
@@ -628,15 +628,3 @@ class TestStructural:
                 dm, ensembles.rademacher_weight(0.5), config,
                 np.random.default_rng(0), lam_lo=2.0, lam_hi=4.0,
             )
-
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path, rr_solved, rr_models):
-        pop = rr_solved["pop"]
-        path = str(tmp_path / "pop.npz")
-        popdyn.save_population(pop, path, rr_models, seed=77)
-        loaded = popdyn.load_population(path, rr_models)
-        assert np.array_equal(loaded.omega, pop.omega)
-        assert np.array_equal(loaded.h, pop.h)
-        assert (loaded.q, loaded.lam, loaded.theta) == (pop.q, pop.lam, pop.theta)
-        assert loaded.sweep_count == pop.sweep_count
