@@ -176,12 +176,7 @@ def theta_crit(
     """Recovery threshold 1 / (sigma_x^2 Q(lambda_{theta=0})), Q from the
     resolvent-moment route (``RESOLVENT_KINDS`` degree tables only), at the
     caller's ``lambda_structural`` (from a theta=0 population run, or the
-    spectral edge when no outlier exists). Regular constant-weight noise
-    reads ``rr_report``'s closed form instead: on the chain c = 2 its c w
-    can round below the route's edge, where the route raises."""
-    w = regular_constant_weight(degree_model, weight_model)
-    if w is not None:
-        return rr_report(degree_model.k_max, spike_model.sigma_x2, 0.0, w).theta_crit
+    spectral edge when no outlier exists)."""
     if degree_model.kind not in RESOLVENT_KINDS:
         raise ValueError(f"no theta_crit route for {degree_model.kind!r} degree tables")
     q0 = q_tilde(lambda_structural, degree_model, weight_model.second_moment_w)
@@ -253,15 +248,21 @@ def rr_report(c: int, sigma_x2: float, theta: float, w: float = 1.0) -> Analytic
     )
 
 
-def poisson_report(
+def report(
+    theta: float,
     degree_model: DegreeModel,
     weight_model: WeightModel,
     spike_model: SpikeModel,
-    theta: float,
     lambda_structural: float,
 ) -> AnalyticReport:
-    """Semi-analytic report for a truncated-Poisson (or any resolvent-route)
-    ensemble; ``lambda_structural`` comes from a theta=0 population run."""
+    """Predictions at theta: ``rr_report``'s closed forms for regular
+    constant-weight noise, which do not read ``lambda_structural`` (on the
+    chain c = 2 its c w can round below the route's edge, where the route
+    raises), else the resolvent route at ``lambda_structural`` (from a
+    theta=0 population run, or the spectral edge when no outlier exists)."""
+    w = regular_constant_weight(degree_model, weight_model)
+    if w is not None:
+        return rr_report(degree_model.k_max, spike_model.sigma_x2, theta, w)
     t_crit = theta_crit(degree_model, weight_model, spike_model, lambda_structural)
     edge = admissible_lambda_floor(degree_model, weight_model.second_moment_w)
     if theta > t_crit:

@@ -297,31 +297,14 @@ def _write_csv(path: str, fieldnames: list, rows: list, cfg: ExperimentConfig) -
 def structural_for(cfg: ExperimentConfig, degree_model, weight_model) -> float:
     """Structural (theta=0) top eigenvalue for the configured noise: the
     closed form c w for regular constant-weight noise, else the configured
-    ``lambda_structural``, else a population-dynamics solve."""
+    ``lambda_structural``, else ``popdyn.structural_lambda``."""
     w = ensembles.regular_constant_weight(degree_model, weight_model)
     if w is not None:
         return analytic.rr_report(degree_model.k_max, 1.0, 0.0, w).lambda_structural
     if cfg.lambda_structural is not None:
         return float(cfg.lambda_structural)
-    floor = analytic.admissible_lambda_floor(degree_model, weight_model.second_moment_w)
-    if weight_model.values.min() < 0:
-        return floor  # no Perron outlier for sign-mixed weights
-    hi = analytic.gershgorin_bound(degree_model, weight_model) + 1.0
-    lam, _, _ = popdyn.structural_lambda(
-        degree_model, weight_model, popdyn.PopDynConfig(**cfg.popdyn), derive_rng(cfg.seed, 0, "structural"),
-        lam_lo=floor, lam_hi=hi,
-    )
-    return lam
-
-
-def analytic_report_for(models: tuple, lam_struct: float, theta: float) -> analytic.AnalyticReport:
-    """Analytic columns of one (c, theta) grid point: the closed forms for
-    regular constant-weight noise, else the resolvent route from ``lam_struct``."""
-    degree_model, weight_model, spike_model = models
-    w = ensembles.regular_constant_weight(degree_model, weight_model)
-    if w is not None:
-        return analytic.rr_report(degree_model.k_max, spike_model.sigma_x2, theta, w)
-    return analytic.poisson_report(degree_model, weight_model, spike_model, theta, lam_struct)
+    return popdyn.structural_lambda(degree_model, weight_model, popdyn.PopDynConfig(**cfg.popdyn),
+                                    derive_rng(cfg.seed, 0, "structural"))[0]
 
 
 def _analytic_grid(cfg: ExperimentConfig):
@@ -331,7 +314,7 @@ def _analytic_grid(cfg: ExperimentConfig):
         models = build_models(cfg, c_value)
         lam_struct = structural_for(cfg, *models[:2])
         for theta in cfg.theta:
-            yield c_value, theta, analytic_report_for(models, lam_struct, theta)
+            yield c_value, theta, analytic.report(theta, *models, lam_struct)
 
 
 ANALYTIC_FIELDS = [

@@ -107,7 +107,6 @@ class DegreeModel:
 
     kind: str
     probs: np.ndarray
-    cbar: float | None = None  # truncated-Poisson rate, when applicable
     mean_c: float = field(init=False)
 
     def __post_init__(self):
@@ -161,7 +160,7 @@ def truncated_poisson(cbar: float, k_max: int) -> DegreeModel:
     k = np.arange(k_max + 1)
     logterm = k * log(cbar) - np.array([lgamma(i + 1.0) for i in k])
     t = np.exp(logterm - logterm.max())
-    return DegreeModel(kind="truncated_poisson", probs=t / t.sum(), cbar=float(cbar))
+    return DegreeModel(kind="truncated_poisson", probs=t / t.sum())
 
 
 def regular(c: int) -> DegreeModel:

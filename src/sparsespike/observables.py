@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import DegreeModel, SpikeModel, WeightModel
-from .popdyn import Population, _full_nodes, _joined, _top_u
+from .popdyn import Population, _full_nodes, _joined
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,7 @@ def component_densities(
     gathered sums and spike draws, and a block's denominators are dropped
     once they are used."""
     tops, ovs, ks = [], [], []
-    for k, den, s_hw in _full_nodes(pop, degree_model, weight_model, n_samples, rng):
-        x = np.asarray(spike_model.sample(rng, size=k.size), float)
-        u = _top_u(pop, x, den, s_hw)
+    for k, x, u, den in _full_nodes(pop, degree_model, weight_model, spike_model, n_samples, rng):
         tops.append(u)
         ovs.append(np.multiply(x, u, out=x))
         ks.append(k)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import analytic
 from .ensembles import _PIECE, DegreeModel, SpikeModel, WeightModel
 from .errors import AlphaMismatch, MaxSweepsExceeded, NonPositiveDenominator, NonPositiveOmega
 
@@ -249,36 +250,35 @@ def equilibrate(
     raise MaxSweepsExceeded(f"no plateau within {config.max_sweeps} sweeps")
 
 
-def _full_nodes(pop, degree_model, weight_model, n_samples, rng):
+def _full_nodes(pop, degree_model, weight_model, spike_model, n_samples, rng):
     """The one loop of the full-node estimators: ``_gather`` over full nodes
     (k from p_k, k members) in blocks of about 4e6 members until n_samples
-    draws are made. Each block yields (k, den, s_hw), with the denominator
-    den = lambda - {W^2/omega}_k written over the gathered sum and checked
-    positive here, and s_hw = {hW/omega}_k."""
+    draws are made, then one spike draw x per node. Each block yields
+    (k, x, u, den): the denominator den = lambda - {W^2/omega}_k, written
+    over the gathered sum and checked positive here, and the top-eigenvector
+    components u = ({hW/omega}_k + (theta q) x) / den, written over
+    {hW/omega}_k. The term (theta q) x is formed and added ``_PIECE`` draws
+    at a time, so no temporary is as long as x; each element sees the same
+    two operations as the whole-array formula. The loop drops its references
+    to a block once it resumes, so a block lives only as long as its caller
+    keeps it."""
     block = max(1, int(4_000_000 / max(degree_model.mean_c, 1.0)))
+    tq = pop.theta * pop.q
     z = _ratios(pop.omega, pop.h)
     done = 0
     while done < n_samples:
         b = min(block, n_samples - done)
-        k, s_w2, s_hw = _gather(z, degree_model, weight_model, b, rng, cavity=False)
-        den = np.subtract(pop.lam, s_w2, out=s_w2)
+        k, den, u = _gather(z, degree_model, weight_model, b, rng, cavity=False)
+        np.subtract(pop.lam, den, out=den)
         if den.min() <= 0:
             raise NonPositiveDenominator(f"min denominator {den.min():g} at lambda={pop.lam:g}")
-        yield k, den, s_hw
+        x = np.asarray(spike_model.sample(rng, size=b), float)
+        for lo in range(0, b, _PIECE):
+            u[lo:lo + _PIECE] += np.multiply(tq, x[lo:lo + _PIECE])
+        u /= den
+        yield k, x, u, den
+        del k, x, u, den
         done += b
-
-
-def _top_u(pop, x, den, s_hw):
-    """Top-eigenvector components u = ({hW/omega}_k + (theta q) x) / den,
-    written over ``s_hw``; ``x`` is left as it is. The term (theta q) x is
-    formed and added ``_PIECE`` draws at a time, so no temporary is as long
-    as x; each element sees the same two operations as the whole-array
-    formula."""
-    tq = pop.theta * pop.q
-    for lo in range(0, x.size, _PIECE):
-        s_hw[lo:lo + _PIECE] += np.multiply(tq, x[lo:lo + _PIECE])
-    s_hw /= den
-    return s_hw
 
 
 def _joined(parts: list) -> np.ndarray:
@@ -302,14 +302,13 @@ def alpha_pair(
     1/theta instead, so the theta factor is folded in here to give both
     alphas a common fixed point. alpha1's terms are the squares of the
     components u that ``observables.component_densities`` samples. The
-    formulas overwrite each block's gathered sums, in the same operation
-    order as the written formula, and a block's degrees and spike draws are
+    formulas overwrite each block's u and den, in the same operation order
+    as the written formula, and a block's degrees and spike draws are
     dropped once they are used.
     """
     a1_parts, a2_parts = [], []
-    for k, den, s_hw in _full_nodes(pop, degree_model, weight_model, samples, rng):
-        x = np.asarray(spike_model.sample(rng, size=k.size), float)
-        a1_parts.append(np.square(_top_u(pop, x, den, s_hw), out=s_hw))
+    for k, x, u, den in _full_nodes(pop, degree_model, weight_model, spike_model, samples, rng):
+        a1_parts.append(np.square(u, out=u))
         a2_parts.append(np.divide(1.0, den, out=den))
         del k, x
     a1 = _joined(a1_parts)
@@ -363,31 +362,34 @@ def structural_lambda(
     weight_model: WeightModel,
     config: PopDynConfig,
     rng: np.random.Generator,
-    lam_lo: float,
-    lam_hi: float,
 ) -> tuple[float, float, dict]:
     """Structural top eigenvalue of the unspiked noise (theta = 0) and its
-    standard error, for non-negative weights (the Perron regime).
+    standard error. Sign-mixed weights have no Perron outlier: the spectral
+    edge ``analytic.admissible_lambda_floor`` is returned with error 0 and
+    no probes.
 
-    A probe at lambda runs ``_sweep`` at theta = 0 (omega and h from the same
-    members), sets h back to mean 1 after each sweep and reads the mean log
-    growth g of mean h over its last sweeps, with its standard error; log g
-    falls through 0 at the eigenvalue. (Later batches of a sweep read
-    updated slots, so a sweep's g is not a generation's, but both are 1 at
-    the same lambda.) One population, relaxed at lam_hi, is carried warm
-    through a fixed number of bisection probes of [lam_lo, lam_hi]; a probe
-    whose omega turns non-positive counts as below the root and is undone.
-    The root is that of a line through the three stable probes nearest
-    log g = 0, weighted by their standard errors; its standard error follows
-    by the delta method. With no growing probe there is no outlier and
-    (lam_lo, 0.0) is returned, or NonPositiveOmega raised if a probe was
-    unstable.
+    For non-negative weights a probe at lambda runs ``_sweep`` at theta = 0
+    (omega and h from the same members), sets h back to mean 1 after each
+    sweep and reads the mean log growth g of mean h over its last sweeps,
+    with its standard error; log g falls through 0 at the eigenvalue.
+    (Later batches of a sweep read updated slots, so a sweep's g is not a
+    generation's, but both are 1 at the same lambda.) The bracket is
+    [lam_lo, lam_hi] = [spectral edge, ``analytic.gershgorin_bound`` + 1].
+    One population, relaxed at lam_hi, is carried warm through a fixed
+    number of bisection probes of the bracket; a probe whose omega turns
+    non-positive counts as below the root and is undone. The root is that
+    of a line through the three stable probes nearest log g = 0, weighted by
+    their standard errors; its standard error follows by the delta method.
+    With no growing probe there is no outlier and (lam_lo, 0.0) is
+    returned, or NonPositiveOmega raised if a probe was unstable.
 
     Returns (lambda, se, diagnostics), ``diagnostics["probes"]`` holding each
     probe's (lambda, mean log g, se), None for an unstable one.
     """
+    lam_lo = analytic.admissible_lambda_floor(degree_model, weight_model.second_moment_w)
     if weight_model.values.min() < 0:
-        raise ValueError("growth probe requires non-negative weight support")
+        return lam_lo, 0.0, {"probes": []}
+    lam_hi = analytic.gershgorin_bound(degree_model, weight_model) + 1.0
     pop = Population(rng.uniform(*_OMEGA_INIT, config.n_pop), np.ones(config.n_pop), q=0.0, lam=lam_hi, theta=0.0)
 
     @np.errstate(divide="ignore", invalid="ignore")  # log g = -inf if no draw has members (k_max 1)

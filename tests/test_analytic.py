@@ -55,7 +55,7 @@ class TestQTilde:
         dm = ensembles.truncated_poisson(4.0, 20)
         for lam in (5.5, 6.0, 8.0, 12.0):
             m = stable_m(lam, dm, 1.0)
-            two_term = (dm.mean_c / dm.cbar) * m + dm.probs[-1] / (lam - dm.k_max * m)
+            two_term = (dm.mean_c / 4.0) * m + dm.probs[-1] / (lam - dm.k_max * m)
             assert abs(analytic.q_tilde(lam, dm, 1.0) - two_term) < 5e-13
 
     def test_large_kmax_correction_negligible(self):
@@ -65,7 +65,7 @@ class TestQTilde:
         m = stable_m(lam, dm, 1.0)
         correction = dm.probs[-1] / (lam - dm.k_max * m)
         assert correction < 1e-10
-        assert abs(analytic.q_tilde(lam, dm, 1.0) - m * dm.mean_c / dm.cbar) < 1e-10
+        assert abs(analytic.q_tilde(lam, dm, 1.0) - m * dm.mean_c / 4.0) < 1e-10
 
     def test_monotone_decreasing_positive(self):
         dm = ensembles.truncated_poisson(4.0, 20)
@@ -122,19 +122,33 @@ class TestQGeneral:
 
 
 class TestThetaCrit:
+    """The threshold as ``report`` gives it: the closed form for regular
+    constant-weight noise, else the route's ``theta_crit``."""
+
     def test_rr_closed_form(self):
-        assert abs(analytic.theta_crit(ensembles.regular(4), W1, GAUSS, 4.0) - 8.0 / 3.0) < 1e-12
+        assert abs(analytic.report(0.0, ensembles.regular(4), W1, GAUSS, 4.0).theta_crit - 8.0 / 3.0) < 1e-12
 
     def test_marginal_chain(self):
-        assert analytic.theta_crit(ensembles.regular(2), W1, GAUSS, 2.0) == 0.0
+        assert analytic.report(0.0, ensembles.regular(2), W1, GAUSS, 2.0).theta_crit == 0.0
 
     @pytest.mark.parametrize("w", [0.7, 1.0, 2.0])
     @pytest.mark.parametrize("c", [2, 3, 4, 10])
     def test_regular_constant_weight(self, c, w):
-        # w c (c - 2) / (sigma^2 (c - 1)), the chain c = 2 included, whose
-        # structural eigenvalue c w the route cannot take
+        # w c (c - 2) / (sigma^2 (c - 1)), the chain c = 2 included; the
+        # report is rr_report's, whatever structural eigenvalue it is given
         dm, wm = ensembles.regular(c), ensembles.constant_weight(w)
-        assert analytic.theta_crit(dm, wm, GAUSS, c * w) == pytest.approx(w * c * (c - 2) / (c - 1), rel=1e-15)
+        for theta in (0.0, 1.0, 5.0):
+            assert analytic.report(theta, dm, wm, GAUSS, -1.0) == analytic.rr_report(c, 1.0, theta, w)
+        rep = analytic.report(0.0, dm, wm, GAUSS, c * w)
+        assert rep.theta_crit == pytest.approx(w * c * (c - 2) / (c - 1), rel=1e-15)
+
+    def test_chain_structural_below_the_route_edge(self):
+        # on the chain c = 2 at w = 0.7, c w = 1.4 rounds below the route's
+        # edge 1.4000000000000001: the route raises, the report does not
+        dm, wm = ensembles.regular(2), ensembles.constant_weight(0.7)
+        with pytest.raises(NegativeDenominator):
+            analytic.theta_crit(dm, wm, GAUSS, 1.4)
+        assert analytic.report(0.0, dm, wm, GAUSS, 1.4).theta_crit == 0.0
 
     def test_large_c_trend_to_dense(self):
         # weights 1/sqrt(c): thresholds rise monotonically to 1/sigma^2,
@@ -147,6 +161,26 @@ class TestThetaCrit:
             vals.append(analytic.theta_crit(dm, wm, GAUSS, edge))
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert abs(vals[-1] - 1.0) < 0.03
+
+
+class TestReport:
+    @pytest.mark.parametrize("theta, has_branch, above", [(0.0, False, False), (2.0, True, False), (6.0, True, True)])
+    def test_poisson_composes_the_route(self, theta, has_branch, above):
+        # Poisson(4, 20) at the benchmark's structural eigenvalue, theta_crit
+        # about 4.0045: below it the top eigenvalue is the structural one and
+        # the overlap 0; above it both come from the signal root
+        dm, lam_s = ensembles.truncated_poisson(4.0, 20), 5.071300896258503
+        rep = analytic.report(theta, dm, W1, GAUSS, lam_s)
+        t_crit = analytic.theta_crit(dm, W1, GAUSS, lam_s)
+        assert (rep.theta, rep.theta_crit, rep.lambda_structural) == (theta, t_crit, lam_s)
+        assert rep.bulk_edge == analytic.admissible_lambda_floor(dm, 1.0)
+        assert (rep.theta_b, rep.c_crit, rep.c_b) == (None, None, None)
+        if above:
+            lam, ov = analytic.signal_and_overlap(theta, dm, W1, GAUSS)
+            assert (rep.lambda_theta, rep.lambda_top, rep.overlap_sq) == (lam, lam, ov)
+        else:
+            lam = analytic.lambda_signal(theta, dm, W1, GAUSS) if has_branch else None
+            assert (rep.lambda_theta, rep.lambda_top, rep.overlap_sq) == (lam, lam_s, 0.0)
 
 
 class TestLambdaSignal:

@@ -546,32 +546,27 @@ class TestStructural:
         config = popdyn.PopDynConfig(n_pop=20_000)
         floor = analytic.admissible_lambda_floor(dm, 1.0)
         assert abs(floor - 2 * np.sqrt(3)) < 1e-6
-        lam, se, diag = popdyn.structural_lambda(
-            dm, wm, config, np.random.default_rng(5), lam_lo=floor, lam_hi=6.0
-        )
+        lam, se, diag = popdyn.structural_lambda(dm, wm, config, np.random.default_rng(5))
         assert abs(lam - 4.0) < 0.05
 
     def test_poisson_matches_diagonalization(self, poisson_models, poisson_structural_diag):
         # heterogeneous degrees correlate a message's h with its omega; a probe
         # that takes omega from another draw than h reads 5.07 here
         dm, wm, _ = poisson_models
-        lam, se, diag = popdyn.structural_lambda(
-            dm, wm, popdyn.PopDynConfig(n_pop=30_000), np.random.default_rng(5),
-            lam_lo=analytic.admissible_lambda_floor(dm, 1.0), lam_hi=analytic.gershgorin_bound(dm, wm) + 1.0,
-        )
+        lam, se, diag = popdyn.structural_lambda(dm, wm, popdyn.PopDynConfig(n_pop=30_000), np.random.default_rng(5))
         ref = poisson_structural_diag
         assert abs(lam - ref["mean"]) < ref["margin"]
         assert np.isfinite(se) and 0.0 < se < ref["margin"]
         assert len(diag["probes"]) == 13
 
-    def test_unstable_probe_is_undone(self, poisson_models, poisson_structural_diag):
-        # a lower bracket of 2 sends the fourth probe to 4.375, where omega
-        # turns non-positive; the probes after it start from the population
-        # as it was before, not from that probe's partial sweep
+    def test_unstable_probe_is_undone(self, poisson_models, poisson_structural_diag, monkeypatch):
+        # a lower bracket of 2 (in place of the edge) sends the fourth probe of
+        # [2, 21] to 4.375, where omega turns non-positive; the probes after it
+        # start from the population as it was before, not from that probe's
+        # partial sweep
+        monkeypatch.setattr(analytic, "admissible_lambda_floor", lambda *models: 2.0)
         dm, wm, _ = poisson_models
-        lam, se, diag = popdyn.structural_lambda(
-            dm, wm, popdyn.PopDynConfig(n_pop=30_000), np.random.default_rng(5), lam_lo=2.0, lam_hi=21.0,
-        )
+        lam, se, diag = popdyn.structural_lambda(dm, wm, popdyn.PopDynConfig(n_pop=30_000), np.random.default_rng(5))
         assert [p[0] for p in diag["probes"] if p[1] is None] == [4.375]
         assert abs(lam - poisson_structural_diag["mean"]) < poisson_structural_diag["margin"]
 
@@ -583,10 +578,7 @@ class TestStructural:
         # draw has members, so mean h is 0 and log g = -inf
         dm = ensembles.truncated_poisson(2.0, k_max)
         floor = analytic.admissible_lambda_floor(dm, 1.0)
-        lam, se, diag = popdyn.structural_lambda(
-            dm, W1, popdyn.PopDynConfig(n_pop=20_000), np.random.default_rng(2),
-            lam_lo=floor, lam_hi=analytic.gershgorin_bound(dm, W1) + 1.0,
-        )
+        lam, se, diag = popdyn.structural_lambda(dm, W1, popdyn.PopDynConfig(n_pop=20_000), np.random.default_rng(2))
         assert (lam, se) == (floor, 0.0)
         assert abs(lam - expected) < 1e-4
         assert all(log_g < 0 for _, log_g, _ in diag["probes"])
@@ -596,16 +588,12 @@ class TestStructural:
         # below the probes that decay
         dm, wm = ensembles.regular(3), ensembles.weight_table([0.5, 1.5], [0.5, 0.5])
         with pytest.raises(NonPositiveOmega):
-            popdyn.structural_lambda(
-                dm, wm, popdyn.PopDynConfig(n_pop=20_000), np.random.default_rng(3),
-                lam_lo=analytic.admissible_lambda_floor(dm, wm.second_moment_w),
-                lam_hi=analytic.gershgorin_bound(dm, wm) + 1.0,
-            )
+            popdyn.structural_lambda(dm, wm, popdyn.PopDynConfig(n_pop=20_000), np.random.default_rng(3))
 
     def test_noiseless_growth_fits_without_dividing_by_zero(self, rr_models, monkeypatch):
         # the same growth exp(4 - lambda) on every sweep, read over 16 sweeps
         # (16 equal logs sum exactly): every probe's standard error is 0, and
-        # the line's root is exact
+        # the line's root in the bracket [2 sqrt 3, 5] is exact
         def exact_growth(pop, *models_and_rng):
             pop.h *= np.exp(4.0 - pop.lam)
 
@@ -613,18 +601,20 @@ class TestStructural:
         monkeypatch.setattr(popdyn, "_GROWTH_READ", 16)
         dm, wm, _ = rr_models
         with np.errstate(divide="raise", invalid="raise"):
-            lam, se, diag = popdyn.structural_lambda(
-                dm, wm, popdyn.PopDynConfig(n_pop=2), np.random.default_rng(0), lam_lo=3.0, lam_hi=6.0
-            )
+            lam, se, diag = popdyn.structural_lambda(dm, wm, popdyn.PopDynConfig(n_pop=2), np.random.default_rng(0))
         assert [p[2] for p in diag["probes"]] == [0.0] * 13
         assert abs(lam - 4.0) < 1e-12
         assert 0.0 <= se < 1e-9
 
-    def test_sign_mixed_weights_rejected(self, rr_models):
+    def test_sign_mixed_weights_return_the_edge(self, rr_models, monkeypatch):
+        # no Perron outlier: the spectral edge 2 sqrt((c-1) E[W^2]) = sqrt(3),
+        # and no probe run
+        def no_sweep(*args):
+            raise AssertionError("sign-mixed weights ran a probe")
+
+        monkeypatch.setattr(popdyn, "_sweep", no_sweep)
         dm, _, _ = rr_models
-        config = popdyn.PopDynConfig(n_pop=1000)
-        with pytest.raises(ValueError):
-            popdyn.structural_lambda(
-                dm, ensembles.rademacher_weight(0.5), config,
-                np.random.default_rng(0), lam_lo=2.0, lam_hi=4.0,
-            )
+        wm = ensembles.rademacher_weight(0.5)
+        lam, se, diag = popdyn.structural_lambda(dm, wm, popdyn.PopDynConfig(n_pop=1000), np.random.default_rng(0))
+        assert (lam, se, diag) == (analytic.admissible_lambda_floor(dm, wm.second_moment_w), 0.0, {"probes": []})
+        assert lam == pytest.approx(np.sqrt(3.0))
