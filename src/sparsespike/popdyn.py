@@ -37,7 +37,6 @@ class Population:
     q: float
     lam: float
     theta: float
-    sweep_count: int = 0
 
     @property
     def n_pop(self) -> int:
@@ -197,7 +196,6 @@ def _sweep(pop, degree_model, weight_model, spike_model, rng):
         pop.omega[lo:lo + b] = omega_new
         pop.h[lo:lo + b] = h_new
         _ratios(omega_new, h_new, out=z[lo:lo + b])
-    pop.sweep_count += 1
 
 
 def _plateaued(traces: dict, se: dict) -> bool:
@@ -292,7 +290,7 @@ def alpha_pair(
     weight_model: WeightModel,
     spike_model: SpikeModel,
     rng: np.random.Generator,
-    samples: int = 1_000_000,
+    samples: int,
 ):
     """Estimate (alpha1, se1, alpha2, se2) from one set of fresh draws.
 

@@ -7,11 +7,11 @@ Each instance makes one call to ARPACK's implicitly restarted Lanczos
 ``LinearOperator`` around ``matvec``: the rank-one spike is never formed
 and every product goes through ``SpikedMatrix.matvec``. The start vector
 and any restart vectors come from the caller's generator, so results
-repeat exactly across reruns and worker counts. ``max_iter`` is a budget
+repeat exactly across reruns and worker counts. ``_MAX_ITER`` is a budget
 of matrix-vector products, and ``iterations`` counts them: the solve's
 own plus one explicit residual check ||Av - lambda v|| / max|lambda| per
 returned pair (the largest |eigenvalue| returned, as an exact zero one has
-no relative residual), which must not exceed ``tol``. ARPACK cannot start
+no relative residual), which must not exceed ``_TOL``. ARPACK cannot start
 on the zero operator (A v0 = 0); its spectrum is set exactly.
 
 Below 5 rows ARPACK has no room for the Krylov space it needs (scipy
@@ -41,8 +41,8 @@ import numpy as np
 from .errors import NotConverged
 from .graphgen import SpikedMatrix
 
-_DEFAULT_TOL = 1e-10
-_DEFAULT_MAX_ITER = 20_000
+_TOL = 1e-10
+_MAX_ITER = 20_000
 _K = 2  # eigenpairs per solve: the top and the second
 
 
@@ -65,12 +65,12 @@ class EigReport:
     iterations: int
 
 
-def _top_pairs(a: SpikedMatrix, tol, max_iter, rng):
+def _top_pairs(a: SpikedMatrix, rng):
     """The two largest-algebraic eigenpairs, in descending order.
 
     Returns (eigenvalues, unit eigenvectors as columns, relative residuals,
     matvec count). Raises NotConverged when the matvec budget runs out,
-    ARPACK fails, or an explicit residual exceeds ``tol``.
+    ARPACK fails, or an explicit residual exceeds ``_TOL``.
     """
     n = a.n
     if n < 2:
@@ -81,8 +81,8 @@ def _top_pairs(a: SpikedMatrix, tol, max_iter, rng):
 
     def counted(v):
         nonlocal matvecs
-        if matvecs >= max_iter:
-            raise NotConverged(f"matvec budget {max_iter} spent before reaching tol {tol:.1e}")
+        if matvecs >= _MAX_ITER:
+            raise NotConverged(f"matvec budget {_MAX_ITER} spent before reaching tol {_TOL:.1e}")
         matvecs += 1
         return a.matvec(v)
 
@@ -99,7 +99,7 @@ def _top_pairs(a: SpikedMatrix, tol, max_iter, rng):
         try:
             # ARPACK reads maxiter as a C int; ``counted`` enforces the budget itself
             evals, evecs = eigsh(op, k=_K, which="LA", v0=rng.standard_normal(n),
-                                 tol=tol, maxiter=min(max_iter, 2**31 - 1), rng=rng)
+                                 tol=_TOL, maxiter=min(_MAX_ITER, 2**31 - 1), rng=rng)
         except ArpackError as exc:
             raise NotConverged(f"ARPACK after {matvecs} matvecs: {exc}") from exc
     order = np.argsort(evals)[::-1][:_K]
@@ -110,15 +110,15 @@ def _top_pairs(a: SpikedMatrix, tol, max_iter, rng):
         for lam, v in zip(evals, evecs.T)
     ]
     worst = max(residuals)
-    if worst > tol:
-        raise NotConverged(f"residual {worst:.3e} after {matvecs} matvecs (tol {tol:.1e})")
+    if worst > _TOL:
+        raise NotConverged(f"residual {worst:.3e} after {matvecs} matvecs (tol {_TOL:.1e})")
     return evals, evecs, residuals, matvecs
 
 
-def analyze_instance(a: SpikedMatrix, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER, rng=None) -> EigReport:
+def analyze_instance(a: SpikedMatrix, rng=None) -> EigReport:
     """Solve one instance end to end: top and second eigenpairs from one
     solve, gauge-fixed overlap statistics."""
-    evals, evecs, residuals, matvecs = _top_pairs(a, tol, max_iter, rng)
+    evals, evecs, residuals, matvecs = _top_pairs(a, rng)
     n = a.n
     lam, lam2 = float(evals[0]), float(evals[1])
     v = evecs[:, 0] * np.sqrt(n)

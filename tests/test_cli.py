@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from sparsespike import cli, popdyn
+from sparsespike import cli, popdyn, spectral
 from sparsespike.errors import ConfigError, GenerationError, SolverError, SparseSpikeError
 
 
@@ -106,11 +106,13 @@ class TestConfigParsing:
         ({"mode": "analytic", "degree": RR4, "theta": [0.0, -0.0]}, "theta has a repeated value"),
         ({"mode": "sweep", "degree": RR4, "c_grid": [3, 3], "instances": 2}, "c_grid has a repeated value"),
         ({"mode": "analytic", "degree": PO3, "c_grid": [4, 4.0]}, "c_grid has a repeated value"),
+        # the eigensolver's tolerance and budget are module constants, not fields
+        ({"mode": "diag", "degree": RR4, "eig_tol": 1e-10}, "unknown config field 'eig_tol'"),
+        # a count below its floor, an empty grid
+        ({"mode": "diag", "degree": RR4, "workers": 0}, "workers must be >= 1"),
+        ({"mode": "densities", "degree": RR4, "theta": [4.0], "density_samples": 0}, "density_samples must be >= 1"),
+        ({"mode": "analytic", "degree": RR4, "c_grid": []}, "c_grid is empty"),
         # scalar fields run as written too
-        ({"mode": "diag", "degree": RR4, "eig_tol": "1e-10"}, "eig_tol must be a finite number"),
-        ({"mode": "diag", "degree": RR4, "eig_tol": float("nan")}, "eig_tol must be a finite number"),
-        ({"mode": "diag", "degree": RR4, "eig_tol": True}, "eig_tol must be a finite number"),
-        ({"mode": "diag", "degree": RR4, "eig_tol": 0}, "eig_tol must be positive"),
         ({"mode": "analytic", "degree": PO3, "lambda_structural": "5.0"}, "lambda_structural must be a finite number"),
         ({"mode": "analytic", "degree": PO3, "lambda_structural": True}, "lambda_structural must be a finite number"),
         ({"mode": "analytic", "degree": PO3, "lambda_structural": float("inf")}, "lambda_structural must be"),
@@ -121,8 +123,8 @@ class TestConfigParsing:
         ({"mode": "diag", "degree": RR4, "out_dir": 5}, "out_dir must be a string"),
         ({"mode": "diag", "degree": RR4, "out_dir": None}, "out_dir must be a string"),
         ({"mode": "densities", "degree": RR4, "theta": [4.0], "checkpoint": 7}, "unknown config field 'checkpoint'"),
-        ({"mode": "diag", "degree": RR4, "eig_max_iter": 0}, "eig_max_iter must be >= 1"),
-        ({"mode": "diag", "degree": RR4, "eig_max_iter": -3}, "eig_max_iter must be >= 1"),
+        ({"mode": "diag", "degree": RR4, "eig_max_iter": 20_000}, "unknown config field 'eig_max_iter'"),
+        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"max_sweeps": 0}}, "budgets must be positive"),
         ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"alpha_tol": float("nan")}},
          "alpha_tol must be a finite positive number"),
         ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"alpha_tol": True}},
@@ -559,11 +561,11 @@ class TestMainExitCodes:
         assert cli.main([path]) == 3
         assert "theta is at or below the recovery threshold" in capsys.readouterr().err
 
-    def test_eigensolver_budget_exhausted(self, tmp_path):
+    def test_eigensolver_budget_exhausted(self, tmp_path, monkeypatch):
         # 3 matvecs cannot converge: NotConverged reaches main as a solver failure
+        monkeypatch.setattr(spectral, "_MAX_ITER", 3)
         path = write_config(
-            tmp_path, mode="diag", degree=RR4, theta=[2.0], n=200, instances=1,
-            eig_max_iter=3, out_dir=str(tmp_path / "out"),
+            tmp_path, mode="diag", degree=RR4, theta=[2.0], n=200, instances=1, out_dir=str(tmp_path / "out"),
         )
         assert cli.main([path]) == 3
 
@@ -684,3 +686,11 @@ def test_farm_forks_after_eigensolver_import(tmp_path, mode):
             "assert cli.main(sys.argv[1:]) == 0")
     assert _python(code, path) == "True"
 
+
+def test_eigensolver_load_freezes_the_heap():
+    # the objects of numpy and scipy move to the permanent generation before the farm forks
+    code = ("import gc; from sparsespike import cli\n"
+            "before = gc.get_freeze_count()\n"
+            "cli._load_eigensolver()\n"
+            "print(before == 0 and gc.get_freeze_count() > 0)")
+    assert _python(code) == "True"

@@ -50,10 +50,11 @@ class TestTopEigenpair:
         assert abs(rep.lambda_top - evals[-1]) < 1e-9
         assert abs(rep.lambda_second - evals[-2]) < 1e-9
 
-    def test_not_converged(self):
+    def test_not_converged(self, monkeypatch):
         a = small_instance(0, n=200)
+        monkeypatch.setattr(spectral, "_MAX_ITER", 3)
         with pytest.raises(NotConverged):
-            spectral.analyze_instance(a, max_iter=3)
+            spectral.analyze_instance(a)
 
     def test_norm_contract(self):
         a = small_instance(1)
@@ -157,12 +158,14 @@ class TestMatvecBudget:
         assert rep.residual_second <= 1e-10
 
     @pytest.mark.parametrize("max_iter", [2**31, 10**20])
-    def test_budget_beyond_a_c_int(self, max_iter):
+    def test_budget_beyond_a_c_int(self, monkeypatch, max_iter):
         # ARPACK reads maxiter as a C int: a larger budget must run as the default one does,
         # not wrap to a negative count (ARPACK error -4) or overflow (SystemError)
         a = make_instance(ensembles.regular(3), ensembles.constant_weight(1.0),
                           ensembles.gaussian_spike(1.0), 50, 4.0, 1)
-        big, ref = (spectral.analyze_instance(a, max_iter=m, rng=derive_rng(1, 0, "eig")) for m in (max_iter, 20_000))
+        ref = spectral.analyze_instance(a, rng=derive_rng(1, 0, "eig"))
+        monkeypatch.setattr(spectral, "_MAX_ITER", max_iter)
+        big = spectral.analyze_instance(a, rng=derive_rng(1, 0, "eig"))
         for f in fields(ref):
             assert np.array_equal(getattr(big, f.name), getattr(ref, f.name)), f.name
 
