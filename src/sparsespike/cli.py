@@ -245,13 +245,16 @@ def _instance_row(args: tuple) -> dict:
     }
 
 
+@functools.cache
 def _load_eigensolver() -> None:
     """Import ``scipy.sparse.linalg`` (and with it ``scipy.sparse``) before
     ``_farm`` forks, so the workers share its pages instead of each loading
     it; the package itself never imports scipy. The heap is then frozen,
     as CPython advises before ``fork()``: no collection, a worker's (which
     would dirty the shared pages) or the one at exit, walks the ~40k objects
-    of numpy and scipy again (a full walk of them takes 10-30 ms)."""
+    of numpy and scipy again (a full walk of them takes 10-30 ms). This
+    runs once per process, so later runs in one process leave the objects
+    alive at their start collectable."""
     import scipy.sparse.linalg  # noqa: F401
     gc.freeze()
 

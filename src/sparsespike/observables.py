@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import DegreeModel, SpikeModel, WeightModel
-from .popdyn import Population, _full_nodes, _joined
+from .popdyn import Population, _full_nodes
 
 
 @dataclass(frozen=True)
@@ -44,17 +44,11 @@ def component_densities(
     full-node draws: u_top = ({hW/w}_k + theta q X) / (lambda - {W^2/w}_k),
     with k drawn from p_k and kept as the sample's tag, and u_ov = X u_top
     on the same draws, as the overlap components x_i v_i of one instance
-    pair with its components v_i. The formulas overwrite each block's
-    gathered sums and spike draws, and a block's denominators are dropped
-    once they are used."""
-    tops, ovs, ks = [], [], []
-    for k, x, u, den in _full_nodes(pop, degree_model, weight_model, spike_model, n_samples, rng):
-        tops.append(u)
-        ovs.append(np.multiply(x, u, out=x))
-        ks.append(k)
-        del den
-    k = _joined(ks)
-    return _build_density(_joined(tops), k), _build_density(_joined(ovs), k)
+    pair with its components v_i. The formulas overwrite the gathered sums
+    and spike draws, and the denominators are dropped unused."""
+    k, x, u, den = _full_nodes(pop, degree_model, weight_model, spike_model, n_samples, rng)
+    del den
+    return _build_density(u, k), _build_density(np.multiply(x, u, out=x), k)
 
 
 def marginals(pop: Population) -> dict:

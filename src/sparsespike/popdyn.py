@@ -249,39 +249,24 @@ def equilibrate(
 
 
 def _full_nodes(pop, degree_model, weight_model, spike_model, n_samples, rng):
-    """The one loop of the full-node estimators: ``_gather`` over full nodes
-    (k from p_k, k members) in blocks of about 4e6 members until n_samples
-    draws are made, then one spike draw x per node. Each block yields
-    (k, x, u, den): the denominator den = lambda - {W^2/omega}_k, written
-    over the gathered sum and checked positive here, and the top-eigenvector
-    components u = ({hW/omega}_k + (theta q) x) / den, written over
-    {hW/omega}_k. The term (theta q) x is formed and added ``_PIECE`` draws
-    at a time, so no temporary is as long as x; each element sees the same
-    two operations as the whole-array formula. The loop drops its references
-    to a block once it resumes, so a block lives only as long as its caller
-    keeps it."""
-    block = max(1, int(4_000_000 / max(degree_model.mean_c, 1.0)))
+    """The one pass of the full-node estimators: one ``_gather`` of n_samples
+    full nodes (k from p_k, k members), then one spike draw x per node.
+    Returns (k, x, u, den): the denominator den = lambda - {W^2/omega}_k,
+    written over the gathered sum and checked positive here, and the
+    top-eigenvector components u = ({hW/omega}_k + (theta q) x) / den,
+    written over {hW/omega}_k. The term (theta q) x is formed and added
+    ``_PIECE`` draws at a time, so no temporary is as long as x; each
+    element sees the same two operations as the whole-array formula."""
     tq = pop.theta * pop.q
-    z = _ratios(pop.omega, pop.h)
-    done = 0
-    while done < n_samples:
-        b = min(block, n_samples - done)
-        k, den, u = _gather(z, degree_model, weight_model, b, rng, cavity=False)
-        np.subtract(pop.lam, den, out=den)
-        if den.min() <= 0:
-            raise NonPositiveDenominator(f"min denominator {den.min():g} at lambda={pop.lam:g}")
-        x = np.asarray(spike_model.sample(rng, size=b), float)
-        for lo in range(0, b, _PIECE):
-            u[lo:lo + _PIECE] += np.multiply(tq, x[lo:lo + _PIECE])
-        u /= den
-        yield k, x, u, den
-        del k, x, u, den
-        done += b
-
-
-def _joined(parts: list) -> np.ndarray:
-    """The blocks as one array; a single block is returned as it is."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    k, den, u = _gather(_ratios(pop.omega, pop.h), degree_model, weight_model, n_samples, rng, cavity=False)
+    np.subtract(pop.lam, den, out=den)
+    if den.min() <= 0:
+        raise NonPositiveDenominator(f"min denominator {den.min():g} at lambda={pop.lam:g}")
+    x = np.asarray(spike_model.sample(rng, size=n_samples), float)
+    for lo in range(0, n_samples, _PIECE):
+        u[lo:lo + _PIECE] += np.multiply(tq, x[lo:lo + _PIECE])
+    u /= den
+    return k, x, u, den
 
 
 def alpha_pair(
@@ -300,17 +285,13 @@ def alpha_pair(
     1/theta instead, so the theta factor is folded in here to give both
     alphas a common fixed point. alpha1's terms are the squares of the
     components u that ``observables.component_densities`` samples. The
-    formulas overwrite each block's u and den, in the same operation order
-    as the written formula, and a block's degrees and spike draws are
-    dropped once they are used.
+    formulas overwrite u and den, in the same operation order as the
+    written formula, and the degrees and spike draws are dropped unused.
     """
-    a1_parts, a2_parts = [], []
-    for k, x, u, den in _full_nodes(pop, degree_model, weight_model, spike_model, samples, rng):
-        a1_parts.append(np.square(u, out=u))
-        a2_parts.append(np.divide(1.0, den, out=den))
-        del k, x
-    a1 = _joined(a1_parts)
-    a2 = _joined(a2_parts)
+    k, x, u, den = _full_nodes(pop, degree_model, weight_model, spike_model, samples, rng)
+    del k, x
+    a1 = np.square(u, out=u)
+    a2 = np.divide(1.0, den, out=den)
     a2 *= pop.theta * spike_model.sigma_x2
     n = a1.size
     return (

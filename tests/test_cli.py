@@ -694,3 +694,16 @@ def test_eigensolver_load_freezes_the_heap():
             "cli._load_eigensolver()\n"
             "print(before == 0 and gc.get_freeze_count() > 0)")
     assert _python(code) == "True"
+
+
+def test_eigensolver_load_freezes_the_heap_once():
+    # a later run in the same process leaves the garbage alive at its start collectable
+    code = ("import gc; from sparsespike import cli\n"
+            "cli._load_eigensolver()\n"
+            "frozen = gc.get_freeze_count()\n"
+            "junk = [[] for _ in range(1000)]\n"
+            "for item in junk:\n"
+            "    item.append(item)\n"
+            "cli._load_eigensolver()\n"
+            "print(gc.get_freeze_count() == frozen)")
+    assert _python(code) == "True"

@@ -177,35 +177,22 @@ def _random_population(n_pop=2000):
                              q=0.9, lam=60.0, theta=6.0)
 
 
-# Draws per block of the full-node loop on regular(16) noise: 4e6 members / 16.
-BLOCK_16 = 250_000
-
-
-def _blocks(pop, dm, wm, n, rng):
-    """The full-node loop's blocks of (k, s_w2, s_hw), straight from the kernel."""
-    z = popdyn._ratios(pop.omega, pop.h)
-    for lo in range(0, n, BLOCK_16):
-        yield popdyn._gather(z, dm, wm, min(BLOCK_16, n - lo), rng, cavity=False)
-
-
 def _written_formulas(pop, dm, wm, sm, n, seed):
     """(k, u_top, u_ov, alpha1 terms, alpha2 terms) by the written formulas,
     on the draws that component_densities and alpha_pair make."""
     rng = np.random.default_rng(seed)
-    parts = []
-    for k, s_w2, s_hw in _blocks(pop, dm, wm, n, rng):
-        den = pop.lam - s_w2
-        x = np.asarray(sm.sample(rng, size=k.size), float)
-        top = (s_hw + pop.theta * pop.q * x) / den
-        parts.append((k, top, x * top, top ** 2, 1.0 / den))
-    k, top, ov, a1, a2 = (np.concatenate(p) for p in zip(*parts))
-    return k, top, ov, a1, pop.theta * sm.sigma_x2 * a2
+    k, s_w2, s_hw = popdyn._gather(popdyn._ratios(pop.omega, pop.h), dm, wm, n, rng, cavity=False)
+    den = pop.lam - s_w2
+    x = np.asarray(sm.sample(rng, size=n), float)
+    top = (s_hw + pop.theta * pop.q * x) / den
+    return k, top, x * top, top ** 2, pop.theta * sm.sigma_x2 * (1.0 / den)
 
 
 class TestInPlaceFormulas:
     """The estimators overwrite the gathered sums in place; every value must
-    equal the written formula on the same draws, bit for bit. Regular(16)
-    noise makes blocks of 250,000 draws, so 300,007 samples span two."""
+    equal the written formula on the same draws, bit for bit. 300,007
+    samples on regular(16) noise (about 4.8e6 members) make ten gather
+    pieces of 2^15 draws, the last of them partial."""
 
     N = 300_007
     DM = ensembles.regular(16)
@@ -228,32 +215,34 @@ class TestInPlaceFormulas:
 class TestGatherMemory:
     """The Monte Carlo estimators form the member indices and terms a piece
     of draws at a time, hold the degrees in one byte, add (theta q) x a
-    piece at a time and drop each block's arrays once they are used. At
-    4e5 samples (one block, about 1.2e6 members) the traced peak is about
-    26.5 bytes per sample for alpha_pair and for both densities: the
-    degrees (1), the two gathered sums and the spike draws (8 each), and
-    0.8 for the ratio array of the 2e4 slots. Degrees in 8 bytes, full-length
-    temporaries and arrays kept past their use took about 41, holding a
-    block's member indices about 55, and every member's terms at once
-    about 120."""
+    piece at a time and overwrite the gathered sums in place. At 4e5
+    samples (about 1.2e6 members) the traced peak is about 25.8 bytes per
+    sample for alpha_pair and for both densities: the degrees (1), the two
+    gathered sums and the spike draws (8 each), and 0.8 for the ratio array
+    of the 2e4 slots; at 2e6 samples it is about 25.2. Gathering a pass in
+    parts and joining them took 40-42 at 2e6. Degrees in 8 bytes,
+    full-length temporaries and arrays kept past their use took about 41,
+    holding a pass's member indices about 55, and every member's terms at
+    once about 120."""
 
-    N = 400_000
-
-    @pytest.mark.parametrize("name", ["component_densities", "alpha_pair"])
-    def test_peak_bytes_per_sample(self, name):
+    @pytest.mark.parametrize("name, n", [
+        ("component_densities", 400_000), ("alpha_pair", 400_000),
+        ("component_densities", 2_000_000), ("alpha_pair", 2_000_000),
+    ], ids=["component_densities", "alpha_pair", "component_densities-2e6", "alpha_pair-2e6"])
+    def test_peak_bytes_per_sample(self, name, n):
         dm, pop = ensembles.truncated_poisson(3.0, 8), _random_population(20_000)
         rng = np.random.default_rng(1)
         if name == "alpha_pair":
-            run = lambda: popdyn.alpha_pair(pop, dm, W1, GAUSS, rng, self.N)
+            run = lambda: popdyn.alpha_pair(pop, dm, W1, GAUSS, rng, n)
         else:
-            run = lambda: observables.component_densities(pop, dm, W1, GAUSS, self.N, rng)
+            run = lambda: observables.component_densities(pop, dm, W1, GAUSS, n, rng)
         tracemalloc.start()
         try:
             run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / self.N < 30
+        assert peak / n < 30
 
 
 def _csv_writer_reference(path, header_lines, names, rows):
