@@ -15,10 +15,6 @@ import numpy as np
 from .ensembles import DegreeModel, SpikeModel, WeightModel, _integer, regular_constant_weight
 from .errors import NegativeDenominator, RootNotBracketed
 
-# Degree kinds whose threshold ``theta_crit`` reads off the resolvent route.
-RESOLVENT_KINDS = ("truncated_poisson", "regular")
-
-
 def _bisect(above, lo: float, hi: float) -> float:
     """Shrink [lo, hi], with the predicate ``above`` false at lo and true at
     hi (neither end is evaluated), to adjacent floats; return hi."""
@@ -77,7 +73,7 @@ class _Branch:
     def q(self, x: float) -> float:
         """Q = P0 / sqrt(S0), strictly decreasing in x; +inf at an edge set
         by k_max E[W^2], where P0's last pole sits."""
-        return _sums(x, self.p, self.b)[0] / np.sqrt(_sums(x, self.r, self.a)[0])
+        return float(_sums(x, self.p, self.b)[0] / np.sqrt(_sums(x, self.r, self.a)[0]))
 
     def q_prime(self, x: float) -> float:
         """dQ/dlambda in closed form: with S1, P1 the sums of the squared
@@ -98,16 +94,6 @@ def _sums(x: float, w: np.ndarray, poles: np.ndarray) -> tuple[float, float]:
     return float((w * g).sum()), float((w * g * g).sum())
 
 
-def q_tilde(lam: float, degree_model: DegreeModel, e_w2: float) -> float:
-    """Threshold function Q(lambda) = sum_k p_k / (lambda - k E[W^2] m(lambda)),
-    read at x = lambda/m on the branch (``_Branch.q``). For a truncated
-    Poisson table it reduces exactly to (c/cbar) m + p_{k_max} /
-    (lambda - k_max E[W^2] m); for a regular model it collapses to the
-    single-branch closed form. At an edge set by k_max E[W^2] it is +inf."""
-    branch = _Branch(degree_model, e_w2)
-    return float(branch.q(branch.x_of(lam)))
-
-
 def gershgorin_bound(degree_model: DegreeModel, weight_model: WeightModel) -> float:
     """Row-sum bound on the noise spectrum: k_max * zeta."""
     return degree_model.k_max * weight_model.zeta
@@ -121,38 +107,26 @@ def admissible_lambda_floor(degree_model: DegreeModel, e_w2: float) -> float:
     return _Branch(degree_model, e_w2).lam_e
 
 
-def _signal_root(theta, degree_model, weight_model, spike_model) -> tuple[float, _Branch]:
-    """(x, branch) at the unique root of Q = 1/(theta sigma_x^2), bisected
-    once in x, where Q decreases strictly, on [x_e, lambda_hi^2]. The root
-    exists down to the detachment point (theta_b in the regular case), where
-    the branch meets the spectral edge. Below detachment, and at theta <= 0
-    where there is no signal, RootNotBracketed is raised."""
+def _signal_root(branch: _Branch, theta: float, sigma_x2: float, bound: float) -> float:
+    """x at the unique root of Q = 1/(theta sigma_x^2) on ``branch``,
+    bisected once in x, where Q decreases strictly, on [x_e, lambda_hi^2];
+    ``bound`` is the noise's ``gershgorin_bound``. The root exists down to
+    the detachment point (theta_b in the regular case), where the branch
+    meets the spectral edge. Below detachment, and at theta <= 0 where there
+    is no signal, RootNotBracketed is raised. The root lies above x_e, so
+    ``q_prime`` reads it."""
     if theta <= 0:
         raise RootNotBracketed(f"no signal branch at theta={theta:g}")
-    target = 1.0 / (theta * spike_model.sigma_x2)
-    branch = _Branch(degree_model, weight_model.second_moment_w)
+    target = 1.0 / (theta * sigma_x2)
     q_lo = branch.q(branch.x_e)
     if q_lo <= target:
         raise RootNotBracketed(
             f"Q at the spectral edge ({q_lo:g}) does not exceed 1/(theta sigma^2)={target:g}; "
             "theta is at or below the recovery threshold"
         )
-    lam_hi = max(gershgorin_bound(degree_model, weight_model) + 2.0 * theta * spike_model.sigma_x2, branch.lam_e * 2)
+    lam_hi = max(bound + 2.0 * theta * sigma_x2, branch.lam_e * 2)
     # Q <= 1/(lambda - k_max zeta) <= target/2 at lambda >= lam_hi, and lambda(x) >= sqrt(x)
-    return _bisect(lambda x: branch.q(x) <= target, branch.x_e, lam_hi * lam_hi), branch
-
-
-def lambda_signal(
-    theta: float,
-    degree_model: DegreeModel,
-    weight_model: WeightModel,
-    spike_model: SpikeModel,
-) -> float:
-    """Signal eigenvalue lambda_theta, the root of Q(lambda) = 1/(theta
-    sigma_x^2) (``_signal_root``). Between detachment and theta_crit it
-    describes the second eigenvalue rather than the top one."""
-    x, branch = _signal_root(theta, degree_model, weight_model, spike_model)
-    return branch.lam(x)
+    return _bisect(lambda x: branch.q(x) <= target, branch.x_e, lam_hi * lam_hi)
 
 
 def signal_and_overlap(
@@ -161,26 +135,14 @@ def signal_and_overlap(
     weight_model: WeightModel,
     spike_model: SpikeModel,
 ) -> tuple[float, float]:
-    """(lambda_theta, squared overlap) from one root solve: ``lambda_signal``
-    and -1 / (sigma_x^2 theta^2 Q'(lambda_theta)), Q' read at the root's x."""
-    x, branch = _signal_root(theta, degree_model, weight_model, spike_model)
+    """(lambda_theta, squared overlap) from one root solve: the signal
+    eigenvalue, the root of Q(lambda) = 1/(theta sigma_x^2)
+    (``_signal_root``), and -1 / (sigma_x^2 theta^2 Q'(lambda_theta)), Q'
+    read at the root's x. Between detachment and theta_crit the root
+    describes the second eigenvalue rather than the top one."""
+    branch = _Branch(degree_model, weight_model.second_moment_w)
+    x = _signal_root(branch, theta, spike_model.sigma_x2, gershgorin_bound(degree_model, weight_model))
     return branch.lam(x), -1.0 / (spike_model.sigma_x2 * theta**2 * branch.q_prime(x))
-
-
-def theta_crit(
-    degree_model: DegreeModel,
-    weight_model: WeightModel,
-    spike_model: SpikeModel,
-    lambda_structural: float,
-) -> float:
-    """Recovery threshold 1 / (sigma_x^2 Q(lambda_{theta=0})), Q from the
-    resolvent-moment route (``RESOLVENT_KINDS`` degree tables only), at the
-    caller's ``lambda_structural`` (from a theta=0 population run, or the
-    spectral edge when no outlier exists)."""
-    if degree_model.kind not in RESOLVENT_KINDS:
-        raise ValueError(f"no theta_crit route for {degree_model.kind!r} degree tables")
-    q0 = q_tilde(lambda_structural, degree_model, weight_model.second_moment_w)
-    return 1.0 / (spike_model.sigma_x2 * q0)
 
 
 @dataclass(frozen=True)
@@ -259,18 +221,23 @@ def report(
     constant-weight noise, which do not read ``lambda_structural`` (on the
     chain c = 2 its c w can round below the route's edge, where the route
     raises), else the resolvent route at ``lambda_structural`` (from a
-    theta=0 population run, or the spectral edge when no outlier exists)."""
+    theta=0 population run, or the spectral edge when no outlier exists).
+    The route reads one ``_Branch``, built from p_k, r_k and E[W^2] alone:
+    theta_crit = 1 / (sigma_x^2 Q(lambda_structural)), the edge, the signal
+    root, and above theta_crit the overlap as ``signal_and_overlap`` gives it."""
     w = regular_constant_weight(degree_model, weight_model)
     if w is not None:
         return rr_report(degree_model.k_max, spike_model.sigma_x2, theta, w)
-    t_crit = theta_crit(degree_model, weight_model, spike_model, lambda_structural)
-    edge = admissible_lambda_floor(degree_model, weight_model.second_moment_w)
+    branch = _Branch(degree_model, weight_model.second_moment_w)
+    sigma_x2, bound = spike_model.sigma_x2, gershgorin_bound(degree_model, weight_model)
+    t_crit = 1.0 / (sigma_x2 * branch.q(branch.x_of(lambda_structural)))
     if theta > t_crit:
-        lam, ov = signal_and_overlap(theta, degree_model, weight_model, spike_model)
-        lam_top = lam
+        x = _signal_root(branch, theta, sigma_x2, bound)
+        lam = lam_top = branch.lam(x)
+        ov = -1.0 / (sigma_x2 * theta**2 * branch.q_prime(x))
     else:
         try:
-            lam = lambda_signal(theta, degree_model, weight_model, spike_model)
+            lam = branch.lam(_signal_root(branch, theta, sigma_x2, bound))
         except RootNotBracketed:
             lam = None
         ov = 0.0
@@ -279,7 +246,7 @@ def report(
         theta=float(theta),
         theta_crit=t_crit,
         lambda_structural=lambda_structural,
-        bulk_edge=edge,
+        bulk_edge=branch.lam_e,
         lambda_theta=lam,
         lambda_top=lam_top,
         overlap_sq=ov,

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import analytic, ensembles, graphgen, observables, popdyn, spectral
-from .errors import ConfigError, SparseSpikeError
+from .errors import ConfigError, RootNotBracketed, SparseSpikeError
 
 
 def seed_derivation(master_seed: int, instance_index: int, role_tag: str) -> int:
@@ -87,6 +87,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
+# Degree kinds whose theta_crit the analytic and sweep modes report
+# (``analytic.report`` itself reads any degree table).
+RESOLVENT_KINDS = ("truncated_poisson", "regular")
+
+
 def _checked_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -142,7 +147,7 @@ def _checked_config(raw: dict) -> ExperimentConfig:
         degree_model, weight_model, _ = build_models(cfg, c_value)
         if cfg.mode not in ("analytic", "sweep"):
             continue
-        if degree_model.kind not in analytic.RESOLVENT_KINDS:
+        if degree_model.kind not in RESOLVENT_KINDS:
             raise ConfigError(f"{cfg.mode} mode has no theta_crit route for a {degree_model.kind!r} degree table")
         if cfg.lambda_structural is not None and ensembles.regular_constant_weight(degree_model, weight_model) is None:
             edge = analytic.admissible_lambda_floor(degree_model, weight_model.second_moment_w)
@@ -389,7 +394,17 @@ def _aggregate(rows: list) -> list:
 
 def _solve(cfg: ExperimentConfig, index: int, theta: float, models: tuple):
     """``popdyn.solve`` at theta on stream ``index``, at the resolvent
-    route's (lambda, q); a route without a signal root raises its SolverError."""
+    route's (lambda, q); a route without a signal root raises its SolverError.
+    On regular constant-weight noise a theta at or below the closed-form
+    theta_crit raises RootNotBracketed before any sweep: there the signal
+    root is not the top eigenvalue, and the population never plateaus."""
+    degree_model, weight_model, spike_model = models
+    w = ensembles.regular_constant_weight(degree_model, weight_model)
+    if w is not None:
+        t_crit = analytic.rr_report(degree_model.k_max, spike_model.sigma_x2, theta, w).theta_crit
+        if theta <= t_crit:
+            raise RootNotBracketed(f"theta={theta:g} with theta_crit={t_crit:.12g}: "
+                                   "theta is at or below the recovery threshold")
     lam, ov = analytic.signal_and_overlap(theta, *models)
     return popdyn.solve(theta, *models, popdyn.PopDynConfig(**cfg.popdyn), derive_rng(cfg.seed, index, "popdyn"),
                         lam, float(np.sqrt(ov)))

@@ -45,10 +45,8 @@ class _Draw:
         cells.flags.writeable = False
         self.cdf, self.cells = cdf, cells
 
-    def __call__(self, rng: np.random.Generator, size=None) -> np.ndarray | int:
+    def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
-        if size is None:
-            return int(np.searchsorted(self.cdf, u, side="right"))
         out = np.empty(u.size, np.intp)
         for lo in range(0, u.size, _PIECE):
             up = u[lo:lo + _PIECE]
@@ -137,11 +135,11 @@ class DegreeModel:
     def _rdraw(self) -> _Draw:
         return _Draw(self.r)
 
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray | int:
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw degrees i.i.d. from p_k."""
         return self._draw(rng, size)
 
-    def sample_corrected(self, rng: np.random.Generator, size=None) -> np.ndarray | int:
+    def sample_corrected(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw degrees i.i.d. from the size-biased table r_k."""
         return self._rdraw(rng, size)
 
@@ -198,7 +196,7 @@ def sample_degree_sequence(model: DegreeModel, n: int, rng: np.random.Generator)
         # expected O(1) redraws: each redraw flips parity with fixed probability
         for _ in range(10_000):
             i = int(rng.integers(n))
-            degrees[i] = model.sample(rng)
+            degrees[i] = model.sample(rng, size=1)[0]
             if degrees.sum() % 2 == 0:
                 return degrees
     i = int(rng.integers(n))
@@ -231,12 +229,10 @@ class WeightModel:
     def _draw(self) -> _Draw:
         return _Draw(self.probs)
 
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray | float:
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.values.size == 1:
-            w = self.values[0]
-            return np.full(size, w) if size is not None else float(w)
-        out = self.values[self._draw(rng, size)]
-        return out if size is not None else float(out)
+            return np.full(size, self.values[0])
+        return self.values[self._draw(rng, size)]
 
 
 def constant_weight(w: float) -> WeightModel:
@@ -297,7 +293,7 @@ class SpikeModel:
     def _draw(self) -> _Draw:
         return _Draw(self.probs)
 
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray | float:
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # the draws are scaled in place: the same multiplies, no second array
         if self.kind == "gaussian":
             out = rng.standard_normal(size)
@@ -308,7 +304,7 @@ class SpikeModel:
             out *= np.sqrt(self.sigma_x2)
         else:
             out = self.values[self._draw(rng, size)]
-        return out if size is not None else float(out)
+        return out
 
 
 def gaussian_spike(sigma_x2: float = 1.0) -> SpikeModel:

@@ -16,6 +16,12 @@ def stable_m(lam, degree_model, e_w2):
     return lam / analytic._Branch(degree_model, e_w2).x_of(lam)
 
 
+def q_tilde(lam, degree_model, e_w2):
+    """Q(lambda) on the stable branch, read at x = lambda/m."""
+    branch = analytic._Branch(degree_model, e_w2)
+    return branch.q(branch.x_of(lam))
+
+
 def brute_m(lam, degree_model, e_w2, iters=2000):
     """Independent oracle: plain undamped contraction iteration."""
     r = degree_model.r
@@ -56,7 +62,7 @@ class TestQTilde:
         for lam in (5.5, 6.0, 8.0, 12.0):
             m = stable_m(lam, dm, 1.0)
             two_term = (dm.mean_c / 4.0) * m + dm.probs[-1] / (lam - dm.k_max * m)
-            assert abs(analytic.q_tilde(lam, dm, 1.0) - two_term) < 5e-13
+            assert abs(q_tilde(lam, dm, 1.0) - two_term) < 5e-13
 
     def test_large_kmax_correction_negligible(self):
         # lambda must sit above the k_max-inflated spectral edge ~ sqrt(k_max)
@@ -65,12 +71,12 @@ class TestQTilde:
         m = stable_m(lam, dm, 1.0)
         correction = dm.probs[-1] / (lam - dm.k_max * m)
         assert correction < 1e-10
-        assert abs(analytic.q_tilde(lam, dm, 1.0) - m * dm.mean_c / 4.0) < 1e-10
+        assert abs(q_tilde(lam, dm, 1.0) - m * dm.mean_c / 4.0) < 1e-10
 
     def test_monotone_decreasing_positive(self):
         dm = ensembles.truncated_poisson(4.0, 20)
         grid = np.linspace(5.3, 12.0, 25)
-        vals = [analytic.q_tilde(lam, dm, 1.0) for lam in grid]
+        vals = [q_tilde(lam, dm, 1.0) for lam in grid]
         assert all(v > 0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -80,7 +86,7 @@ class TestQTilde:
         dm, wm, sm = poisson_models
         pop = poisson_solved["pop"]
         qhat = popdyn.alpha_pair(pop, dm, wm, sm, np.random.default_rng(0), 400_000)[2] / pop.theta
-        qfix = analytic.q_tilde(pop.lam, dm, 1.0)
+        qfix = q_tilde(pop.lam, dm, 1.0)
         assert abs(qhat - qfix) / qfix < 3e-3
 
     def test_prime_matches_finite_difference(self):
@@ -92,7 +98,7 @@ class TestQTilde:
             for lam in (edge * (1.0 + 1e-4), edge * (1.0 + 1e-3), edge * 1.05, 6.0, 8.0, 12.0):
                 qp = branch.q_prime(branch.x_of(lam))
                 step = 1e-4 * (lam - edge)
-                fd = (analytic.q_tilde(lam + step, dm, 1.0) - analytic.q_tilde(lam - step, dm, 1.0)) / (2 * step)
+                fd = (q_tilde(lam + step, dm, 1.0) - q_tilde(lam - step, dm, 1.0)) / (2 * step)
                 assert abs(qp - fd) < 1e-7 * abs(qp)
                 assert qp < 0
 
@@ -123,7 +129,7 @@ class TestQGeneral:
 
 class TestThetaCrit:
     """The threshold as ``report`` gives it: the closed form for regular
-    constant-weight noise, else the route's ``theta_crit``."""
+    constant-weight noise, else 1 / (sigma^2 Q(lambda_structural)) on the route."""
 
     def test_rr_closed_form(self):
         assert abs(analytic.report(0.0, ensembles.regular(4), W1, GAUSS, 4.0).theta_crit - 8.0 / 3.0) < 1e-12
@@ -147,7 +153,7 @@ class TestThetaCrit:
         # edge 1.4000000000000001: the route raises, the report does not
         dm, wm = ensembles.regular(2), ensembles.constant_weight(0.7)
         with pytest.raises(NegativeDenominator):
-            analytic.theta_crit(dm, wm, GAUSS, 1.4)
+            analytic._Branch(dm, wm.second_moment_w).x_of(1.4)
         assert analytic.report(0.0, dm, wm, GAUSS, 1.4).theta_crit == 0.0
 
     def test_large_c_trend_to_dense(self):
@@ -158,7 +164,7 @@ class TestThetaCrit:
             dm = ensembles.regular(c)
             wm = ensembles.rademacher_weight(1.0 / np.sqrt(c))
             edge = analytic.admissible_lambda_floor(dm, wm.second_moment_w)
-            vals.append(analytic.theta_crit(dm, wm, GAUSS, edge))
+            vals.append(analytic.report(0.0, dm, wm, GAUSS, edge).theta_crit)
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert abs(vals[-1] - 1.0) < 0.03
 
@@ -171,7 +177,7 @@ class TestReport:
         # the overlap 0; above it both come from the signal root
         dm, lam_s = ensembles.truncated_poisson(4.0, 20), 5.071300896258503
         rep = analytic.report(theta, dm, W1, GAUSS, lam_s)
-        t_crit = analytic.theta_crit(dm, W1, GAUSS, lam_s)
+        t_crit = 1.0 / q_tilde(lam_s, dm, 1.0)
         assert (rep.theta, rep.theta_crit, rep.lambda_structural) == (theta, t_crit, lam_s)
         assert rep.bulk_edge == analytic.admissible_lambda_floor(dm, 1.0)
         assert (rep.theta_b, rep.c_crit, rep.c_b) == (None, None, None)
@@ -179,35 +185,56 @@ class TestReport:
             lam, ov = analytic.signal_and_overlap(theta, dm, W1, GAUSS)
             assert (rep.lambda_theta, rep.lambda_top, rep.overlap_sq) == (lam, lam, ov)
         else:
-            lam = analytic.lambda_signal(theta, dm, W1, GAUSS) if has_branch else None
+            lam = analytic.signal_and_overlap(theta, dm, W1, GAUSS)[0] if has_branch else None
             assert (rep.lambda_theta, rep.lambda_top, rep.overlap_sq) == (lam, lam_s, 0.0)
+
+    def test_one_branch_per_question(self, monkeypatch):
+        # report reads theta_crit, the edge, the signal root and the overlap
+        # off one branch; signal_and_overlap reads its answer off one too
+        built = []
+        init = analytic._Branch.__init__
+        monkeypatch.setattr(analytic._Branch, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+        dm = ensembles.truncated_poisson(4.0, 20)
+        analytic.report(6.0, dm, W1, GAUSS, 5.2552)
+        assert len(built) == 1
+        analytic.signal_and_overlap(6.0, dm, W1, GAUSS)
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("theta", [2.0, 6.0])
+    def test_route_reads_only_the_degree_table(self, theta):
+        # a "table" law with the Poisson(4, 20) probabilities gets the same
+        # report: the route reads p_k and r_k, not the law's kind
+        dm = ensembles.truncated_poisson(4.0, 20)
+        rep = analytic.report(theta, ensembles.degree_table(dm.probs), W1, GAUSS, 5.2552)
+        ref = analytic.report(theta, dm, W1, GAUSS, 5.2552)
+        assert rep.as_flat_dict() == pytest.approx(ref.as_flat_dict(), rel=1e-12)
 
 
 class TestLambdaSignal:
     def test_rr_closed_form(self):
-        lam = analytic.lambda_signal(4.0, ensembles.regular(4), W1, GAUSS)
+        lam = analytic.signal_and_overlap(4.0, ensembles.regular(4), W1, GAUSS)[0]
         assert abs(lam - (4 * np.sqrt(5) - 4)) < 1e-8
 
     def test_threshold_continuity(self):
-        lam = analytic.lambda_signal(8.0 / 3.0 + 1e-4, ensembles.regular(4), W1, GAUSS)
+        lam = analytic.signal_and_overlap(8.0 / 3.0 + 1e-4, ensembles.regular(4), W1, GAUSS)[0]
         assert abs(lam - 4.0) < 1e-2
 
     def test_below_detachment_not_bracketed(self):
         # the branch exists down to theta_b ~ 1.1547; below it there is no root
         with pytest.raises(RootNotBracketed):
-            analytic.lambda_signal(1.0, ensembles.regular(4), W1, GAUSS)
+            analytic.signal_and_overlap(1.0, ensembles.regular(4), W1, GAUSS)
 
     @pytest.mark.parametrize("theta", [0.0, -1.0])
     def test_no_signal_branch_at_theta_zero(self, theta):
         # 1/(theta sigma^2) has no value at theta = 0 (see the CLI test of
         # theta = 0 on Poisson noise for the report)
         with pytest.raises(RootNotBracketed):
-            analytic.lambda_signal(theta, ensembles.truncated_poisson(4.0, 20), W1, GAUSS)
+            analytic.signal_and_overlap(theta, ensembles.truncated_poisson(4.0, 20), W1, GAUSS)
 
     def test_between_detachment_and_threshold_returns_branch(self):
         # for theta_b < theta < theta_crit the root is the detached branch
         # (the second eigenvalue), matching the closed form
-        lam = analytic.lambda_signal(2.0, ensembles.regular(4), W1, GAUSS)
+        lam = analytic.signal_and_overlap(2.0, ensembles.regular(4), W1, GAUSS)[0]
         assert abs(lam - analytic.rr_report(4, 1.0, 2.0).lambda_theta) < 1e-8
 
     @pytest.mark.parametrize("cbar", [3.5, 4.0])
@@ -223,23 +250,25 @@ class TestLambdaSignal:
     def test_root_at_theta_crit_is_structural(self, cbar, k_max, lam_s):
         # theta_crit and the signal root read one Q: at theta_crit the root is lambda_s
         dm = ensembles.truncated_poisson(cbar, k_max)
-        theta = analytic.theta_crit(dm, W1, GAUSS, lam_s)
-        assert abs(analytic.lambda_signal(theta, dm, W1, GAUSS) - lam_s) <= np.spacing(lam_s)
+        theta = analytic.report(0.0, dm, W1, GAUSS, lam_s).theta_crit
+        assert abs(analytic.signal_and_overlap(theta, dm, W1, GAUSS)[0] - lam_s) <= np.spacing(lam_s)
 
     @pytest.mark.parametrize("dm, wm", [
-        (ensembles.regular(4), W1),
         (ensembles.truncated_poisson(4.0, 20), W1),
         (ensembles.truncated_poisson(3.0, 8), ensembles.rademacher_weight(0.8)),
-    ], ids=["rr4", "po4", "po3-rademacher"])
+    ], ids=["po4", "po3-rademacher"])
     def test_overlap_solve_has_the_same_root(self, dm, wm):
+        # report reads the signal root off its own branch, on both sides of
+        # theta_crit: the root of signal_and_overlap, and None where it raises
+        lam_s = 1.05 * analytic.admissible_lambda_floor(dm, wm.second_moment_w)
         for theta in np.linspace(0.25, 12.0, 48):
+            rep = analytic.report(theta, dm, wm, GAUSS, lam_s)
             try:
-                lam = analytic.lambda_signal(theta, dm, wm, GAUSS)
+                lam = analytic.signal_and_overlap(theta, dm, wm, GAUSS)[0]
             except RootNotBracketed:
-                with pytest.raises(RootNotBracketed):
-                    analytic.signal_and_overlap(theta, dm, wm, GAUSS)
+                assert rep.lambda_theta is None
                 continue
-            assert analytic.signal_and_overlap(theta, dm, wm, GAUSS)[0] == lam
+            assert rep.lambda_theta == lam
 
     def test_poisson_vs_popdyn(self, poisson_solved):
         lam_an = poisson_solved["lambda_analytic"]
@@ -261,8 +290,8 @@ class TestOverlapSq:
         dm = ensembles.regular(4)
         ov = analytic.signal_and_overlap(theta, dm, W1, GAUSS)[1]
         step = 1e-3 * theta
-        fd = (analytic.lambda_signal(theta + step, dm, W1, GAUSS)
-              - analytic.lambda_signal(theta - step, dm, W1, GAUSS)) / (2 * step)
+        fd = (analytic.signal_and_overlap(theta + step, dm, W1, GAUSS)[0]
+              - analytic.signal_and_overlap(theta - step, dm, W1, GAUSS)[0]) / (2 * step)
         assert abs(ov - fd) < 1e-4 * abs(fd)
 
     @pytest.mark.parametrize("c", [3, 4, 5, 8])
@@ -279,8 +308,8 @@ class TestOverlapSq:
         theta = 6.0
         ov = analytic.signal_and_overlap(theta, dm, W1, GAUSS)[1]
         step = 5e-3
-        fd = (analytic.lambda_signal(theta + step, dm, W1, GAUSS)
-              - analytic.lambda_signal(theta - step, dm, W1, GAUSS)) / (2 * step)
+        fd = (analytic.signal_and_overlap(theta + step, dm, W1, GAUSS)[0]
+              - analytic.signal_and_overlap(theta - step, dm, W1, GAUSS)[0]) / (2 * step)
         assert abs(ov - fd) < 1e-4 * abs(fd)
 
 
@@ -328,9 +357,10 @@ class TestRRReport:
         scale = rep.theta_b if rep.theta_b > 0 else 0.1
         for theta in scale * np.array([1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0]):
             closed = analytic.rr_report(c, 1.0, theta, w)
-            assert abs(analytic.lambda_signal(theta, dm, wm, GAUSS) - closed.lambda_theta) < 1e-12
+            lam, ov = analytic.signal_and_overlap(theta, dm, wm, GAUSS)
+            assert abs(lam - closed.lambda_theta) < 1e-12
             if theta > closed.theta_crit:
-                assert abs(analytic.signal_and_overlap(theta, dm, wm, GAUSS)[1] - closed.overlap_sq) < 1e-12
+                assert abs(ov - closed.overlap_sq) < 1e-12
 
     @pytest.mark.parametrize("w", [1.0, 0.7])
     @pytest.mark.parametrize("c", [2, 3, 4, 10])
@@ -367,8 +397,7 @@ class TestRRReport:
     def test_rr_vs_generic_pipeline(self):
         # closed forms against the generic resolvent machinery, 1e-6
         rep = analytic.rr_report(4, 1.0, 4.0)
-        lam = analytic.lambda_signal(4.0, ensembles.regular(4), W1, GAUSS)
-        ov = analytic.signal_and_overlap(4.0, ensembles.regular(4), W1, GAUSS)[1]
+        lam, ov = analytic.signal_and_overlap(4.0, ensembles.regular(4), W1, GAUSS)
         assert abs(lam - rep.lambda_top) < 1e-6
         assert abs(ov - rep.overlap_sq) < 1e-6
         # and against the population route on a collapsed population
@@ -419,7 +448,7 @@ class TestFloor:
         edge = analytic.admissible_lambda_floor(dm, 1.0)
         assert abs(edge - dm.k_max * stable_m(edge, dm, 1.0)) < 1e-12
         assert stability_margin(edge, dm, 1.0) > 1e-3
-        assert analytic.q_tilde(edge, dm, 1.0) == np.inf
+        assert q_tilde(edge, dm, 1.0) == np.inf
 
     # the plain iteration contracts slowly next to a tangency edge
     @pytest.mark.parametrize("factor,iters", [(1.0 + 1e-6, 100_000), (1.001, 5000), (1.1, 2000), (2.0, 2000)])
@@ -432,7 +461,7 @@ class TestFloor:
     def test_edge_is_accepted_and_below_rejected(self):
         dm = ensembles.truncated_poisson(3.0, 8)
         edge = analytic.admissible_lambda_floor(dm, 1.0)
-        assert np.isfinite(analytic.q_tilde(edge, dm, 1.0))
+        assert np.isfinite(q_tilde(edge, dm, 1.0))
         with pytest.raises(NegativeDenominator):
             stable_m(edge * (1.0 - 1e-12), dm, 1.0)
 
@@ -447,4 +476,4 @@ class TestFloor:
     def test_floor_below_signal_lambda(self):
         dm = ensembles.truncated_poisson(4.0, 20)
         floor = analytic.admissible_lambda_floor(dm, 1.0)
-        assert floor < analytic.lambda_signal(6.0, dm, W1, GAUSS)
+        assert floor < analytic.signal_and_overlap(6.0, dm, W1, GAUSS)[0]

@@ -549,15 +549,18 @@ class TestMainExitCodes:
         )
         assert cli.main([path]) == 3
 
-    @pytest.mark.parametrize("mode", ["popdyn", "densities"])
-    def test_no_signal_root_exits_before_any_sweep(self, tmp_path, capsys, monkeypatch, mode):
+    @pytest.mark.parametrize("mode, theta", [("popdyn", 1.0), ("densities", 1.0), ("popdyn", 2.0), ("densities", 2.0)],
+                             ids=["popdyn", "densities", "popdyn-theta2", "densities-theta2"])
+    def test_no_signal_root_exits_before_any_sweep(self, tmp_path, capsys, monkeypatch, mode, theta):
         # RR4 at theta = 1 is below detachment (theta_b = 2/sqrt(3)): the route
-        # has no signal root, and the run ends with its message before any sweep
+        # has no signal root. At theta = 2, between detachment and theta_crit
+        # = 8/3, its root is not the top eigenvalue. Either run ends with that
+        # message before any sweep
         def no_sweep(*args):
             raise AssertionError("a population sweep ran")
 
         monkeypatch.setattr(popdyn, "_sweep", no_sweep)
-        path = write_config(tmp_path, mode=mode, degree=RR4, theta=[1.0], out_dir=str(tmp_path / "out"))
+        path = write_config(tmp_path, mode=mode, degree=RR4, theta=[theta], out_dir=str(tmp_path / "out"))
         assert cli.main([path]) == 3
         assert "theta is at or below the recovery threshold" in capsys.readouterr().err
 

@@ -504,8 +504,8 @@ class TestSolve:
         # (lambda, q): on this seed a plateau test with a fixed
         # relative tolerance of 1e-3 found no plateau in 600 sweeps at N_p 2e4
         dm = ensembles.truncated_poisson(3.0, 8)
-        lam = analytic.lambda_signal(6.0, dm, W1, GAUSS)
-        q = float(np.sqrt(analytic.signal_and_overlap(6.0, dm, W1, GAUSS)[1]))
+        lam, ov = analytic.signal_and_overlap(6.0, dm, W1, GAUSS)
+        q = float(np.sqrt(ov))
         _, _, _, diag = popdyn.solve(
             6.0, dm, W1, GAUSS, popdyn.PopDynConfig(n_pop=n_pop),
             derive_rng(1004, 0, "popdyn"), lam, q,

@@ -238,7 +238,7 @@ def test_poisson_transition_at_theta_crit(factor, poisson_models, poisson_struct
     # below it and the route's overlap 15% above it (seeds 77-82 read
     # overlap^2 0.004-0.031 below, and within 0.026 of 0.81 above, SE 0.008-0.013)
     dm, wm, sm = poisson_models
-    theta = factor * analytic.theta_crit(dm, wm, sm, poisson_structural_diag["mean"])
+    theta = factor * analytic.report(0.0, dm, wm, sm, poisson_structural_diag["mean"]).theta_crit
     ov2 = np.array([spectral.analyze_instance(replace(a, theta=theta), rng=derive_rng(77, i, "eig")).overlap_sq
                     for i, a in enumerate(poisson_structural_diag["instances"])])
     se = ov2.std(ddof=1) / np.sqrt(ov2.size)
