@@ -55,13 +55,6 @@ class ExperimentConfig:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _require_ints(cls, raw: dict, prefix: str) -> None:
-    """Reject a value that is not an int (1.0 included) in an int field of ``cls``."""
-    for f in fields(cls):
-        if f.type in (int, "int") and f.name in raw:
-            ensembles._integer(raw[f.name], prefix + f.name)
-
-
 def _number(value, name: str) -> float:
     """``value`` as a float if it is a finite real number and not a bool."""
     # the bound rejects NaN, the infinities and an int too large for a double
@@ -108,8 +101,13 @@ def _checked_config(raw: dict) -> ExperimentConfig:
     for key in ("weight", "spike", "popdyn"):
         if not isinstance(raw.get(key, {}), dict):
             raise ConfigError(f"{key} must be a JSON object, got {raw[key]!r}")
-    _require_ints(ExperimentConfig, raw, "")
-    _require_ints(popdyn.PopDynConfig, raw.get("popdyn", {}), "popdyn.")
+    for f in fields(ExperimentConfig):  # an int field holds an int, not 1.0
+        if f.type in (int, "int") and f.name in raw:
+            ensembles._integer(raw[f.name], f.name)
+    for key, value in raw.get("popdyn", {}).items():
+        if key != "n_pop":
+            raise ConfigError(f"unknown popdyn field {key!r}")
+        ensembles._integer(value, "popdyn.n_pop")
     cfg = ExperimentConfig(**raw)
     cfg.theta = [float(t) for t in _numbers(cfg.theta, "theta")]
     if not cfg.theta:
@@ -153,8 +151,14 @@ def _checked_config(raw: dict) -> ExperimentConfig:
             edge = analytic.admissible_lambda_floor(degree_model, weight_model.second_moment_w)
             if cfg.lambda_structural < edge:
                 raise ConfigError(f"lambda_structural={cfg.lambda_structural:g} is below the spectral edge {edge:.12g}")
-    popdyn.PopDynConfig(**cfg.popdyn)
+    if _n_pop(cfg) < 2:
+        raise ConfigError("n_pop must be at least 2")
     return cfg
+
+
+def _n_pop(cfg: ExperimentConfig) -> int:
+    """The population size N_p of the popdyn solvers, ``popdyn.n_pop``."""
+    return cfg.popdyn.get("n_pop", 200_000)
 
 
 def build_models(cfg: ExperimentConfig, c_value=None):
@@ -308,8 +312,7 @@ def structural_for(cfg: ExperimentConfig, degree_model, weight_model) -> float:
         return analytic.rr_report(degree_model.k_max, 1.0, 0.0, w).lambda_structural
     if cfg.lambda_structural is not None:
         return float(cfg.lambda_structural)
-    return popdyn.structural_lambda(degree_model, weight_model, popdyn.PopDynConfig(**cfg.popdyn),
-                                    derive_rng(cfg.seed, 0, "structural"))[0]
+    return popdyn.structural_lambda(degree_model, weight_model, _n_pop(cfg), derive_rng(cfg.seed, 0, "structural"))[0]
 
 
 def _analytic_grid(cfg: ExperimentConfig):
@@ -406,8 +409,7 @@ def _solve(cfg: ExperimentConfig, index: int, theta: float, models: tuple):
             raise RootNotBracketed(f"theta={theta:g} with theta_crit={t_crit:.12g}: "
                                    "theta is at or below the recovery threshold")
     lam, ov = analytic.signal_and_overlap(theta, *models)
-    return popdyn.solve(theta, *models, popdyn.PopDynConfig(**cfg.popdyn), derive_rng(cfg.seed, index, "popdyn"),
-                        lam, float(np.sqrt(ov)))
+    return popdyn.solve(theta, *models, _n_pop(cfg), derive_rng(cfg.seed, index, "popdyn"), lam, float(np.sqrt(ov)))
 
 
 POPDYN_FIELDS = ["theta", "c", "lambda", "q", "overlap_sq", "alpha1", "alpha2", "alpha1_se", "alpha2_se", "sweeps"]

@@ -62,4 +62,4 @@ class MaxSweepsExceeded(SolverError):
 
 
 class AlphaMismatch(SolverError):
-    """alpha1 or alpha2 of a solved population is further than alpha_tol from 1."""
+    """alpha1 or alpha2 of a solved population is further than popdyn._ALPHA_TOL from 1."""

@@ -16,7 +16,6 @@ reproduce populations and alpha estimates bit for bit.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,49 +59,24 @@ class Population:
 
 # Fixed settings of the solver: the initial population, the plateau window
 # in sweeps, its allowance in standard errors and its floor for zero and
-# rounding, the replacements per batch of a sweep, and the structural
-# solver's sweeps at lam_hi, its probes, a probe's sweeps and the last of
-# them it reads.
+# rounding, the sweep budget of one equilibration, the replacements per
+# batch of a sweep, the full-node draws of an alpha estimate and the
+# accepted distance of each alpha from 1, and the structural solver's
+# sweeps at lam_hi, its probes, a probe's sweeps and the last of them it
+# reads.
 _OMEGA_INIT = (5.0, 20.0)
 _H_INIT = (0.0, 10.0)
 _PLATEAU_WINDOW = 10
 _PLATEAU_Z = 3.0
 _ZERO = 1e-12
+_MAX_SWEEPS = 600
 _CHUNK = 16_384
+_ALPHA_SAMPLES = 1_000_000
+_ALPHA_TOL = 0.01
 _RELAX_SWEEPS = 60
 _PROBES = 12
 _GROWTH_SWEEPS = 30
 _GROWTH_READ = 20
-
-
-@dataclass(frozen=True)
-class PopDynConfig:
-    n_pop: int = 200_000
-    alpha_tol: float = 1e-2
-    alpha_samples: int = 1_000_000
-    max_sweeps: int = 600
-
-    def __post_init__(self):
-        if self.n_pop < 2:
-            raise ValueError("n_pop must be at least 2")
-        tol = self.alpha_tol
-        # the bound rejects NaN, infinity and an int too large for a double
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol <= sys.float_info.max:
-            raise ValueError(f"alpha_tol must be a finite positive number, got {tol!r}")
-        if self.max_sweeps < 1 or self.alpha_samples < 1:
-            raise ValueError("budgets must be positive")
-
-
-def init_population(config: PopDynConfig, rng: np.random.Generator, lam: float, q: float = 0.0,
-                    theta: float = 0.0) -> Population:
-    """Uniformly initialized population at (lambda, q) = (``lam``, ``q``)."""
-    return Population(
-        omega=rng.uniform(*_OMEGA_INIT, config.n_pop),
-        h=rng.uniform(*_H_INIT, config.n_pop),
-        q=float(q),
-        lam=float(lam),
-        theta=float(theta),
-    )
 
 
 def _ratios(omega, h, out=None):
@@ -215,7 +189,6 @@ def _plateaued(traces: dict, se: dict) -> bool:
 
 def equilibrate(
     pop: Population,
-    config: PopDynConfig,
     degree_model: DegreeModel,
     weight_model: WeightModel,
     spike_model: SpikeModel | None,
@@ -228,12 +201,13 @@ def equilibrate(
     errors of that moment in the current population, so the test scales
     with N_p; a moment whose window means are both below 1e-12 in size has
     decayed to zero and passes, and 1e-12 of the moment is allowed for
-    rounding. The result carries these errors as ``moment_se``. Lambda
-    stays as given: a sweep that turns omega non-positive raises
+    rounding. The result carries these errors as ``moment_se``. With no
+    plateau within ``_MAX_SWEEPS`` sweeps MaxSweepsExceeded is raised.
+    Lambda stays as given: a sweep that turns omega non-positive raises
     NonPositiveOmega, naming lambda.
     """
     traces = {key: [] for key in MOMENT_KEYS}
-    for sweeps in range(1, config.max_sweeps + 1):
+    for sweeps in range(1, _MAX_SWEEPS + 1):
         _sweep(pop, degree_model, weight_model, spike_model, rng)
         mom, se = pop.moments()
         for key in MOMENT_KEYS:
@@ -245,7 +219,7 @@ def equilibrate(
                 "traces": {key: np.asarray(val) for key, val in traces.items()},
                 "moment_se": se,
             }
-    raise MaxSweepsExceeded(f"no plateau within {config.max_sweeps} sweeps")
+    raise MaxSweepsExceeded(f"no plateau within {_MAX_SWEEPS} sweeps")
 
 
 def _full_nodes(pop, degree_model, weight_model, spike_model, n_samples, rng):
@@ -307,28 +281,29 @@ def solve(
     degree_model: DegreeModel,
     weight_model: WeightModel,
     spike_model: SpikeModel,
-    config: PopDynConfig,
+    n_pop: int,
     rng: np.random.Generator,
     lam: float,
     q: float,
 ):
     """Check (lambda, q), e.g. the resolvent route's, by one pass of
-    population dynamics: build the population there, equilibrate it once
-    and estimate one alpha pair. The population is accepted if alpha1 and
-    alpha2 both sit within the configured tolerance of 1; otherwise
-    AlphaMismatch is raised.
+    population dynamics: build a population of ``n_pop`` pairs there, omega
+    and h drawn uniformly (omega first), equilibrate it once and estimate
+    one alpha pair. The population is accepted if alpha1 and alpha2 both
+    sit within ``_ALPHA_TOL`` of 1; otherwise AlphaMismatch is raised.
 
     Returns (population, q, lambda, diagnostics), ``diagnostics["history"]``
     holding the one pass's entry.
     """
     if theta <= 0:
         raise ValueError("solve targets the spiked phase; use theta > 0")
-    pop = init_population(config, rng, lam, q, theta)
-    eq = equilibrate(pop, config, degree_model, weight_model, spike_model, rng)
-    a1, se1, a2, se2 = alpha_pair(pop, degree_model, weight_model, spike_model, rng, config.alpha_samples)
-    if not (abs(a1 - 1.0) <= config.alpha_tol and abs(a2 - 1.0) <= config.alpha_tol):
+    pop = Population(rng.uniform(*_OMEGA_INIT, n_pop), rng.uniform(*_H_INIT, n_pop), q=float(q), lam=float(lam),
+                     theta=float(theta))
+    eq = equilibrate(pop, degree_model, weight_model, spike_model, rng)
+    a1, se1, a2, se2 = alpha_pair(pop, degree_model, weight_model, spike_model, rng, _ALPHA_SAMPLES)
+    if not (abs(a1 - 1.0) <= _ALPHA_TOL and abs(a2 - 1.0) <= _ALPHA_TOL):
         raise AlphaMismatch(
-            f"alphas not within {config.alpha_tol:g} of 1 at lambda={pop.lam:g}, q={pop.q:g}: "
+            f"alphas not within {_ALPHA_TOL:g} of 1 at lambda={pop.lam:g}, q={pop.q:g}: "
             f"alpha1={a1:.4f} +/- {se1:.4f}, alpha2={a2:.4f} +/- {se2:.4f}"
         )
     entry = {"lambda": pop.lam, "q": pop.q, "alpha1": a1, "alpha2": a2, "alpha1_se": se1, "alpha2_se": se2,
@@ -339,7 +314,7 @@ def solve(
 def structural_lambda(
     degree_model: DegreeModel,
     weight_model: WeightModel,
-    config: PopDynConfig,
+    n_pop: int,
     rng: np.random.Generator,
 ) -> tuple[float, float, dict]:
     """Structural top eigenvalue of the unspiked noise (theta = 0) and its
@@ -369,7 +344,7 @@ def structural_lambda(
     if weight_model.values.min() < 0:
         return lam_lo, 0.0, {"probes": []}
     lam_hi = analytic.gershgorin_bound(degree_model, weight_model) + 1.0
-    pop = Population(rng.uniform(*_OMEGA_INIT, config.n_pop), np.ones(config.n_pop), q=0.0, lam=lam_hi, theta=0.0)
+    pop = Population(rng.uniform(*_OMEGA_INIT, n_pop), np.ones(n_pop), q=0.0, lam=lam_hi, theta=0.0)
 
     @np.errstate(divide="ignore", invalid="ignore")  # log g = -inf if no draw has members (k_max 1)
     def probe(lam: float, sweeps: int) -> tuple:

@@ -34,13 +34,15 @@ def rr_models():
 @pytest.fixture(scope="session")
 def poisson_solved(poisson_models):
     """Poisson c=4, k_max=20, theta=6 population, solved at the resolvent
-    route's (lambda, q); moderate size for unit-test speed."""
+    route's (lambda, q); moderate size, and 400,000 alpha draws, for
+    unit-test speed."""
     dm, wm, sm = poisson_models
     theta = 6.0
     lam, ov = analytic.signal_and_overlap(theta, dm, wm, sm)
     q = float(np.sqrt(ov))
-    config = popdyn.PopDynConfig(n_pop=50_000, alpha_samples=400_000)
-    pop, q_out, lam_out, diag = popdyn.solve(theta, dm, wm, sm, config, np.random.default_rng(1234), lam, q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(popdyn, "_ALPHA_SAMPLES", 400_000)
+        pop, q_out, lam_out, diag = popdyn.solve(theta, dm, wm, sm, 50_000, np.random.default_rng(1234), lam, q)
     return {"pop": pop, "lambda_analytic": lam, "q_analytic": q, "diag": diag, "theta": theta}
 
 
@@ -49,21 +51,22 @@ def theta_zero_poisson_pop(poisson_models):
     """theta = 0 population at an admissible lambda (structural reduction);
     its h moments decay to zero."""
     dm, wm, _ = poisson_models
-    config = popdyn.PopDynConfig(n_pop=20_000)
-    pop = popdyn.init_population(config, np.random.default_rng(0), 6.0, theta=0.0)
-    popdyn.equilibrate(pop, config, dm, wm, None, np.random.default_rng(1))
+    pop = uniform_population(20_000, np.random.default_rng(0), 6.0)
+    popdyn.equilibrate(pop, dm, wm, None, np.random.default_rng(1))
     return pop
 
 
 @pytest.fixture(scope="session")
 def rr_solved(rr_models):
-    """Random-regular c=4, theta=4 population at the closed-form parameters."""
+    """Random-regular c=4, theta=4 population at the closed-form parameters,
+    with 200,000 alpha draws."""
     dm, wm, sm = rr_models
     rep = analytic.rr_report(4, 1.0, 4.0)
-    config = popdyn.PopDynConfig(n_pop=20_000, alpha_samples=200_000)
-    pop, q_out, lam_out, diag = popdyn.solve(
-        4.0, dm, wm, sm, config, np.random.default_rng(77), rep.lambda_top, float(np.sqrt(rep.overlap_sq)),
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(popdyn, "_ALPHA_SAMPLES", 200_000)
+        pop, q_out, lam_out, diag = popdyn.solve(
+            4.0, dm, wm, sm, 20_000, np.random.default_rng(77), rep.lambda_top, float(np.sqrt(rep.overlap_sq)),
+        )
     return {"pop": pop, "report": rep, "diag": diag}
 
 
@@ -81,6 +84,20 @@ def poisson_structural_diag(poisson_models):
     tops = [spectral.analyze_instance(a, rng=derive_rng(77, i, "eig")).lambda_top for i, a in enumerate(instances)]
     mean, se = float(np.mean(tops)), float(np.std(tops, ddof=1) / np.sqrt(len(tops)))
     return {"mean": mean, "se": se, "margin": 3.0 * se + 0.02, "instances": instances}
+
+
+def uniform_population(n_pop, rng, lam, q=0.0, theta=0.0):
+    """A population of ``n_pop`` pairs at (lam, q, theta), drawn as
+    ``popdyn.solve`` draws its own: omega, then h, each uniform over its
+    initial range."""
+    return popdyn.Population(rng.uniform(*popdyn._OMEGA_INIT, n_pop), rng.uniform(*popdyn._H_INIT, n_pop),
+                             q=q, lam=lam, theta=theta)
+
+
+def set_alphas(monkeypatch, samples, tol):
+    """Estimate alphas from ``samples`` draws and accept them within ``tol`` of 1."""
+    monkeypatch.setattr(popdyn, "_ALPHA_SAMPLES", samples)
+    monkeypatch.setattr(popdyn, "_ALPHA_TOL", tol)
 
 
 def make_instance(degree_model, weight_model, spike_model, n, theta, seed, index=0):

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 
 from sparsespike import cli, popdyn, spectral
 from sparsespike.errors import ConfigError, GenerationError, SolverError, SparseSpikeError
+from conftest import set_alphas
 
 
 def write_config(tmp_path, **fields):
@@ -124,11 +126,13 @@ class TestConfigParsing:
         ({"mode": "diag", "degree": RR4, "out_dir": None}, "out_dir must be a string"),
         ({"mode": "densities", "degree": RR4, "theta": [4.0], "checkpoint": 7}, "unknown config field 'checkpoint'"),
         ({"mode": "diag", "degree": RR4, "eig_max_iter": 20_000}, "unknown config field 'eig_max_iter'"),
-        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"max_sweeps": 0}}, "budgets must be positive"),
-        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"alpha_tol": float("nan")}},
-         "alpha_tol must be a finite positive number"),
-        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"alpha_tol": True}},
-         "alpha_tol must be a finite positive number"),
+        # the sweep budget, the alpha draws and the alpha tolerance are module constants, not fields
+        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"max_sweeps": 600}},
+         "unknown popdyn field 'max_sweeps'"),
+        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"alpha_tol": 0.05}},
+         "unknown popdyn field 'alpha_tol'"),
+        ({"mode": "densities", "degree": RR4, "theta": [4.0], "popdyn": {"n_pop": 5000, "alpha_samples": 50_000}},
+         "unknown popdyn field 'alpha_samples'"),
         ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"lambda_init": 10.0}}, "lambda_init"),
         # a law field its kind does not read would run unread, or show in a CSV column it does not set
         ({"mode": "diag", "degree": {"kind": "regular", "c": 4, "cbar": 9, "k_max": 3}},
@@ -160,6 +164,9 @@ class TestConfigParsing:
          "only analytic and sweep read lambda_structural"),
         ({"mode": "densities", "degree": PO3, "theta": [6.0], "lambda_structural": 5.0},
          "only analytic and sweep read lambda_structural"),
+        # the population size, the one popdyn field
+        ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"n_pop": 1}}, "n_pop must be at least 2"),
+        ({"mode": "analytic", "degree": PO3, "popdyn": {"n_pop": True}}, "popdyn.n_pop must be an integer"),
     ])
     def test_rejects_bad_fields(self, raw, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -434,18 +441,25 @@ def test_analytic_and_sweep_share_the_analytic_columns(tmp_path, fields):
     ({"kind": "truncated_poisson", "cbar": 3.50, "k_max": 8}, "3.5"),
     ({"kind": "table", "probs": [0.0, 0.2, 0.3, 0.5]}, ""),
 ])
-def test_c_column_is_the_degree_parameter(tmp_path, degree, c_text):
+def test_c_column_is_the_degree_parameter(tmp_path, monkeypatch, degree, c_text):
     # diag and popdyn run the degree law as given; its c or cbar fills the c column
+    set_alphas(monkeypatch, 20_000, 0.1)
     for mode, files in (("diag", ("diag.csv", "diag_summary.csv")), ("popdyn", ("popdyn.csv",))):
         out = tmp_path / mode
         path = write_config(tmp_path, mode=mode, degree=degree, theta=[4.0], n=60, instances=2,
-                            popdyn={"n_pop": 2000, "alpha_samples": 20_000, "alpha_tol": 0.1})
+                            popdyn={"n_pop": 2000})
         assert cli.main([path, "--out-dir", str(out)]) == 0
         for name in files:
             assert [r["c"] for r in _csv_rows(out / name)] == [c_text] * (2 if name == "diag.csv" else 1)
 
 
-TOY_POPDYN = {"n_pop": 5000, "alpha_samples": 50_000, "alpha_tol": 0.05}
+TOY_POPDYN = {"n_pop": 5000}
+
+
+@pytest.fixture
+def toy_alphas(monkeypatch):
+    """The alpha settings of a TOY_POPDYN population: 50,000 draws, 0.05."""
+    set_alphas(monkeypatch, 50_000, 0.05)
 
 
 def _two_runs(tmp_path, capsys, raw):
@@ -462,17 +476,16 @@ def _two_runs(tmp_path, capsys, raw):
 
 
 class TestPopdynMode:
-    def test_rerun_byte_identical(self, tmp_path, capsys):
+    def test_rerun_byte_identical(self, tmp_path, capsys, toy_alphas):
         raw = {"mode": "popdyn", "degree": PO3, "theta": [6.0], "seed": 6, "popdyn": TOY_POPDYN}
         (files_a, out_a), (files_b, out_b) = _two_runs(tmp_path, capsys, raw)
         assert list(files_a) == ["popdyn.csv"]
         assert files_a == files_b and out_a == out_b
 
-    def test_rr_small(self, tmp_path):
+    def test_rr_small(self, tmp_path, toy_alphas):
         cfg = cli.parse_config({
             "mode": "popdyn", "degree": RR4, "theta": [4.0],
-            "out_dir": str(tmp_path), "seed": 3,
-            "popdyn": {"n_pop": 5000, "alpha_samples": 50_000, "alpha_tol": 0.05},
+            "out_dir": str(tmp_path), "seed": 3, "popdyn": TOY_POPDYN,
         })
         rows = cli.run_popdyn(cfg)
         assert len(rows) == 1
@@ -481,11 +494,10 @@ class TestPopdynMode:
 
 
 class TestDensitiesMode:
-    def test_files_written(self, tmp_path):
+    def test_files_written(self, tmp_path, toy_alphas):
         cfg = cli.parse_config({
             "mode": "densities", "degree": RR4, "theta": [4.0],
-            "out_dir": str(tmp_path), "seed": 4, "density_samples": 20_000,
-            "popdyn": {"n_pop": 5000, "alpha_samples": 50_000, "alpha_tol": 0.05},
+            "out_dir": str(tmp_path), "seed": 4, "density_samples": 20_000, "popdyn": TOY_POPDYN,
         })
         cli.run(cfg)
         for name in ("rho_top_hist.csv", "rho_ov_hist.csv", "rho_top_samples.csv",
@@ -496,7 +508,7 @@ class TestDensitiesMode:
         assert abs(mass - 1.0) < 1e-9
 
 
-    def test_rerun_byte_identical(self, tmp_path, capsys):
+    def test_rerun_byte_identical(self, tmp_path, capsys, toy_alphas):
         raw = {"mode": "densities", "degree": PO3, "theta": [6.0], "seed": 6,
                "density_samples": 20_000, "popdyn": TOY_POPDYN}
         (files_a, out_a), (files_b, out_b) = _two_runs(tmp_path, capsys, raw)
@@ -541,11 +553,12 @@ class TestMainExitCodes:
         )
         assert cli.main([path]) == 4
 
-    def test_solver_failure(self, tmp_path):
+    def test_solver_failure(self, tmp_path, monkeypatch):
         # an unreachable tolerance at the route's (lambda, q)
+        set_alphas(monkeypatch, 10_000, 1e-4)
         path = write_config(
             tmp_path, mode="popdyn", degree=RR4, theta=[4.0], out_dir=str(tmp_path / "out"),
-            popdyn={"n_pop": 2000, "alpha_samples": 10_000, "alpha_tol": 1e-4},
+            popdyn={"n_pop": 2000},
         )
         assert cli.main([path]) == 3
 
@@ -624,6 +637,14 @@ def test_python_m_package_runs_main(tmp_path):
     assert run(bad).returncode == 2
 
 
+def test_readme_library_quick_start(capsys):
+    # the last python block of README.md, the library quick start, runs as written
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        block = re.findall(r"```python\n(.*?)```", fh.read(), re.S)[-1]
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
 def test_cli_import_skips_optimize_and_arpack():
     # scipy.optimize costs about 0.4 s and 27 MB, scipy.sparse.linalg (with
     # scipy.sparse) 0.31-0.40 s and 32 MB: the modes without graphs or
@@ -641,9 +662,10 @@ def test_densities_run_loads_no_scipy(tmp_path):
     path = write_config(
         tmp_path, mode="densities", degree=RR4, theta=[4.0], out_dir=str(tmp_path / "out"),
         density_samples=5_000,
-        popdyn={"n_pop": 2000, "alpha_samples": 20_000, "alpha_tol": 0.1},
+        popdyn={"n_pop": 2000},
     )
-    code = ("import sys; from sparsespike import cli; "
+    code = ("import sys; from sparsespike import cli, popdyn; "
+            "popdyn._ALPHA_SAMPLES, popdyn._ALPHA_TOL = 20_000, 0.1; "
             f"assert cli.main(sys.argv[1:]) == 0; print({SCIPY_LOADED})")
     assert _python(code, path).splitlines()[-1] == "[]"
 

@@ -7,47 +7,61 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sparsespike import analytic, ensembles, popdyn
+from sparsespike import analytic, cli, ensembles, popdyn
 from sparsespike.cli import derive_rng
 from sparsespike.errors import (
     AlphaMismatch,
+    ConfigError,
     MaxSweepsExceeded,
     NonPositiveDenominator,
     NonPositiveOmega,
 )
+from conftest import set_alphas, uniform_population
 
 W1 = ensembles.constant_weight(1.0)
 GAUSS = ensembles.gaussian_spike(1.0)
 
 
-def small_config(**overrides):
-    base = dict(n_pop=20_000, alpha_samples=200_000)
-    base.update(overrides)
-    return popdyn.PopDynConfig(**base)
+class _Built(Exception):
+    pass
+
+
+def initial_population(monkeypatch, n_pop, seed, lam, q, theta):
+    """The population ``solve`` builds, copied as ``equilibrate`` receives it."""
+    def capture(pop, *args):
+        raise _Built(copy.deepcopy(pop))
+
+    monkeypatch.setattr(popdyn, "equilibrate", capture)
+    with pytest.raises(_Built) as built:
+        popdyn.solve(theta, ensembles.regular(4), W1, GAUSS, n_pop, np.random.default_rng(seed), lam, q)
+    return built.value.args[0]
 
 
 class TestInit:
-    def test_ranges_and_defaults(self):
-        config = popdyn.PopDynConfig(n_pop=10)
-        pop = popdyn.init_population(config, np.random.default_rng(0), 10.0)
+    def test_ranges_and_defaults(self, monkeypatch):
+        # solve draws omega, then h, uniformly over their initial ranges,
+        # as the first two draws of its stream
+        pop = initial_population(monkeypatch, 10, 0, 10.0, 0.7, 6.0)
         assert pop.n_pop == 10
         assert np.all((pop.omega >= 5.0) & (pop.omega <= 20.0))
         assert np.all((pop.h >= 0.0) & (pop.h <= 10.0))
-        assert (pop.lam, pop.q, pop.theta) == (10.0, 0.0, 0.0)
-        pop = popdyn.init_population(config, np.random.default_rng(0), 10.0, 0.7, 6.0)
         assert (pop.lam, pop.q, pop.theta) == (10.0, 0.7, 6.0)
+        rng = np.random.default_rng(0)
+        assert pop.omega.tobytes() == rng.uniform(5.0, 20.0, 10).tobytes()
+        assert pop.h.tobytes() == rng.uniform(0.0, 10.0, 10).tobytes()
 
     @pytest.mark.parametrize("name", ["alpha_tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, 0.0, -1.0, "1", 10**400],
                              ids=["nan", "inf", "true", "zero", "negative", "string", "huge_int"])
     def test_config_rejects_bad_tolerance_and_start(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be a finite positive number"):
-            popdyn.PopDynConfig(**{name: value})
+        # the tolerance is a constant: a config that sets it exits 2, naming it
+        with pytest.raises(ConfigError, match=f"unknown popdyn field '{name}'"):
+            cli.parse_config({"mode": "popdyn", "degree": {"kind": "regular", "c": 4}, "theta": [4.0],
+                              "popdyn": {name: value}})
 
-    def test_equal_seeds_identical(self):
-        config = popdyn.PopDynConfig(n_pop=100)
-        a = popdyn.init_population(config, np.random.default_rng(4), 10.0)
-        b = popdyn.init_population(config, np.random.default_rng(4), 10.0)
+    def test_equal_seeds_identical(self, monkeypatch):
+        a = initial_population(monkeypatch, 100, 4, 10.0, 0.5, 2.0)
+        b = initial_population(monkeypatch, 100, 4, 10.0, 0.5, 2.0)
         assert np.array_equal(a.omega, b.omega)
         assert np.array_equal(a.h, b.h)
 
@@ -313,10 +327,9 @@ class TestUpdateStep:
     def test_theta_zero_stream_independent_of_spike_model(self):
         # with theta = 0 no spike draw happens, so omega AND h dynamics are
         # bit-identical whether or not a spike model is supplied
-        config = popdyn.PopDynConfig(n_pop=2000)
         dm = ensembles.truncated_poisson(4.0, 20)
-        pop_a = popdyn.init_population(config, np.random.default_rng(7), 7.0)
-        pop_b = popdyn.init_population(config, np.random.default_rng(7), 7.0)
+        pop_a = uniform_population(2000, np.random.default_rng(7), 7.0)
+        pop_b = uniform_population(2000, np.random.default_rng(7), 7.0)
         rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
         popdyn._sweep(pop_a, dm, W1, GAUSS, rng_a)
         popdyn._sweep(pop_b, dm, W1, None, rng_b)
@@ -328,27 +341,25 @@ class TestEquilibrate:
     def test_rr_collapse(self):
         # deterministic contraction: at lambda = c the omega population
         # collapses onto c - 1 to machine precision
-        config = small_config(n_pop=5000)
-        pop = popdyn.init_population(config, np.random.default_rng(0), 4.0)
-        popdyn.equilibrate(pop, config, ensembles.regular(4), W1, None, np.random.default_rng(1))
+        pop = uniform_population(5000, np.random.default_rng(0), 4.0)
+        popdyn.equilibrate(pop, ensembles.regular(4), W1, None, np.random.default_rng(1))
         assert abs(pop.omega.mean() - 3.0) < 1e-6
         assert pop.omega.var() < 1e-12
 
     def test_non_positive_omega_keeps_lambda(self):
         # lambda = 2 is below the RR c=4 bulk edge 2 sqrt(3): equilibration
         # raises at the lambda it was given instead of moving it
-        config = small_config(n_pop=5000)
-        pop = popdyn.init_population(config, np.random.default_rng(0), 2.0)
+        pop = uniform_population(5000, np.random.default_rng(0), 2.0)
         with pytest.raises(NonPositiveOmega, match="lambda=2 "):
-            popdyn.equilibrate(pop, config, ensembles.regular(4), W1, None, np.random.default_rng(1))
+            popdyn.equilibrate(pop, ensembles.regular(4), W1, None, np.random.default_rng(1))
         assert pop.lam == 2.0
 
-    def test_max_sweeps(self):
-        config = small_config(n_pop=2000, max_sweeps=3)
+    def test_max_sweeps(self, monkeypatch):
+        monkeypatch.setattr(popdyn, "_MAX_SWEEPS", 3)
         dm = ensembles.truncated_poisson(4.0, 20)
-        pop = popdyn.init_population(config, np.random.default_rng(0), 7.0, theta=6.0)
-        with pytest.raises(MaxSweepsExceeded):
-            popdyn.equilibrate(pop, config, dm, W1, GAUSS, np.random.default_rng(1))
+        pop = uniform_population(2000, np.random.default_rng(0), 7.0, theta=6.0)
+        with pytest.raises(MaxSweepsExceeded, match="no plateau within 3 sweeps"):
+            popdyn.equilibrate(pop, dm, W1, GAUSS, np.random.default_rng(1))
 
     def test_degree_one_atom_mass(self, poisson_solved, poisson_models):
         dm, _, _ = poisson_models
@@ -484,13 +495,13 @@ class TestSolve:
         assert abs(pop.omega.mean() - om_bar) < 1e-6
         assert pop.omega.std() < 1e-9
 
-    def test_deterministic_replay(self, poisson_models):
+    def test_deterministic_replay(self, poisson_models, monkeypatch):
         dm, wm, sm = poisson_models
-        config = small_config(n_pop=5000, alpha_samples=50_000, alpha_tol=0.05)
+        set_alphas(monkeypatch, 50_000, 0.05)
         out = []
         for _ in range(2):
             pop, q, lam, diag = popdyn.solve(
-                6.0, dm, wm, sm, config, np.random.default_rng(99), 6.685781102320185, 0.9376042707519016
+                6.0, dm, wm, sm, 5000, np.random.default_rng(99), 6.685781102320185, 0.9376042707519016
             )
             out.append((pop.omega.copy(), pop.h.copy(), q, lam,
                         [(h["alpha1"], h["alpha2"]) for h in diag["history"]]))
@@ -507,7 +518,7 @@ class TestSolve:
         lam, ov = analytic.signal_and_overlap(6.0, dm, W1, GAUSS)
         q = float(np.sqrt(ov))
         _, _, _, diag = popdyn.solve(
-            6.0, dm, W1, GAUSS, popdyn.PopDynConfig(n_pop=n_pop),
+            6.0, dm, W1, GAUSS, n_pop,
             derive_rng(1004, 0, "popdyn"), lam, q,
         )
         assert diag["history"][0]["sweeps"] <= 60
@@ -529,31 +540,30 @@ class TestSolve:
             fn = getattr(popdyn, name)
             monkeypatch.setattr(popdyn, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
         rep = analytic.rr_report(4, 1.0, 4.0)
-        config = small_config(n_pop=2000, alpha_samples=10_000, alpha_tol=1e-9)
+        set_alphas(monkeypatch, 10_000, 1e-9)
         with pytest.raises(AlphaMismatch, match=r"alpha1=\S+ \+/- \S+, alpha2=\S+ \+/- \S+"):
-            popdyn.solve(4.0, *rr_models, config, np.random.default_rng(0), rep.lambda_top, np.sqrt(rep.overlap_sq))
+            popdyn.solve(4.0, *rr_models, 2000, np.random.default_rng(0), rep.lambda_top, np.sqrt(rep.overlap_sq))
         assert calls == ["equilibrate", "alpha_pair"]
 
     def test_solve_rejects_theta_zero(self, rr_models):
         dm, wm, sm = rr_models
         with pytest.raises(ValueError):
-            popdyn.solve(0.0, dm, wm, sm, small_config(), np.random.default_rng(0), 4.0, 0.5)
+            popdyn.solve(0.0, dm, wm, sm, 20_000, np.random.default_rng(0), 4.0, 0.5)
 
 
 class TestStructural:
     def test_rr_structural_is_c(self, rr_models):
         dm, wm, _ = rr_models
-        config = popdyn.PopDynConfig(n_pop=20_000)
         floor = analytic.admissible_lambda_floor(dm, 1.0)
         assert abs(floor - 2 * np.sqrt(3)) < 1e-6
-        lam, se, diag = popdyn.structural_lambda(dm, wm, config, np.random.default_rng(5))
+        lam, se, diag = popdyn.structural_lambda(dm, wm, 20_000, np.random.default_rng(5))
         assert abs(lam - 4.0) < 0.05
 
     def test_poisson_matches_diagonalization(self, poisson_models, poisson_structural_diag):
         # heterogeneous degrees correlate a message's h with its omega; a probe
         # that takes omega from another draw than h reads 5.07 here
         dm, wm, _ = poisson_models
-        lam, se, diag = popdyn.structural_lambda(dm, wm, popdyn.PopDynConfig(n_pop=30_000), np.random.default_rng(5))
+        lam, se, diag = popdyn.structural_lambda(dm, wm, 30_000, np.random.default_rng(5))
         ref = poisson_structural_diag
         assert abs(lam - ref["mean"]) < ref["margin"]
         assert np.isfinite(se) and 0.0 < se < ref["margin"]
@@ -566,7 +576,7 @@ class TestStructural:
         # partial sweep
         monkeypatch.setattr(analytic, "admissible_lambda_floor", lambda *models: 2.0)
         dm, wm, _ = poisson_models
-        lam, se, diag = popdyn.structural_lambda(dm, wm, popdyn.PopDynConfig(n_pop=30_000), np.random.default_rng(5))
+        lam, se, diag = popdyn.structural_lambda(dm, wm, 30_000, np.random.default_rng(5))
         assert [p[0] for p in diag["probes"] if p[1] is None] == [4.375]
         assert abs(lam - poisson_structural_diag["mean"]) < poisson_structural_diag["margin"]
 
@@ -578,7 +588,7 @@ class TestStructural:
         # draw has members, so mean h is 0 and log g = -inf
         dm = ensembles.truncated_poisson(2.0, k_max)
         floor = analytic.admissible_lambda_floor(dm, 1.0)
-        lam, se, diag = popdyn.structural_lambda(dm, W1, popdyn.PopDynConfig(n_pop=20_000), np.random.default_rng(2))
+        lam, se, diag = popdyn.structural_lambda(dm, W1, 20_000, np.random.default_rng(2))
         assert (lam, se) == (floor, 0.0)
         assert abs(lam - expected) < 1e-4
         assert all(log_g < 0 for _, log_g, _ in diag["probes"])
@@ -588,7 +598,7 @@ class TestStructural:
         # below the probes that decay
         dm, wm = ensembles.regular(3), ensembles.weight_table([0.5, 1.5], [0.5, 0.5])
         with pytest.raises(NonPositiveOmega):
-            popdyn.structural_lambda(dm, wm, popdyn.PopDynConfig(n_pop=20_000), np.random.default_rng(3))
+            popdyn.structural_lambda(dm, wm, 20_000, np.random.default_rng(3))
 
     def test_noiseless_growth_fits_without_dividing_by_zero(self, rr_models, monkeypatch):
         # the same growth exp(4 - lambda) on every sweep, read over 16 sweeps
@@ -601,7 +611,7 @@ class TestStructural:
         monkeypatch.setattr(popdyn, "_GROWTH_READ", 16)
         dm, wm, _ = rr_models
         with np.errstate(divide="raise", invalid="raise"):
-            lam, se, diag = popdyn.structural_lambda(dm, wm, popdyn.PopDynConfig(n_pop=2), np.random.default_rng(0))
+            lam, se, diag = popdyn.structural_lambda(dm, wm, 2, np.random.default_rng(0))
         assert [p[2] for p in diag["probes"]] == [0.0] * 13
         assert abs(lam - 4.0) < 1e-12
         assert 0.0 <= se < 1e-9
@@ -615,6 +625,6 @@ class TestStructural:
         monkeypatch.setattr(popdyn, "_sweep", no_sweep)
         dm, _, _ = rr_models
         wm = ensembles.rademacher_weight(0.5)
-        lam, se, diag = popdyn.structural_lambda(dm, wm, popdyn.PopDynConfig(n_pop=1000), np.random.default_rng(0))
+        lam, se, diag = popdyn.structural_lambda(dm, wm, 1000, np.random.default_rng(0))
         assert (lam, se, diag) == (analytic.admissible_lambda_floor(dm, wm.second_moment_w), 0.0, {"probes": []})
         assert lam == pytest.approx(np.sqrt(3.0))
