@@ -218,40 +218,37 @@ def _c_values(cfg: ExperimentConfig) -> list:
     return cfg.c_grid if cfg.c_grid is not None else [cfg.degree.get("c", cfg.degree.get("cbar"))]
 
 
-@functools.lru_cache(maxsize=1)
-def _unspiked_instance(canonical: str, c_value, index: int) -> graphgen.SpikedMatrix:
-    """Instance ``index`` of the config ``canonical`` at theta = 0; the last
-    one built is kept. Its noise and spike vector do not depend on theta, so
-    consecutive tasks of one (config, c, index) build them once."""
-    cfg = ExperimentConfig(**json.loads(canonical))
+def _instance_row(args: tuple) -> dict:
+    """One farm task: instance ``index`` of grid point ``c_value``, built
+    once at theta = 0 (its noise and spike vector do not depend on theta)
+    and solved at each of ``thetas``; its rows keyed by theta."""
+    cfg, thetas, c_value, index = args
     degree_model, weight_model, spike_model = build_models(cfg, c_value)
     degrees = ensembles.sample_degree_sequence(
         degree_model, cfg.n, derive_rng(cfg.seed, index, "degrees")
     )
     graph = graphgen.configuration_model(degrees, derive_rng(cfg.seed, index, "graph"))
     graph = graphgen.assign_weights(graph, weight_model, derive_rng(cfg.seed, index, "weights"))
-    return graphgen.assemble_spiked(graph, spike_model, 0.0, derive_rng(cfg.seed, index, "spike"))
-
-
-def _instance_row(args: tuple) -> dict:
-    raw_cfg, theta, c_value, index = args
-    cfg = ExperimentConfig(**raw_cfg)
-    a = replace(_unspiked_instance(cfg.canonical(), c_value, index), theta=float(theta))
-    report = spectral.analyze_instance(a, rng=derive_rng(cfg.seed, index, "eig"))
-    return {
-        "index": index,
-        "seed": seed_derivation(cfg.seed, index, "graph"),
-        "n": cfg.n,
-        "theta": theta,
-        "c": c_value,
-        "lambda_top": report.lambda_top,
-        "lambda_second": report.lambda_second,
-        "overlap": report.overlap,
-        "overlap_sq": report.overlap_sq,
-        "residual_top": report.residual_top,
-        "residual_second": report.residual_second,
-        "iterations": report.iterations,
-    }
+    unspiked = graphgen.assemble_spiked(graph, spike_model, 0.0, derive_rng(cfg.seed, index, "spike"))
+    rows = {}
+    for theta in thetas:
+        a = replace(unspiked, theta=float(theta))
+        report = spectral.analyze_instance(a, rng=derive_rng(cfg.seed, index, "eig"))
+        rows[theta] = {
+            "index": index,
+            "seed": seed_derivation(cfg.seed, index, "graph"),
+            "n": cfg.n,
+            "theta": theta,
+            "c": c_value,
+            "lambda_top": report.lambda_top,
+            "lambda_second": report.lambda_second,
+            "overlap": report.overlap,
+            "overlap_sq": report.overlap_sq,
+            "residual_top": report.residual_top,
+            "residual_second": report.residual_second,
+            "iterations": report.iterations,
+        }
+    return rows
 
 
 @functools.cache
@@ -269,16 +266,19 @@ def _load_eigensolver() -> None:
 
 
 def _farm(cfg: ExperimentConfig, tasks: list) -> list:
-    """Run instance tasks, deterministically ordered by task index, on at
-    most one worker per task."""
+    """Run farm tasks on at most one worker per task; their results in task order."""
     workers = min(cfg.workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only for a pool
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_instance_row, tasks))
-    else:
-        rows = [_instance_row(t) for t in tasks]
+            return list(pool.map(_instance_row, tasks))
+    return [_instance_row(t) for t in tasks]
+
+
+def _farm_rows(cfg: ExperimentConfig, tasks: list) -> list:
+    """Every row of the farm tasks, ordered by (theta, c, index)."""
+    rows = [row for by_theta in _farm(cfg, tasks) for row in by_theta.values()]
     return sorted(rows, key=lambda r: (r["theta"], r["c"] if r["c"] is not None else 0, r["index"]))
 
 
@@ -352,11 +352,8 @@ DIAG_FIELDS = [
 
 def run_diag(cfg: ExperimentConfig) -> list:
     _load_eigensolver()
-    raw = asdict(cfg)
     c_value, = _c_values(cfg)
-    # index-major, so each instance's theta values run in turn on one build
-    tasks = [(raw, theta, c_value, i) for i in range(cfg.instances) for theta in cfg.theta]
-    rows = _farm(cfg, tasks)
+    rows = _farm_rows(cfg, [(cfg, cfg.theta, c_value, i) for i in range(cfg.instances)])
     _write_csv(os.path.join(cfg.out_dir, "diag.csv"), DIAG_FIELDS, rows, cfg)
     _write_csv(os.path.join(cfg.out_dir, "diag_summary.csv"), SUMMARY_FIELDS, _aggregate(rows), cfg)
     return rows
@@ -461,11 +458,11 @@ SWEEP_FIELDS = SUMMARY_FIELDS + ["analytic_lambda_theta", "analytic_overlap_sq",
 
 def run_sweep(cfg: ExperimentConfig) -> list:
     _load_eigensolver()
-    raw = asdict(cfg)
     points = [(c_value, theta) for c_value in _c_values(cfg) for theta in cfg.theta]
-    tasks = [(raw, theta, c_value, p * cfg.instances + i)
+    # each (c, theta) point draws its own instances
+    tasks = [(cfg, [theta], c_value, p * cfg.instances + i)
              for p, (c_value, theta) in enumerate(points) for i in range(cfg.instances)]
-    by_point = {(s["c"], s["theta"]): s for s in _aggregate(_farm(cfg, tasks))}
+    by_point = {(s["c"], s["theta"]): s for s in _aggregate(_farm_rows(cfg, tasks))}
     out = [{**by_point[(c_value, theta)], "analytic_lambda_theta": rep.lambda_theta,
             "analytic_overlap_sq": rep.overlap_sq, "theta_crit": rep.theta_crit, "theta_b": rep.theta_b}
            for c_value, theta, rep in _analytic_grid(cfg)]

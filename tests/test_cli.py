@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -30,6 +31,21 @@ RR4 = {"kind": "regular", "c": 4}
 PO3 = {"kind": "truncated_poisson", "cbar": 3.0, "k_max": 8}
 PO35_RADEMACHER = {"degree": {"kind": "truncated_poisson", "cbar": 3.5, "k_max": 12},
                    "weight": {"kind": "rademacher_scaled", "scale": 1.0}}
+
+
+def _marked_builds(monkeypatch, marks):
+    """Make each ``configuration_model`` call drop a file in ``marks``, so
+    forked farm workers, which inherit the patch, count too; returns the
+    counter of those files."""
+    marks.mkdir()
+    configuration_model = cli.graphgen.configuration_model
+
+    def marked(*args):
+        os.close(tempfile.mkstemp(dir=marks)[0])
+        return configuration_model(*args)
+
+    monkeypatch.setattr(cli.graphgen, "configuration_model", marked)
+    return lambda: len(os.listdir(marks))
 
 
 class TestSeedDerivation:
@@ -341,6 +357,16 @@ class TestDiagMode:
         assert len(cli.run_diag(cfg)) == 9
         assert len(builds) == 3
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_each_instance_built_once_at_any_worker_count(self, tmp_path, monkeypatch, workers):
+        # one farm task is one instance with all its theta values
+        builds = _marked_builds(monkeypatch, tmp_path / "marks")
+        cfg = cli.parse_config({"mode": "diag", "degree": {"kind": "truncated_poisson", "cbar": 4, "k_max": 20},
+                                "theta": [1.0, 3.0, 5.0], "n": 500, "instances": 4, "seed": 3,
+                                "out_dir": str(tmp_path), "workers": workers})
+        assert len(cli.run_diag(cfg)) == 12
+        assert builds() == 4
+
     def test_edgeless_graph(self, tmp_path):
         # all degree mass at 0: theta = 0 is the zero operator, theta = 1 a lone rank-one spike
         out = tmp_path / "out"
@@ -381,6 +407,16 @@ class TestSweepMode:
             cli.run(cli.parse_config({**raw, "out_dir": str(out), "workers": workers}))
             texts.append((out / "sweep.csv").read_text().replace(str(out), "OUT").replace(f'"workers": {workers}', "W"))
         assert texts[0] == texts[1] == texts[2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_point_draws_its_own_instances(self, tmp_path, monkeypatch, workers):
+        # one farm task per (point, instance): 2 c x 2 theta x 2 instances
+        builds = _marked_builds(monkeypatch, tmp_path / "marks")
+        cfg = cli.parse_config({"mode": "sweep", "degree": RR4, "c_grid": [3, 4], "theta": [1.5, 4.0],
+                                "n": 100, "instances": 2, "seed": 3, "out_dir": str(tmp_path),
+                                "workers": workers})
+        assert len(cli.run_sweep(cfg)) == 4
+        assert builds() == 8
 
     def test_sweep_rerun_byte_identical(self, tmp_path):
         raw = {"mode": "sweep", "degree": RR4, "theta": [0.5, 4.0], "c_grid": [4],
