@@ -80,11 +80,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-# Degree kinds whose theta_crit the analytic and sweep modes report
-# (``analytic.report`` itself reads any degree table).
-RESOLVENT_KINDS = ("truncated_poisson", "regular")
-
-
 def _checked_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -143,14 +138,15 @@ def _checked_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("density_samples must be >= 1")
     for c_value in cfg.c_grid if cfg.c_grid is not None else [None]:
         degree_model, weight_model, _ = build_models(cfg, c_value)
-        if cfg.mode not in ("analytic", "sweep"):
+        if degree_model.mean_c <= 0 and cfg.mode != "diag":  # diag runs the empty graph
+            raise ConfigError(f"{cfg.mode} mode needs a positive mean degree, got {degree_model.mean_c:g}")
+        if cfg.lambda_structural is None:
             continue
-        if degree_model.kind not in RESOLVENT_KINDS:
-            raise ConfigError(f"{cfg.mode} mode has no theta_crit route for a {degree_model.kind!r} degree table")
-        if cfg.lambda_structural is not None and ensembles.regular_constant_weight(degree_model, weight_model) is None:
-            edge = analytic.admissible_lambda_floor(degree_model, weight_model.second_moment_w)
-            if cfg.lambda_structural < edge:
-                raise ConfigError(f"lambda_structural={cfg.lambda_structural:g} is below the spectral edge {edge:.12g}")
+        if ensembles.regular_constant_weight(degree_model, weight_model) is not None:
+            raise ConfigError("regular constant-weight noise does not read lambda_structural: it is c w")
+        edge = analytic.admissible_lambda_floor(degree_model, weight_model.second_moment_w)
+        if cfg.lambda_structural < edge:
+            raise ConfigError(f"lambda_structural={cfg.lambda_structural:g} is below the spectral edge {edge:.12g}")
     if _n_pop(cfg) < 2:
         raise ConfigError("n_pop must be at least 2")
     return cfg
@@ -180,6 +176,8 @@ def build_models(cfg: ExperimentConfig, c_value=None):
         degree_model = ensembles.truncated_poisson(_number(*degree_param("cbar")),
                                                    ensembles._integer(deg.pop("k_max", 20), "degree.k_max"))
     elif kind == "table":
+        if c_value is not None:
+            raise ConfigError("a 'table' degree law has no parameter for a c_grid entry to set")
         degree_model = ensembles.degree_table(deg.pop("probs", None))
     else:
         raise ValueError(f"unknown degree kind {kind!r}")

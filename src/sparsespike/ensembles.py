@@ -103,7 +103,6 @@ class DegreeModel:
     ``r[k] = k p_k / mean_c`` with r[0] = 0.
     """
 
-    kind: str
     probs: np.ndarray
     mean_c: float = field(init=False)
 
@@ -158,7 +157,7 @@ def truncated_poisson(cbar: float, k_max: int) -> DegreeModel:
     k = np.arange(k_max + 1)
     logterm = k * log(cbar) - np.array([lgamma(i + 1.0) for i in k])
     t = np.exp(logterm - logterm.max())
-    return DegreeModel(kind="truncated_poisson", probs=t / t.sum())
+    return DegreeModel(t / t.sum())
 
 
 def regular(c: int) -> DegreeModel:
@@ -168,12 +167,12 @@ def regular(c: int) -> DegreeModel:
         raise ValueError("regular degree must exceed 1")
     p = np.zeros(c + 1)
     p[c] = 1.0
-    return DegreeModel(kind="regular", probs=p)
+    return DegreeModel(p)
 
 
 def degree_table(probs) -> DegreeModel:
     """Explicit degree table indexed 0..k_max."""
-    return DegreeModel(kind="table", probs=np.asarray(probs, dtype=float))
+    return DegreeModel(np.asarray(probs, dtype=float))
 
 
 def sample_degree_sequence(model: DegreeModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -240,10 +239,11 @@ def constant_weight(w: float) -> WeightModel:
 
 
 def regular_constant_weight(degree_model: DegreeModel, weight_model: WeightModel) -> float | None:
-    """w when the noise is c-regular with one positive constant weight w
-    (the closed-form ensemble: structural eigenvalue c w), else None."""
-    if degree_model.kind == "regular" and weight_model.values.size == 1 and weight_model.values[0] > 0:
-        return float(weight_model.values[0])
+    """w when p_k's one positive entry is at k = c = k_max >= 2 and the weight
+    law is one positive value w (the closed-form ensemble: structural eigenvalue c w), else None."""
+    p, w = degree_model.probs, weight_model.values[weight_model.probs > 0]
+    if p.size > 2 and not p[:-1].any() and w.min() == w.max() > 0:
+        return float(w[0])
     return None
 
 

@@ -210,6 +210,14 @@ class TestReport:
         assert rep.as_flat_dict() == pytest.approx(ref.as_flat_dict(), rel=1e-12)
 
 
+    def test_perfect_matching_outlier(self):
+        # p_1 = 1: the noise has eigenvalues +-1, half each, so the outlier
+        # solves 1 = theta lambda / (lambda^2 - 1), 1 + sqrt(2) at theta = 2
+        dm = ensembles.degree_table([0, 1])
+        rep = analytic.report(2.0, dm, W1, GAUSS, analytic.admissible_lambda_floor(dm, 1.0))
+        assert rep.lambda_theta == rep.lambda_top == pytest.approx(1.0 + np.sqrt(2.0), rel=1e-14)
+
+
 class TestLambdaSignal:
     def test_rr_closed_form(self):
         lam = analytic.signal_and_overlap(4.0, ensembles.regular(4), W1, GAUSS)[0]

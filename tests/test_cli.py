@@ -28,6 +28,8 @@ def _csv_rows(path) -> list:
 
 
 RR4 = {"kind": "regular", "c": 4}
+RR4_TABLE = {"kind": "table", "probs": [0, 0, 0, 0, 1]}
+ZERO_MEAN = {"kind": "table", "probs": [1.0]}
 PO3 = {"kind": "truncated_poisson", "cbar": 3.0, "k_max": 8}
 PO35_RADEMACHER = {"degree": {"kind": "truncated_poisson", "cbar": 3.5, "k_max": 12},
                    "weight": {"kind": "rademacher_scaled", "scale": 1.0}}
@@ -84,8 +86,9 @@ class TestConfigParsing:
         ({"mode": "diag", "degree": RR4, "theta": [-1.0]}, "theta"),
         ({"mode": "diag", "degree": RR4, "n": 100.0}, "n must be an integer"),
         ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"n_pop": 2e4}}, "popdyn.n_pop"),
-        ({"mode": "analytic", "degree": {"kind": "table", "probs": [0.2, 0.3, 0.5]}}, "'table' degree table"),
-        ({"mode": "sweep", "degree": {"kind": "table", "probs": [0.2, 0.3, 0.5]}}, "'table' degree table"),
+        # a law of mean degree zero has no size-biased table r_k: only diag runs it
+        ({"mode": "analytic", "degree": ZERO_MEAN}, "analytic mode needs a positive mean degree, got 0"),
+        ({"mode": "sweep", "degree": ZERO_MEAN}, "sweep mode needs a positive mean degree, got 0"),
         ({"mode": "analytic", "degree": RR4, "theta": None}, "theta"),
         ({"mode": "analytic", "degree": RR4, "theta": ["x"]}, "theta"),
         ({"mode": "analytic", "degree": RR4, "theta": "12"}, "theta"),
@@ -183,20 +186,27 @@ class TestConfigParsing:
         # the population size, the one popdyn field
         ({"mode": "popdyn", "degree": RR4, "theta": [4.0], "popdyn": {"n_pop": 1}}, "n_pop must be at least 2"),
         ({"mode": "analytic", "degree": PO3, "popdyn": {"n_pop": True}}, "popdyn.n_pop must be an integer"),
+        ({"mode": "popdyn", "degree": ZERO_MEAN, "theta": [4.0]}, "popdyn mode needs a positive mean degree, got 0"),
+        ({"mode": "densities", "degree": {"kind": "table", "probs": [1.0, 0.0]}, "theta": [4.0]},
+         "densities mode needs a positive mean degree, got 0"),
+        # a c_grid entry would label one table law with different c values
+        ({"mode": "sweep", "degree": {"kind": "table", "probs": [0.0, 0.5, 0.5]}, "c_grid": [3, 4]},
+         "a 'table' degree law has no parameter for a c_grid entry to set"),
     ])
     def test_rejects_bad_fields(self, raw, fragment):
         with pytest.raises(ConfigError, match=fragment):
             cli.parse_config(raw)
 
     def test_structural_at_the_edge_accepted(self):
-        # equality is admissible; regular constant-weight noise reads c w, not the value
+        # equality is admissible; regular constant-weight noise reads c w, so any value exits 2
         degree_model, weight_model, _ = cli.build_models(cli.parse_config({"mode": "analytic", **PO35_RADEMACHER}))
         edge = cli.analytic.admissible_lambda_floor(degree_model, weight_model.second_moment_w)
         cli.parse_config({"mode": "analytic", **PO35_RADEMACHER, "lambda_structural": edge})
         with pytest.raises(ConfigError, match="below the spectral edge"):
             cli.parse_config({"mode": "analytic", **PO35_RADEMACHER, "lambda_structural": np.nextafter(edge, 0.0)})
-        cli.parse_config({"mode": "sweep", "degree": RR4, "weight": {"kind": "constant", "w": 0.7},
-                          "lambda_structural": 0.5})
+        with pytest.raises(ConfigError, match="regular constant-weight noise does not read lambda_structural"):
+            cli.parse_config({"mode": "sweep", "degree": RR4, "weight": {"kind": "constant", "w": 0.7},
+                              "lambda_structural": 0.5})
 
 
 class TestAnalyticMode:
@@ -252,14 +262,31 @@ class TestAnalyticMode:
         assert float(rows[0]["lambda_top"]) == 5.0713
         assert float(rows[1]["lambda_theta"]) > 6.0
 
-    def test_regular_closed_form_beats_supplied_structural(self, tmp_path):
-        # c w is exact for regular constant-weight noise: a supplied value is ignored
-        path = write_config(tmp_path, mode="analytic", degree=RR4, weight={"kind": "constant", "w": 0.7},
-                            lambda_structural=3.0, theta=[0.0, 2.0, 5.0])
-        assert cli.main([path, "--out-dir", str(tmp_path)]) == 0
-        rows = _csv_rows(tmp_path / "analytic.csv")
-        assert [float(r["lambda_structural"]) for r in rows] == [2.8] * 3
-        assert all(float(r["lambda_top"]) >= 2.8 for r in rows)
+    def test_regular_closed_form_beats_supplied_structural(self, tmp_path, capsys):
+        # c w is exact for regular constant-weight noise, however the law is
+        # written: a supplied value would run unread, so the config exits 2
+        for degree in (RR4, RR4_TABLE):
+            path = write_config(tmp_path, mode="analytic", degree=degree, weight={"kind": "constant", "w": 0.7},
+                                lambda_structural=3.0, theta=[0.0, 2.0, 5.0])
+            assert cli.main([path, "--out-dir", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == ("config error: regular constant-weight noise does not read "
+                                               "lambda_structural: it is c w\n")
+        assert not (tmp_path / "analytic.csv").exists()
+
+    def test_regular_table_is_the_regular_law(self, tmp_path):
+        # a regular law written as a table gets the same closed forms; only
+        # the c column differs, empty for a table
+        texts = {}
+        for name, degree in (("regular", RR4), ("table", RR4_TABLE)):
+            out = tmp_path / name
+            path = write_config(tmp_path, mode="analytic", degree=degree, weight={"kind": "constant", "w": 0.7},
+                                theta=[0.0, 0.5, 2.0, 5.0])
+            assert cli.main([path, "--out-dir", str(out)]) == 0
+            texts[name] = _csv_rows(out / "analytic.csv")
+        assert [r.pop("c") for r in texts["regular"]] == ["4"] * 4
+        assert [r.pop("c") for r in texts["table"]] == [""] * 4
+        assert texts["regular"] == texts["table"]
+        assert float(texts["table"][0]["theta_b"]) == pytest.approx(0.8083, abs=1e-4)
 
     def test_regular_weight_reads_every_closed_form(self, tmp_path):
         # w != 1 fills theta_b, c_crit and c_b too, the closed forms scaled by w
@@ -417,6 +444,24 @@ class TestSweepMode:
                                 "workers": workers})
         assert len(cli.run_sweep(cfg)) == 4
         assert builds() == 8
+
+    def test_bimodal_table_route_against_diag(self, tmp_path):
+        # p_3 = p_6 = 1/2 at the structural eigenvalue 5.1173 (population
+        # dynamics, N_p = 5e4): the route gives theta_crit 3.992, and at
+        # theta = 5 and 6 lambda_theta 5.8995 and 6.7498, overlap^2 0.8206
+        # and 0.8752. A survey of CLI seeds 1-12 (N = 4000, 4 instances)
+        # put the mean lambda_top off the route by -0.067..+0.182 at theta = 5
+        # and -0.124..+0.124 at theta = 6, and the mean overlap^2 by
+        # -0.021..+0.046 and -0.024..+0.033; the bounds are 0.25 and 0.06
+        cfg = cli.parse_config({"mode": "sweep", "degree": {"kind": "table", "probs": [0, 0, 0, 0.5, 0, 0, 0.5]},
+                                "theta": [5.0, 6.0], "lambda_structural": 5.1173, "n": 4000, "instances": 4,
+                                "seed": 1, "out_dir": str(tmp_path)})
+        rows = cli.run_sweep(cfg)
+        assert [r["theta_crit"] for r in rows] == pytest.approx([3.99198] * 2, abs=1e-5)
+        assert [r["analytic_lambda_theta"] for r in rows] == pytest.approx([5.89945, 6.74980], abs=1e-5)
+        for row in rows:
+            assert abs(row["mean_lambda_top"] - row["analytic_lambda_theta"]) < 0.25
+            assert abs(row["mean_overlap_sq"] - row["analytic_overlap_sq"]) < 0.06
 
     def test_sweep_rerun_byte_identical(self, tmp_path):
         raw = {"mode": "sweep", "degree": RR4, "theta": [0.5, 4.0], "c_grid": [4],
@@ -612,6 +657,19 @@ class TestMainExitCodes:
         path = write_config(tmp_path, mode=mode, degree=RR4, theta=[theta], out_dir=str(tmp_path / "out"))
         assert cli.main([path]) == 3
         assert "theta is at or below the recovery threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["popdyn", "densities"])
+    def test_regular_table_exits_before_any_sweep(self, tmp_path, capsys, monkeypatch, mode):
+        # RR4 written as a table is RR4: at theta = 2, below theta_crit =
+        # 8/3, the closed form ends the run before any sweep
+        def no_sweep(*args):
+            raise AssertionError("a population sweep ran")
+
+        monkeypatch.setattr(popdyn, "_sweep", no_sweep)
+        path = write_config(tmp_path, mode=mode, degree=RR4_TABLE, theta=[2.0], out_dir=str(tmp_path / "out"))
+        assert cli.main([path]) == 3
+        assert capsys.readouterr().err == ("solver failure: theta=2 with theta_crit=2.66666666667: "
+                                           "theta is at or below the recovery threshold\n")
 
     def test_eigensolver_budget_exhausted(self, tmp_path, monkeypatch):
         # 3 matvecs cannot converge: NotConverged reaches main as a solver failure
