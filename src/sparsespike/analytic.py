@@ -225,9 +225,10 @@ def report(
     The route reads one ``_Branch``, built from p_k, r_k and E[W^2] alone:
     theta_crit = 1 / (sigma_x^2 Q(lambda_structural)), the edge, the signal
     root, and above theta_crit the overlap as ``signal_and_overlap`` gives it."""
-    w = regular_constant_weight(degree_model, weight_model)
-    if w is not None:
-        return rr_report(degree_model.k_max, spike_model.sigma_x2, theta, w)
+    regular = regular_constant_weight(degree_model, weight_model)
+    if regular is not None:
+        c, w = regular
+        return rr_report(c, spike_model.sigma_x2, theta, w)
     branch = _Branch(degree_model, weight_model.second_moment_w)
     sigma_x2, bound = spike_model.sigma_x2, gershgorin_bound(degree_model, weight_model)
     t_crit = 1.0 / (sigma_x2 * branch.q(branch.x_of(lambda_structural)))

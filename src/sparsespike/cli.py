@@ -305,9 +305,10 @@ def structural_for(cfg: ExperimentConfig, degree_model, weight_model) -> float:
     """Structural (theta=0) top eigenvalue for the configured noise: the
     closed form c w for regular constant-weight noise, else the configured
     ``lambda_structural``, else ``popdyn.structural_lambda``."""
-    w = ensembles.regular_constant_weight(degree_model, weight_model)
-    if w is not None:
-        return analytic.rr_report(degree_model.k_max, 1.0, 0.0, w).lambda_structural
+    regular = ensembles.regular_constant_weight(degree_model, weight_model)
+    if regular is not None:
+        c, w = regular
+        return analytic.rr_report(c, 1.0, 0.0, w).lambda_structural
     if cfg.lambda_structural is not None:
         return float(cfg.lambda_structural)
     return popdyn.structural_lambda(degree_model, weight_model, _n_pop(cfg), derive_rng(cfg.seed, 0, "structural"))[0]
@@ -390,21 +391,24 @@ def _aggregate(rows: list) -> list:
     return out
 
 
-def _solve(cfg: ExperimentConfig, index: int, theta: float, models: tuple):
+def _solve(cfg: ExperimentConfig, index: int, theta: float, models: tuple, samples: int = 0):
     """``popdyn.solve`` at theta on stream ``index``, at the resolvent
-    route's (lambda, q); a route without a signal root raises its SolverError.
+    route's (lambda, q), with a full-node pass of at least ``samples``
+    draws; a route without a signal root raises its SolverError.
     On regular constant-weight noise a theta at or below the closed-form
     theta_crit raises RootNotBracketed before any sweep: there the signal
     root is not the top eigenvalue, and the population never plateaus."""
     degree_model, weight_model, spike_model = models
-    w = ensembles.regular_constant_weight(degree_model, weight_model)
-    if w is not None:
-        t_crit = analytic.rr_report(degree_model.k_max, spike_model.sigma_x2, theta, w).theta_crit
+    regular = ensembles.regular_constant_weight(degree_model, weight_model)
+    if regular is not None:
+        c, w = regular
+        t_crit = analytic.rr_report(c, spike_model.sigma_x2, theta, w).theta_crit
         if theta <= t_crit:
             raise RootNotBracketed(f"theta={theta:g} with theta_crit={t_crit:.12g}: "
                                    "theta is at or below the recovery threshold")
     lam, ov = analytic.signal_and_overlap(theta, *models)
-    return popdyn.solve(theta, *models, _n_pop(cfg), derive_rng(cfg.seed, index, "popdyn"), lam, float(np.sqrt(ov)))
+    return popdyn.solve(theta, *models, _n_pop(cfg), derive_rng(cfg.seed, index, "popdyn"), lam, float(np.sqrt(ov)),
+                        samples)
 
 
 POPDYN_FIELDS = ["theta", "c", "lambda", "q", "overlap_sq", "alpha1", "alpha2", "alpha1_se", "alpha2_se", "sweeps"]
@@ -415,7 +419,7 @@ def run_popdyn(cfg: ExperimentConfig) -> list:
     c_value, = _c_values(cfg)
     rows = []
     for i, theta in enumerate(cfg.theta):
-        _, q, lam, diag = _solve(cfg, i, theta, models)
+        _, q, lam, diag = _solve(cfg, i, theta, models)[:4]  # the full-node draws go before the next theta
         last = diag["history"][-1]
         rows.append({
             "theta": theta, "c": c_value, "lambda": lam, "q": q,
@@ -430,9 +434,9 @@ def run_popdyn(cfg: ExperimentConfig) -> list:
 
 def run_densities(cfg: ExperimentConfig) -> dict:
     models = build_models(cfg)
-    pop = _solve(cfg, 0, cfg.theta[0], models)[0]
+    pop, _, _, _, nodes = _solve(cfg, 0, cfg.theta[0], models, cfg.density_samples)
     header = _header(cfg)
-    top, ov = observables.component_densities(pop, *models, cfg.density_samples, derive_rng(cfg.seed, 1, "rho_top"))
+    top, ov = observables.component_densities(*nodes, cfg.density_samples)
     # before the writers: its temporary on top of what they leave in the heap would set the peak memory
     moments = observables.overlap_moments(ov)
     marg = observables.marginals(pop)

@@ -238,12 +238,14 @@ def constant_weight(w: float) -> WeightModel:
     return WeightModel(values=np.array([float(w)]), probs=np.array([1.0]))
 
 
-def regular_constant_weight(degree_model: DegreeModel, weight_model: WeightModel) -> float | None:
-    """w when p_k's one positive entry is at k = c = k_max >= 2 and the weight
-    law is one positive value w (the closed-form ensemble: structural eigenvalue c w), else None."""
-    p, w = degree_model.probs, weight_model.values[weight_model.probs > 0]
-    if p.size > 2 and not p[:-1].any() and w.min() == w.max() > 0:
-        return float(w[0])
+def regular_constant_weight(degree_model: DegreeModel, weight_model: WeightModel) -> tuple[int, float] | None:
+    """(c, w) when p_k has one positive entry, at k = c >= 2, and the weight
+    law is one positive value w (the closed-form ensemble: structural
+    eigenvalue c w), else None. Zero entries above c do not count: the
+    table is not trimmed, so k_max stays as written."""
+    c, w = np.flatnonzero(degree_model.probs), weight_model.values[weight_model.probs > 0]
+    if c.size == 1 and c[0] >= 2 and w.min() == w.max() > 0:
+        return int(c[0]), float(w[0])
     return None
 
 

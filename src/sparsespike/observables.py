@@ -2,8 +2,9 @@
 overlap-component densities with the degree of each sample, marginal CDFs
 of omega and h, and overlap moments.
 
-Sampling is read-only over a frozen population, so one solved population
-serves every observable.
+The densities read a prefix of the full-node draws (k, x, u) that
+``popdyn.solve`` checks its alphas on, so a run gathers its full nodes
+once; the marginals read the solved population itself.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import DegreeModel, SpikeModel, WeightModel
-from .popdyn import Population, _full_nodes
+from .popdyn import Population
 
 
 @dataclass(frozen=True)
@@ -33,21 +33,18 @@ def _build_density(samples: np.ndarray, k_tags: np.ndarray) -> DensityEstimate:
 
 
 def component_densities(
-    pop: Population,
-    degree_model: DegreeModel,
-    weight_model: WeightModel,
-    spike_model: SpikeModel,
+    k: np.ndarray,
+    x: np.ndarray,
+    u: np.ndarray,
     n_samples: int,
-    rng: np.random.Generator,
 ) -> tuple[DensityEstimate, DensityEstimate]:
-    """The top-eigenvector and overlap component densities, from one set of
-    full-node draws: u_top = ({hW/w}_k + theta q X) / (lambda - {W^2/w}_k),
-    with k drawn from p_k and kept as the sample's tag, and u_ov = X u_top
-    on the same draws, as the overlap components x_i v_i of one instance
-    pair with its components v_i. The formulas overwrite the gathered sums
-    and spike draws, and the denominators are dropped unused."""
-    k, x, u, den = _full_nodes(pop, degree_model, weight_model, spike_model, n_samples, rng)
-    del den
+    """The top-eigenvector and overlap component densities from the first
+    ``n_samples`` of a full-node pass's draws (``popdyn.alpha_pair``):
+    u_top = ({hW/w}_k + theta q X) / (lambda - {W^2/w}_k), with k drawn from
+    p_k and kept as the sample's tag, and u_ov = X u_top on the same draws,
+    as the overlap components x_i v_i of one instance pair with its
+    components v_i. u_ov is written over those spike draws."""
+    k, x, u = k[:n_samples], x[:n_samples], u[:n_samples]
     return _build_density(u, k), _build_density(np.multiply(x, u, out=x), k)
 
 

@@ -6,10 +6,15 @@ A population is a Monte Carlo representation of the fixed-point density:
 N_p pairs updated by replacement. One sweep replaces every slot once, in
 order, in vectorized batches of consecutive slots whose member lookups see
 the population as of the batch start (an O(batch/N_p) perturbation of
-strict one-at-a-time semantics with the same fixed point). Sweeps stop
+strict one-at-a-time semantics with the same fixed point). A batch draws
+its degree counts at once, as the multinomial they follow, and writes its
+slots in increasing degree: members are drawn uniformly, so slot order
+inside a batch does not change the population's law. Sweeps stop
 when each of the four moments (mean and variance of omega and h) has the
 same mean over the last two windows of 10 sweeps to within 3 standard
 errors of that moment in the population, a test that scales with N_p.
+A run's full-node estimators share one pass of i.i.d. draws: the alpha
+check in ``solve`` reads all of it, the densities a prefix.
 All randomness flows through the caller's Generator, so equal seeds
 reproduce populations and alpha estimates bit for bit.
 """
@@ -41,6 +46,7 @@ class Population:
     def n_pop(self) -> int:
         return self.omega.size
 
+    @np.errstate(over="ignore", invalid="ignore")  # a diverging population reads inf or nan; equilibrate stops it
     def moments(self) -> tuple[dict, dict]:
         """The four moments and their standard errors: sqrt(var / N_p) for a
         mean, sqrt((m4 - var^2) / N_p) for a variance (m4 the fourth central
@@ -94,35 +100,43 @@ def _gather(z, degree_model, weight_model, b, rng, cavity):
 
     With ``cavity`` k comes from r_k and the sums run over t = k-1 members
     (a cavity update), else k comes from p_k and they run over t = k (a full
-    node). All b degrees are drawn first, in one call. The draws are then
-    summed ``_PIECE`` (2^15) at a time, grouped by t: in each piece, for
-    each t > 0 in increasing order, the draws with t members are taken in
-    draw order, their members drawn uniformly with replacement as one
-    (t, count) index array and then, unless the weight law is one point,
-    their fresh weights as a (t, count) array, which scale each member's
-    ratios to W^2 (1/omega) + i W (h/omega). Adding the t rows of complex
-    terms in turn sums each draw's terms in member order; each sum is
-    written back to its draw's position, so the output stays in i.i.d. draw
-    order, and a draw without members sums to 0. A one-point weight law
-    scales each sum once, by W^2 and W, so for W = 1 the sums are those of
-    1/omega and h/omega. Temporaries are bounded by the members of one
-    piece; a sweep's 16,384-draw chunk is one piece. The degrees k are
-    returned in the smallest unsigned type that holds k_max (one byte per
-    draw for k_max < 256), the type the argsort of each piece sorts in.
+    node). The draws are summed ``_PIECE`` (2^15) at a time, grouped by t.
+    A cavity piece of n draws takes its degree counts from one
+    ``rng.multinomial(n, r_k)`` call, the law of the degree counts of n
+    i.i.d. draws, and lays its draws out in increasing degree; a full-node
+    pass draws all b degrees first, in one call, and keeps i.i.d. draw
+    order, because its readers take prefixes of it. In each piece, for
+    each t > 0 in increasing order, the draws with t members have their
+    members drawn uniformly with replacement as one (t, count) index array
+    and then, unless the weight law is one point, their fresh weights as a
+    (t, count) array, which scale each member's ratios to
+    W^2 (1/omega) + i W (h/omega). Adding the t rows of complex terms in
+    turn sums each draw's terms in member order; each sum is written to
+    its draw's position, and a draw without members sums to 0. A one-point
+    weight law scales each sum once, by W^2 and W, so for W = 1 the sums
+    are those of 1/omega and h/omega. Temporaries are bounded by the
+    members of one piece; a sweep's 16,384-draw batch is one piece. The
+    degrees k are returned in the smallest unsigned type that holds k_max
+    (one byte per draw for k_max < 256), the type the argsort of a
+    full-node piece sorts in.
     """
     small = np.min_scalar_type(degree_model.k_max)  # stable argsort of <= 16-bit ints is a radix sort
-    draw = degree_model.sample_corrected if cavity else degree_model.sample
-    k = draw(rng, size=b).astype(small)
-    terms = k - 1 if cavity else k
+    # the degrees before the sums: a full-node draw's uniforms and indices are gone when the sums arrive
+    k = np.empty(b, small) if cavity else degree_model.sample(rng, size=b).astype(small)
     scalar_w = weight_model.values.size == 1
     w = float(weight_model.values[0]) if scalar_w else 1.0  # a table's sums are scaled by 1.0, exactly
     s_w2, s_hw = np.empty(b), np.empty(b)
     for lo in range(0, b, _PIECE):
-        piece = terms[lo:lo + _PIECE]
-        order = np.argsort(piece, kind="stable")
+        piece = k[lo:lo + _PIECE]
+        if cavity:
+            counts = rng.multinomial(piece.size, degree_model.r)
+            piece[:] = np.repeat(np.arange(counts.size, dtype=small), counts)
+            counts, order = counts[1:], None  # t = k - 1; r_0 = 0
+        else:
+            counts, order = np.bincount(piece), np.argsort(piece, kind="stable")
         sums = np.zeros(piece.size, complex)
         end = 0
-        for t, count in enumerate(np.bincount(piece).tolist()):
+        for t, count in enumerate(counts.tolist()):
             start, end = end, end + count
             if t == 0 or count == 0:
                 continue
@@ -132,7 +146,7 @@ def _gather(z, degree_model, weight_model, b, rng, cavity):
                 wt = weight_model.sample(rng, size=t * count).reshape(t, count)
                 zt.imag *= wt
                 zt.real *= np.multiply(wt, wt, out=wt)
-            sums[order[start:end]] = _column_sums(zt)
+            sums[slice(start, end) if order is None else order[start:end]] = _column_sums(zt)
         np.multiply(sums.real, w * w, out=s_w2[lo:lo + piece.size])
         np.multiply(sums.imag, w, out=s_hw[lo:lo + piece.size])
     return k, s_w2, s_hw
@@ -149,11 +163,11 @@ def _column_sums(a):
 
 def _sweep(pop, degree_model, weight_model, spike_model, rng):
     """One sweep: every slot replaced once, batch i of ``_CHUNK`` draws
-    written to slots [i _CHUNK, (i+1) _CHUNK) (see module docstring). The
-    slots' ratios are formed once and a batch's are rewritten with its
-    slots, so each batch reads the population as of its start. The spike
-    draw happens only when theta != 0, so the omega dynamics consumes an
-    identical random stream with or without a spike."""
+    written to slots [i _CHUNK, (i+1) _CHUNK) in increasing degree (see
+    module docstring). The slots' ratios are formed once and a batch's are
+    rewritten with its slots, so each batch reads the population as of its
+    start. The spike draw happens only when theta != 0, so the omega
+    dynamics consumes an identical random stream with or without a spike."""
     n = pop.n_pop
     draw_x = pop.theta != 0.0 and spike_model is not None
     z = _ratios(pop.omega, pop.h)
@@ -202,7 +216,9 @@ def equilibrate(
     with N_p; a moment whose window means are both below 1e-12 in size has
     decayed to zero and passes, and 1e-12 of the moment is allowed for
     rounding. The result carries these errors as ``moment_se``. With no
-    plateau within ``_MAX_SWEEPS`` sweeps MaxSweepsExceeded is raised.
+    plateau within ``_MAX_SWEEPS`` sweeps, or at the first sweep after which
+    a moment or its standard error is not finite (a diverging population),
+    MaxSweepsExceeded is raised.
     Lambda stays as given: a sweep that turns omega non-positive raises
     NonPositiveOmega, naming lambda.
     """
@@ -210,6 +226,9 @@ def equilibrate(
     for sweeps in range(1, _MAX_SWEEPS + 1):
         _sweep(pop, degree_model, weight_model, spike_model, rng)
         mom, se = pop.moments()
+        bad = [key for key in MOMENT_KEYS if not np.isfinite([mom[key], se[key]]).all()]
+        if bad:
+            raise MaxSweepsExceeded(f"population diverged at sweep {sweeps}: {', '.join(bad)} not finite")
         for key in MOMENT_KEYS:
             traces[key].append(mom[key])
         if _plateaued(traces, se):
@@ -243,6 +262,16 @@ def _full_nodes(pop, degree_model, weight_model, spike_model, n_samples, rng):
     return k, x, u, den
 
 
+def _mean_se(a, term):
+    """The mean of term(a) over a's elements and its standard error
+    std / sqrt(n), both formed ``_PIECE`` elements at a time: the terms of
+    one piece are the only temporary."""
+    pieces = range(0, a.size, _PIECE)
+    mean = sum(float(term(a[lo:lo + _PIECE]).sum()) for lo in pieces) / a.size
+    var = sum(float(np.square(term(a[lo:lo + _PIECE]) - mean).sum()) for lo in pieces) / a.size
+    return mean, float(np.sqrt(var / a.size))
+
+
 def alpha_pair(
     pop: Population,
     degree_model: DegreeModel,
@@ -251,7 +280,8 @@ def alpha_pair(
     rng: np.random.Generator,
     samples: int,
 ):
-    """Estimate (alpha1, se1, alpha2, se2) from one set of fresh draws.
+    """Estimate (alpha1, se1, alpha2, se2) from one full-node pass of
+    ``samples`` draws, and hand back the pass's draws (k, x, u).
 
     alpha1 is the eigenvector-normalization check (target 1). alpha2 is
     theta * sigma_x^2 * Q_hat(lambda), whose target is also 1: the raw
@@ -259,21 +289,16 @@ def alpha_pair(
     1/theta instead, so the theta factor is folded in here to give both
     alphas a common fixed point. alpha1's terms are the squares of the
     components u that ``observables.component_densities`` samples. The
-    formulas overwrite u and den, in the same operation order as the
-    written formula, and the degrees and spike draws are dropped unused.
+    terms are formed a piece at a time (``_mean_se``), so the pass's
+    arrays are all that is held; the denominators are dropped here.
+
+    Returns ((alpha1, se1, alpha2, se2), (k, x, u)).
     """
     k, x, u, den = _full_nodes(pop, degree_model, weight_model, spike_model, samples, rng)
-    del k, x
-    a1 = np.square(u, out=u)
-    a2 = np.divide(1.0, den, out=den)
-    a2 *= pop.theta * spike_model.sigma_x2
-    n = a1.size
-    return (
-        float(a1.mean()),
-        float(a1.std() / np.sqrt(n)),
-        float(a2.mean()),
-        float(a2.std() / np.sqrt(n)),
-    )
+    ts = pop.theta * spike_model.sigma_x2
+    a1, se1 = _mean_se(u, np.square)
+    a2, se2 = _mean_se(den, lambda d: np.divide(ts, d))
+    return (a1, se1, a2, se2), (k, x, u)
 
 
 def solve(
@@ -285,22 +310,27 @@ def solve(
     rng: np.random.Generator,
     lam: float,
     q: float,
+    samples: int = 0,
 ):
     """Check (lambda, q), e.g. the resolvent route's, by one pass of
     population dynamics: build a population of ``n_pop`` pairs there, omega
     and h drawn uniformly (omega first), equilibrate it once and estimate
-    one alpha pair. The population is accepted if alpha1 and alpha2 both
-    sit within ``_ALPHA_TOL`` of 1; otherwise AlphaMismatch is raised.
+    one alpha pair from the run's one full-node pass of
+    max(``_ALPHA_SAMPLES``, ``samples``) draws. The population is accepted
+    if alpha1 and alpha2 both sit within ``_ALPHA_TOL`` of 1; otherwise
+    AlphaMismatch is raised.
 
-    Returns (population, q, lambda, diagnostics), ``diagnostics["history"]``
-    holding the one pass's entry.
+    Returns (population, q, lambda, diagnostics, (k, x, u)): the last is the
+    pass's full-node draws (``alpha_pair``), whose prefixes the densities
+    read; ``diagnostics["history"]`` holds the one pass's entry.
     """
     if theta <= 0:
         raise ValueError("solve targets the spiked phase; use theta > 0")
     pop = Population(rng.uniform(*_OMEGA_INIT, n_pop), rng.uniform(*_H_INIT, n_pop), q=float(q), lam=float(lam),
                      theta=float(theta))
     eq = equilibrate(pop, degree_model, weight_model, spike_model, rng)
-    a1, se1, a2, se2 = alpha_pair(pop, degree_model, weight_model, spike_model, rng, _ALPHA_SAMPLES)
+    (a1, se1, a2, se2), nodes = alpha_pair(pop, degree_model, weight_model, spike_model, rng,
+                                            max(_ALPHA_SAMPLES, samples))
     if not (abs(a1 - 1.0) <= _ALPHA_TOL and abs(a2 - 1.0) <= _ALPHA_TOL):
         raise AlphaMismatch(
             f"alphas not within {_ALPHA_TOL:g} of 1 at lambda={pop.lam:g}, q={pop.q:g}: "
@@ -308,7 +338,7 @@ def solve(
         )
     entry = {"lambda": pop.lam, "q": pop.q, "alpha1": a1, "alpha2": a2, "alpha1_se": se1, "alpha2_se": se2,
              "sweeps": eq["sweeps"], "moment_se": eq["moment_se"]}
-    return pop, pop.q, pop.lam, {"history": [entry], "rounds": 1, "final_equilibration": eq}
+    return pop, pop.q, pop.lam, {"history": [entry], "rounds": 1, "final_equilibration": eq}, nodes
 
 
 def structural_lambda(

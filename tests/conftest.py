@@ -42,7 +42,7 @@ def poisson_solved(poisson_models):
     q = float(np.sqrt(ov))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(popdyn, "_ALPHA_SAMPLES", 400_000)
-        pop, q_out, lam_out, diag = popdyn.solve(theta, dm, wm, sm, 50_000, np.random.default_rng(1234), lam, q)
+        pop, q_out, lam_out, diag, _ = popdyn.solve(theta, dm, wm, sm, 50_000, np.random.default_rng(1234), lam, q)
     return {"pop": pop, "lambda_analytic": lam, "q_analytic": q, "diag": diag, "theta": theta}
 
 
@@ -64,7 +64,7 @@ def rr_solved(rr_models):
     rep = analytic.rr_report(4, 1.0, 4.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(popdyn, "_ALPHA_SAMPLES", 200_000)
-        pop, q_out, lam_out, diag = popdyn.solve(
+        pop, q_out, lam_out, diag, _ = popdyn.solve(
             4.0, dm, wm, sm, 20_000, np.random.default_rng(77), rep.lambda_top, float(np.sqrt(rep.overlap_sq)),
         )
     return {"pop": pop, "report": rep, "diag": diag}

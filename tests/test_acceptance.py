@@ -50,7 +50,7 @@ def poisson_full_solve():
     sm = ensembles.gaussian_spike(1.0)
     theta = 6.0
     lam_an, ov_an = analytic.signal_and_overlap(theta, dm, wm, sm)
-    pop, q, lam, diag = popdyn.solve(
+    pop, q, lam, diag, _ = popdyn.solve(
         theta, dm, wm, sm, 200_000, derive_rng(SEED, 0, "popdyn"), lam_an, float(np.sqrt(ov_an)),
     )
     return {"pop": pop, "lambda_analytic": lam_an, "overlap_analytic": ov_an,
@@ -134,7 +134,8 @@ def test_criterion_4_density_agreement(poisson_full_solve, poisson_diag_batch):
 
     pop = poisson_full_solve["pop"]
     dm, wm, sm = poisson_full_solve["models"]
-    top, ov = observables.component_densities(pop, dm, wm, sm, 200_000, derive_rng(SEED, 1, "rho_top"))
+    _, nodes = popdyn.alpha_pair(pop, dm, wm, sm, derive_rng(SEED, 1, "rho_top"), 200_000)
+    top, ov = observables.component_densities(*nodes, 200_000)
     emp_top = np.concatenate([rep.v_top for _, rep in poisson_diag_batch])
     emp_ov = np.concatenate([a.x * rep.v_top for a, rep in poisson_diag_batch])
     ks_top = stats.ks_2samp(top.samples, emp_top).statistic

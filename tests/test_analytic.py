@@ -85,7 +85,7 @@ class TestQTilde:
         # against the fixed-point route
         dm, wm, sm = poisson_models
         pop = poisson_solved["pop"]
-        qhat = popdyn.alpha_pair(pop, dm, wm, sm, np.random.default_rng(0), 400_000)[2] / pop.theta
+        qhat = popdyn.alpha_pair(pop, dm, wm, sm, np.random.default_rng(0), 400_000)[0][2] / pop.theta
         qfix = q_tilde(pop.lam, dm, 1.0)
         assert abs(qhat - qfix) / qfix < 3e-3
 
@@ -117,13 +117,13 @@ class TestQGeneral:
         # denominator 4 - 4/3 = 8/3, so Q_hat = 3/8 with zero variance
         pop = popdyn.Population(omega=np.full(1000, 3.0), h=np.zeros(1000),
                                 q=0.0, lam=4.0, theta=1.0)
-        qhat = popdyn.alpha_pair(pop, ensembles.regular(4), W1, GAUSS, np.random.default_rng(0), 20_000)[2]
+        qhat = popdyn.alpha_pair(pop, ensembles.regular(4), W1, GAUSS, np.random.default_rng(0), 20_000)[0][2]
         assert abs(qhat - 0.375) < 1e-12
 
     def test_large_lambda(self):
         pop = popdyn.Population(omega=np.full(1000, 3.0), h=np.zeros(1000),
                                 q=0.0, lam=1e6, theta=1.0)
-        qhat = popdyn.alpha_pair(pop, ensembles.regular(4), W1, GAUSS, np.random.default_rng(2), 5_000)[2]
+        qhat = popdyn.alpha_pair(pop, ensembles.regular(4), W1, GAUSS, np.random.default_rng(2), 5_000)[0][2]
         assert abs(qhat - 1e-6) < 1e-8
 
 
@@ -412,7 +412,7 @@ class TestRRReport:
         om_bar = 0.5 * (rep.lambda_top + np.sqrt(rep.lambda_top**2 - 12.0))
         pop = popdyn.Population(omega=np.full(100, om_bar), h=np.zeros(100),
                                 q=0.0, lam=rep.lambda_top, theta=4.0)
-        alpha2 = popdyn.alpha_pair(pop, ensembles.regular(4), W1, GAUSS, np.random.default_rng(0), 1000)[2]
+        alpha2 = popdyn.alpha_pair(pop, ensembles.regular(4), W1, GAUSS, np.random.default_rng(0), 1000)[0][2]
         assert abs(alpha2 - 1.0) < 1e-9  # theta sigma^2 Q(lambda_theta) = 1
 
 

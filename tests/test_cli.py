@@ -29,6 +29,7 @@ def _csv_rows(path) -> list:
 
 RR4 = {"kind": "regular", "c": 4}
 RR4_TABLE = {"kind": "table", "probs": [0, 0, 0, 0, 1]}
+RR4_ZERO_TAIL = {"kind": "table", "probs": [0, 0, 0, 0, 1, 0]}
 ZERO_MEAN = {"kind": "table", "probs": [1.0]}
 PO3 = {"kind": "truncated_poisson", "cbar": 3.0, "k_max": 8}
 PO35_RADEMACHER = {"degree": {"kind": "truncated_poisson", "cbar": 3.5, "k_max": 12},
@@ -287,6 +288,19 @@ class TestAnalyticMode:
         assert [r.pop("c") for r in texts["table"]] == [""] * 4
         assert texts["regular"] == texts["table"]
         assert float(texts["table"][0]["theta_b"]) == pytest.approx(0.8083, abs=1e-4)
+
+    def test_zero_tail_table_gets_the_closed_form(self, tmp_path, monkeypatch):
+        # zero entries above c = 4 leave the law RR4: theta_crit is 8/3 as
+        # the closed form gives it, with no structural solve
+        def no_solver(*args):
+            raise AssertionError("the structural solver ran")
+
+        monkeypatch.setattr(cli.popdyn, "structural_lambda", no_solver)
+        path = write_config(tmp_path, mode="analytic", degree=RR4_ZERO_TAIL, theta=[2.0])
+        assert cli.main([path, "--out-dir", str(tmp_path)]) == 0
+        row, = _csv_rows(tmp_path / "analytic.csv")
+        assert float(row["theta_crit"]) == cli.analytic.rr_report(4, 1.0, 2.0).theta_crit == 8.0 / 3.0
+        assert float(row["lambda_structural"]) == 4.0
 
     def test_regular_weight_reads_every_closed_form(self, tmp_path):
         # w != 1 fills theta_b, c_crit and c_b too, the closed forms scaled by w
@@ -589,6 +603,27 @@ class TestDensitiesMode:
         assert abs(mass - 1.0) < 1e-9
 
 
+    def test_one_full_node_pass(self, tmp_path, monkeypatch, toy_alphas):
+        # the alpha check and both densities read one pass of full nodes (one
+        # _full_nodes call, one full-node gather): alpha1 is the mean of u^2
+        # over the very draws rho_top holds
+        passes, gathers, solved = [], [], []
+        full_nodes, gather, solve = popdyn._full_nodes, popdyn._gather, popdyn.solve
+
+        def counted_gather(z, dm, wm, b, rng, cavity):
+            if not cavity:
+                gathers.append(b)
+            return gather(z, dm, wm, b, rng, cavity)
+
+        monkeypatch.setattr(popdyn, "_full_nodes", lambda *a: passes.append(a[4]) or full_nodes(*a))
+        monkeypatch.setattr(popdyn, "_gather", counted_gather)
+        monkeypatch.setattr(popdyn, "solve", lambda *a: solved.append(solve(*a)) or solved[-1])
+        cfg = cli.parse_config({"mode": "densities", "degree": PO3, "theta": [6.0], "out_dir": str(tmp_path),
+                                "seed": 4, "density_samples": 50_000, "popdyn": TOY_POPDYN})
+        u = cli.run_densities(cfg)["rho_top"].samples
+        assert passes == gathers == [50_000] and u.size == 50_000
+        assert solved[0][3]["history"][0]["alpha1"] == pytest.approx(np.mean(u * u), rel=1e-12)
+
     def test_rerun_byte_identical(self, tmp_path, capsys, toy_alphas):
         raw = {"mode": "densities", "degree": PO3, "theta": [6.0], "seed": 6,
                "density_samples": 20_000, "popdyn": TOY_POPDYN}
@@ -667,6 +702,17 @@ class TestMainExitCodes:
 
         monkeypatch.setattr(popdyn, "_sweep", no_sweep)
         path = write_config(tmp_path, mode=mode, degree=RR4_TABLE, theta=[2.0], out_dir=str(tmp_path / "out"))
+        assert cli.main([path]) == 3
+        assert capsys.readouterr().err == ("solver failure: theta=2 with theta_crit=2.66666666667: "
+                                           "theta is at or below the recovery threshold\n")
+
+    def test_zero_tail_table_exits_before_any_sweep(self, tmp_path, capsys, monkeypatch):
+        # RR4 with a zero tail is RR4: theta = 2 is below its theta_crit 8/3
+        def no_sweep(*args):
+            raise AssertionError("a population sweep ran")
+
+        monkeypatch.setattr(popdyn, "_sweep", no_sweep)
+        path = write_config(tmp_path, mode="popdyn", degree=RR4_ZERO_TAIL, theta=[2.0], out_dir=str(tmp_path / "out"))
         assert cli.main([path]) == 3
         assert capsys.readouterr().err == ("solver failure: theta=2 with theta_crit=2.66666666667: "
                                            "theta is at or below the recovery threshold\n")

@@ -306,25 +306,26 @@ class TestRegularConstantWeight:
     """The closed-form noise is read off the degree and weight tables, not
     off how either law was written."""
 
-    @pytest.mark.parametrize("dm, wm, w", [
-        (ensembles.regular(4), ensembles.constant_weight(0.7), 0.7),
-        (ensembles.degree_table([0, 0, 0, 0, 1]), ensembles.constant_weight(1.0), 1.0),
-        (ensembles.degree_table([0.0, 0.0, 2.0]), ensembles.weight_table([0.5, 0.5], [0.3, 0.7]), 0.5),
-        (ensembles.regular(3), ensembles.weight_table([-1.0, 2.0], [0.0, 1.0]), 2.0),
-    ], ids=["regular", "regular_table", "chain_table", "one_weight_of_positive_mass"])
-    def test_closed_form(self, dm, wm, w):
-        assert ensembles.regular_constant_weight(dm, wm) == w
+    @pytest.mark.parametrize("dm, wm, c, w", [
+        (ensembles.regular(4), ensembles.constant_weight(0.7), 4, 0.7),
+        (ensembles.degree_table([0, 0, 0, 0, 1]), ensembles.constant_weight(1.0), 4, 1.0),
+        (ensembles.degree_table([0.0, 0.0, 2.0]), ensembles.weight_table([0.5, 0.5], [0.3, 0.7]), 2, 0.5),
+        (ensembles.regular(3), ensembles.weight_table([-1.0, 2.0], [0.0, 1.0]), 3, 2.0),
+        # zero entries above c: c is the one positive entry, not k_max = 5
+        (ensembles.degree_table([0, 0, 0, 0, 1, 0]), ensembles.constant_weight(1.0), 4, 1.0),
+    ], ids=["regular", "regular_table", "chain_table", "one_weight_of_positive_mass", "zero_tail"])
+    def test_closed_form(self, dm, wm, c, w):
+        assert ensembles.regular_constant_weight(dm, wm) == (c, w)
 
     @pytest.mark.parametrize("dm, wm", [
         # p_4 rounds to 1.0, yet the law has a second degree
         (ensembles.degree_table([1e-20, 0, 0, 0, 1]), ensembles.constant_weight(1.0)),
-        # a perfect matching (k_max = 1) runs the route
+        # a perfect matching (k_max = 1) runs the route, with or without a zero tail
         (ensembles.degree_table([0, 1]), ensembles.constant_weight(1.0)),
-        # a zero tail keeps the route: the table is read as written
-        (ensembles.degree_table([0, 0, 0, 0, 1, 0]), ensembles.constant_weight(1.0)),
+        (ensembles.degree_table([0, 1, 0, 0]), ensembles.constant_weight(1.0)),
         (ensembles.regular(4), ensembles.constant_weight(-1.0)),
         (ensembles.regular(4), ensembles.rademacher_weight(1.0)),
-    ], ids=["tiny_second_entry", "matching", "zero_tail", "negative_weight", "two_weights"])
+    ], ids=["tiny_second_entry", "matching", "matching_zero_tail", "negative_weight", "two_weights"])
     def test_route(self, dm, wm):
         assert ensembles.regular_constant_weight(dm, wm) is None
 

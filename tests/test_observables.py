@@ -15,11 +15,16 @@ W1 = ensembles.constant_weight(1.0)
 GAUSS = ensembles.gaussian_spike(1.0)
 
 
+def densities(pop, dm, wm, sm, n, rng):
+    """Both densities of one full-node pass of n draws over ``pop``."""
+    return observables.component_densities(*popdyn.alpha_pair(pop, dm, wm, sm, rng, n)[1], n)
+
+
 class TestRhoTop:
     def test_isolated_node_atom_at_zero(self, theta_zero_poisson_pop, poisson_models):
         dm, wm, _ = poisson_models
-        density = observables.component_densities(theta_zero_poisson_pop, dm, wm, GAUSS,
-                                                  50_000, np.random.default_rng(2))[0]
+        density = densities(theta_zero_poisson_pop, dm, wm, GAUSS,
+                            50_000, np.random.default_rng(2))[0]
         frac_zero = np.mean(density.samples == 0.0)
         p0 = dm.probs[0]
         assert abs(frac_zero - p0) < 3 * np.sqrt(p0 * (1 - p0) / 50_000)
@@ -30,15 +35,15 @@ class TestRhoTop:
         # condition fixed by alpha1
         dm, wm, sm = poisson_models
         pop = poisson_solved["pop"]
-        density = observables.component_densities(pop, dm, wm, sm, 200_000, np.random.default_rng(3))[0]
+        density = densities(pop, dm, wm, sm, 200_000, np.random.default_rng(3))[0]
         u2 = density.samples**2
         se = u2.std() / np.sqrt(u2.size)
         assert abs(u2.mean() - 1.0) < max(3 * se, 0.02)
 
     def test_histogram_mass_normalized(self, poisson_solved, poisson_models):
         dm, wm, sm = poisson_models
-        density = observables.component_densities(poisson_solved["pop"], dm, wm, sm,
-                                                  20_000, np.random.default_rng(4))[0]
+        density = densities(poisson_solved["pop"], dm, wm, sm,
+                            20_000, np.random.default_rng(4))[0]
         assert abs(density.masses.sum() - 1.0) < 1e-12
 
     def test_degree_recombination(self, poisson_solved, poisson_models):
@@ -47,8 +52,8 @@ class TestRhoTop:
         # sample so the chi-square against the small sample is calibrated
         dm, wm, sm = poisson_models
         pop = poisson_solved["pop"]
-        d_a = observables.component_densities(pop, dm, wm, sm, 400_000, np.random.default_rng(5))[0]
-        d_b = observables.component_densities(pop, dm, wm, sm, 20_000, np.random.default_rng(6))[0]
+        d_a = densities(pop, dm, wm, sm, 400_000, np.random.default_rng(5))[0]
+        d_b = densities(pop, dm, wm, sm, 20_000, np.random.default_rng(6))[0]
         edges = np.quantile(d_a.samples, np.linspace(0.02, 0.98, 21))
         kept = [k for k in range(dm.probs.size)
                 if np.count_nonzero(d_a.k_tags == k) >= 200]
@@ -68,7 +73,7 @@ class TestRhoOv:
     def test_mean_matches_q(self, poisson_solved, poisson_models):
         dm, wm, sm = poisson_models
         pop = poisson_solved["pop"]
-        density = observables.component_densities(pop, dm, wm, sm, 400_000, np.random.default_rng(7))[1]
+        density = densities(pop, dm, wm, sm, 400_000, np.random.default_rng(7))[1]
         moments = observables.overlap_moments(density)
         assert abs(moments.mean - pop.q) / pop.q < 0.01
 
@@ -76,14 +81,14 @@ class TestRhoOv:
         dm, wm, sm = poisson_models
         pop = poisson_solved["pop"]
         ov_analytic = analytic.signal_and_overlap(pop.theta, dm, wm, sm)[1]
-        density = observables.component_densities(pop, dm, wm, sm, 400_000, np.random.default_rng(8))[1]
+        density = densities(pop, dm, wm, sm, 400_000, np.random.default_rng(8))[1]
         moments = observables.overlap_moments(density)
         assert abs(moments.overlap_sq - ov_analytic) / ov_analytic < 0.01
 
     def test_theta_zero_symmetric(self, theta_zero_poisson_pop, poisson_models):
         dm, wm, _ = poisson_models
-        density = observables.component_densities(theta_zero_poisson_pop, dm, wm, GAUSS,
-                                                  100_000, np.random.default_rng(9))[1]
+        density = densities(theta_zero_poisson_pop, dm, wm, GAUSS,
+                            100_000, np.random.default_rng(9))[1]
         moments = observables.overlap_moments(density)
         assert abs(moments.mean) < 3 * moments.mean_se
 
@@ -95,7 +100,7 @@ class TestRhoOv:
 
         dm, wm, sm = poisson_models
         pop = poisson_solved["pop"]
-        density = observables.component_densities(pop, dm, wm, sm, 200_000, np.random.default_rng(12))[1]
+        density = densities(pop, dm, wm, sm, 200_000, np.random.default_rng(12))[1]
         mom = observables.overlap_moments(density)
         emp = []
         for i in range(5):
@@ -149,8 +154,8 @@ class TestOverlapMoments:
 class TestExports:
     def test_histogram_csv(self, tmp_path, poisson_solved, poisson_models):
         dm, wm, sm = poisson_models
-        density = observables.component_densities(poisson_solved["pop"], dm, wm, sm,
-                                                  5_000, np.random.default_rng(10))[0]
+        density = densities(poisson_solved["pop"], dm, wm, sm,
+                            5_000, np.random.default_rng(10))[0]
         path = tmp_path / "hist.csv"
         observables.write_histogram_csv(density, str(path), header_lines=("test",))
         lines = path.read_text().splitlines()
@@ -162,8 +167,8 @@ class TestExports:
     def test_samples_csv_cap(self, tmp_path, poisson_solved, poisson_models, monkeypatch):
         monkeypatch.setattr(observables, "_SAMPLES_CAP", 100)
         dm, wm, sm = poisson_models
-        density = observables.component_densities(poisson_solved["pop"], dm, wm, sm,
-                                                  5_000, np.random.default_rng(11))[0]
+        density = densities(poisson_solved["pop"], dm, wm, sm,
+                            5_000, np.random.default_rng(11))[0]
         path = tmp_path / "samples.csv"
         observables.write_samples_csv(density, str(path))
         assert len(path.read_text().splitlines()) == 101  # header + cap
@@ -179,20 +184,23 @@ def _random_population(n_pop=2000):
 
 def _written_formulas(pop, dm, wm, sm, n, seed):
     """(k, u_top, u_ov, alpha1 terms, alpha2 terms) by the written formulas,
-    on the draws that component_densities and alpha_pair make."""
+    on the draws of one full-node pass."""
     rng = np.random.default_rng(seed)
     k, s_w2, s_hw = popdyn._gather(popdyn._ratios(pop.omega, pop.h), dm, wm, n, rng, cavity=False)
     den = pop.lam - s_w2
     x = np.asarray(sm.sample(rng, size=n), float)
     top = (s_hw + pop.theta * pop.q * x) / den
-    return k, top, x * top, top ** 2, pop.theta * sm.sigma_x2 * (1.0 / den)
+    return k, top, x * top, top ** 2, pop.theta * sm.sigma_x2 / den
 
 
 class TestInPlaceFormulas:
-    """The estimators overwrite the gathered sums in place; every value must
-    equal the written formula on the same draws, bit for bit. 300,007
+    """The estimators overwrite the gathered sums in place; every sample
+    must equal the written formula on the same draws, bit for bit, and
+    each alpha and its standard error numpy's mean and std of the written
+    terms to 1e-12, since they are summed a piece at a time. 300,007
     samples on regular(16) noise (about 4.8e6 members) make ten gather
-    pieces of 2^15 draws, the last of them partial."""
+    pieces of 2^15 draws, the last of them partial; the densities read the
+    first 200,000 of the pass the alphas read."""
 
     N = 300_007
     DM = ensembles.regular(16)
@@ -202,25 +210,28 @@ class TestInPlaceFormulas:
     def test_samples_and_alphas(self, wm, sm):
         pop = _random_population()
         k, top, ov, a1, a2 = _written_formulas(pop, self.DM, wm, sm, self.N, 4)
-        got_top, got_ov = observables.component_densities(pop, self.DM, wm, sm, self.N, np.random.default_rng(4))
-        assert np.array_equal(got_top.k_tags, k) and np.array_equal(got_ov.k_tags, k)
-        assert got_top.samples.tobytes() == top.tobytes()
-        assert got_ov.samples.tobytes() == ov.tobytes()
+        alphas, nodes = popdyn.alpha_pair(pop, self.DM, wm, sm, np.random.default_rng(4), self.N)
+        got_top, got_ov = observables.component_densities(*nodes, 200_000)
+        assert np.array_equal(got_top.k_tags, k[:200_000]) and np.array_equal(got_ov.k_tags, k[:200_000])
+        assert got_top.samples.tobytes() == top[:200_000].tobytes()
+        assert got_ov.samples.tobytes() == ov[:200_000].tobytes()
         n = a1.size
-        expected = (float(a1.mean()), float(a1.std() / np.sqrt(n)),
-                    float(a2.mean()), float(a2.std() / np.sqrt(n)))
-        assert popdyn.alpha_pair(pop, self.DM, wm, sm, np.random.default_rng(4), self.N) == expected
+        expected = (a1.mean(), a1.std() / np.sqrt(n), a2.mean(), a2.std() / np.sqrt(n))
+        assert alphas == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestGatherMemory:
     """The Monte Carlo estimators form the member indices and terms a piece
     of draws at a time, hold the degrees in one byte, add (theta q) x a
-    piece at a time and overwrite the gathered sums in place. At 4e5
-    samples (about 1.2e6 members) the traced peak is about 25.8 bytes per
-    sample for alpha_pair and for both densities: the degrees (1), the two
-    gathered sums and the spike draws (8 each), and 0.8 for the ratio array
-    of the 2e4 slots; at 2e6 samples it is about 25.2. Gathering a pass in
-    parts and joining them took 40-42 at 2e6. Degrees in 8 bytes,
+    piece at a time, overwrite the gathered sums in place and sum the
+    alpha terms a piece at a time. At 4e5 samples (about 1.2e6 members)
+    the traced peak is about 26.3 bytes per sample for alpha_pair: the
+    degrees (1), the two gathered sums and the spike draws (8 each), and
+    0.8 for the ratio array of the 2e4 slots. The same pass read by both
+    densities peaks at about 28.1 while the histograms are binned; at 2e6
+    samples both are about 25.3. Forming alpha1 with numpy's mean and std
+    of a full-length u^2 while the pass is kept took about 41. Gathering a
+    pass in parts and joining them took 40-42 at 2e6. Degrees in 8 bytes,
     full-length temporaries and arrays kept past their use took about 41,
     holding a pass's member indices about 55, and every member's terms at
     once about 120."""
@@ -235,7 +246,7 @@ class TestGatherMemory:
         if name == "alpha_pair":
             run = lambda: popdyn.alpha_pair(pop, dm, W1, GAUSS, rng, n)
         else:
-            run = lambda: observables.component_densities(pop, dm, W1, GAUSS, n, rng)
+            run = lambda: densities(pop, dm, W1, GAUSS, n, rng)
         tracemalloc.start()
         try:
             run()

@@ -67,16 +67,20 @@ class TestInit:
 
 
 def _replay(dm, wm, b, n_slots, rng, cavity):
-    """The gather's draws replayed in their documented order: every degree,
-    found by a plain search of the CDF, then per piece of ``PIECE`` draws
-    and per member count t > 0, the members of the draws with t members and,
-    unless the weight law is one point, then their weights. Returns k and
-    each draw's member slots and weights (1.0 for a one-point law)."""
-    k = np.searchsorted((dm._rdraw if cavity else dm._draw).cdf, rng.random(b), side="right")
-    terms = k - 1 if cavity else k
+    """The gather's draws replayed in their documented order. A full-node
+    pass draws every degree first, found by a plain search of the CDF; a
+    cavity piece of ``PIECE`` draws (or fewer, the last) draws its degree
+    counts as one multinomial over r_k and lays its draws out in increasing
+    degree. Then, per piece and per member count t > 0, the members of the
+    draws with t members and, unless the weight law is one point, then
+    their weights. Returns k and each draw's member slots and weights (1.0
+    for a one-point law)."""
+    k = np.empty(b, np.intp) if cavity else np.searchsorted(dm._draw.cdf, rng.random(b), side="right")
     members, weights = [()] * b, [()] * b
     for lo in range(0, b, PIECE):
-        piece = terms[lo:lo + PIECE]
+        if cavity:
+            k[lo:lo + PIECE] = np.repeat(np.arange(dm.r.size), rng.multinomial(min(PIECE, b - lo), dm.r))
+        piece = k[lo:lo + PIECE] - cavity
         for t in range(1, int(piece.max()) + 1):
             pos = lo + np.flatnonzero(piece == t)
             if pos.size == 0:
@@ -152,15 +156,17 @@ class TestGather:
     @pytest.mark.parametrize("k_max, dtype", [(8, np.uint8), (300, np.uint16)])
     @pytest.mark.parametrize("cavity", [True, False])
     def test_degrees_in_the_smallest_type(self, k_max, dtype, cavity):
-        # k is the degree law's own draws, held in the smallest unsigned
-        # type that holds k_max
+        # k is the degree law's own draws (a full-node pass) or each piece's
+        # multinomial counts laid out by degree (a cavity batch), held in
+        # the smallest unsigned type that holds k_max
         dm = ensembles.truncated_poisson(3.0, k_max)
         z = popdyn._ratios(*_random_slots())
         rng, ref = np.random.default_rng(8), np.random.default_rng(8)
         k = popdyn._gather(z, dm, W1, PIECE + 9, rng, cavity)[0]
-        draws = (dm.sample_corrected if cavity else dm.sample)(ref, size=PIECE + 9)
         assert k.dtype == dtype
-        assert np.array_equal(k, draws)
+        assert np.array_equal(k, _replay(dm, W1, PIECE + 9, z.size, ref, cavity)[0])
+        if not cavity:
+            assert np.array_equal(k, dm.sample(np.random.default_rng(8), size=PIECE + 9))
 
     @pytest.mark.parametrize("w", [1.0, -0.7])
     @pytest.mark.parametrize("cavity", [True, False])
@@ -210,17 +216,21 @@ class TestGatherPieces:
     @pytest.mark.parametrize("wm", [W1, RADEMACHER], ids=["constant", "rademacher"])
     @pytest.mark.parametrize("cavity", [True, False])
     def test_zero_member_draws_on_piece_edges(self, wm, cavity):
-        # degree 0 (a full node) or 1 (a cavity) has no members; pick the
-        # first seed whose draws on both sides of each piece edge have none
-        dm = ensembles.degree_table([0.0, 0.9, 0.0, 0.1] if cavity else [0.9, 0.0, 0.0, 0.1])
+        # degree 0 (a full node) or 1 (a cavity) has no members. A cavity
+        # piece lays its draws out by degree, so its leaves open it and its
+        # largest degree closes it; for a full-node pass pick the first seed
+        # whose draws on both sides of each piece edge have none
         b = 3 * PIECE + 7
-        edges = np.array([PIECE - 1, PIECE, 2 * PIECE - 1, 2 * PIECE, 3 * PIECE - 1, 3 * PIECE])
-        empty = 1 if cavity else 0
-        draw = dm.sample_corrected if cavity else dm.sample
-        seed = next(s for s in range(1000)
-                    if np.all(draw(np.random.default_rng(s), size=b)[edges] == empty))
+        starts = np.array([0, PIECE, 2 * PIECE, 3 * PIECE])
+        if cavity:
+            k = _check_per_draw(ensembles.degree_table([0.0, 0.9, 0.0, 0.1]), wm, b, 0, cavity)
+            assert np.all(k[starts] == 1) and np.all(k[starts[1:] - 1] == 3)
+            return
+        dm = ensembles.degree_table([0.9, 0.0, 0.0, 0.1])
+        edges = np.sort(np.concatenate([starts[1:] - 1, starts[1:]]))
+        seed = next(s for s in range(1000) if np.all(dm.sample(np.random.default_rng(s), size=b)[edges] == 0))
         k = _check_per_draw(dm, wm, b, seed, cavity)
-        assert np.all(k[edges] == empty)
+        assert np.all(k[edges] == 0)
 
     def test_block_without_members(self):
         leaf_only = ensembles.degree_table([0.0, 1.0])
@@ -239,26 +249,56 @@ def _halves_agree(member_counts):
 
 
 class TestDrawOrder:
-    """The sums come back in i.i.d. draw order, and a sweep writes them to
-    its slots in that order, so slot position does not track degree.
-    omega = 1 and W = 1 make {W^2/omega} the member count k - 1."""
+    """A full-node pass returns its sums in i.i.d. draw order, because the
+    densities and the samples CSVs read prefixes of it. A cavity piece
+    draws its degree counts as one multinomial over r_k and lays its draws
+    out in increasing degree, and a sweep writes a batch's sums to its
+    slots in that order. omega = 1 and W = 1 make {W^2/omega} the member
+    count."""
 
     DM = ensembles.truncated_poisson(4.0, 20)
-    N = 1 << 16
+
+    def test_full_node_block(self):
+        # one piece: its halves split it, so grouping inside a piece shows
+        z = popdyn._ratios(np.ones(1000), np.ones(1000))
+        k, s_w2, _ = popdyn._gather(z, self.DM, W1, PIECE, np.random.default_rng(3), cavity=False)
+        assert np.array_equal(s_w2, k)
+        assert _halves_agree(k.astype(np.int64)) > 1e-3
 
     def test_cavity_block(self):
+        # two pieces and a partial third, each laid out in increasing degree
         z = popdyn._ratios(np.ones(1000), np.ones(1000))
-        k, s_w2, _ = popdyn._gather(z, self.DM, W1, self.N, np.random.default_rng(3), cavity=True)
+        k, s_w2, _ = popdyn._gather(z, self.DM, W1, 2 * PIECE + 100, np.random.default_rng(3), cavity=True)
         assert np.array_equal(s_w2, k - 1.0)
-        assert _halves_agree(s_w2.astype(np.int64)) > 1e-3
+        for lo in range(0, k.size, PIECE):
+            assert np.all(np.diff(k[lo:lo + PIECE].astype(np.int64)) >= 0)
 
-    def test_one_sweep(self, monkeypatch):
-        monkeypatch.setattr(popdyn, "_CHUNK", self.N)  # one batch: every slot reads its draw's count
-        pop = popdyn.Population(omega=np.ones(self.N), h=np.zeros(self.N), q=0.5, lam=100.0, theta=0.0)
+    def test_cavity_counts_follow_r(self):
+        # 64 batches of a sweep's size: the chi-square of each batch's degree
+        # counts against r_k, summed over the batches, follows chi2 with 64
+        # times (cells - 1) degrees of freedom; counts allotted by rounding
+        # would read far too low, counts of a wrong law far too high.
+        # Degrees of 12 and above share a cell (r_k below 1e-3 each above 12)
+        z = popdyn._ratios(np.ones(1000), np.ones(1000))
+        rng, b, top = np.random.default_rng(5), popdyn._CHUNK, 12
+        r = np.append(self.DM.r[1:top], self.DM.r[top:].sum())
+        stat = 0.0
+        for _ in range(64):
+            k = popdyn._gather(z, self.DM, W1, b, rng, cavity=True)[0]
+            observed = np.bincount(np.minimum(k, top), minlength=top + 1)[1:]
+            stat += float(np.sum((observed - b * r) ** 2 / (b * r)))
+        p = stats.chi2.sf(stat, 64 * (r.size - 1))
+        assert 1e-3 < p < 1 - 1e-3
+
+    def test_one_sweep(self):
+        # one batch of a sweep's 16,384 slots, so every slot reads its draw's
+        # member count: the slots hold the counts in increasing order
+        n = popdyn._CHUNK
+        pop = popdyn.Population(omega=np.ones(n), h=np.zeros(n), q=0.5, lam=100.0, theta=0.0)
         popdyn._sweep(pop, self.DM, W1, None, np.random.default_rng(3))
         counts = pop.lam - pop.omega
         assert np.array_equal(counts, np.round(counts))
-        assert _halves_agree(counts.astype(np.int64)) > 1e-3
+        assert np.all(np.diff(counts) >= 0) and counts[0] == 0 and counts[-1] > 5
 
 
 class TestUpdateStep:
@@ -361,6 +401,15 @@ class TestEquilibrate:
         with pytest.raises(MaxSweepsExceeded, match="no plateau within 3 sweeps"):
             popdyn.equilibrate(pop, dm, W1, GAUSS, np.random.default_rng(1))
 
+    def test_diverging_population_stops_at_its_first_sweep(self):
+        # h near 1e160 squares past the largest double: the h moments are
+        # not finite after sweep 1, and the run stops there, with no
+        # overflow warning (the test's warning filter turns one into an error)
+        pop = uniform_population(2000, np.random.default_rng(0), 7.0, q=0.5, theta=6.0)
+        pop.h *= 1e160
+        with pytest.raises(MaxSweepsExceeded, match=r"diverged at sweep 1: mean_h, var_h not finite"):
+            popdyn.equilibrate(pop, ensembles.truncated_poisson(4.0, 20), W1, GAUSS, np.random.default_rng(1))
+
     def test_degree_one_atom_mass(self, poisson_solved, poisson_models):
         dm, _, _ = poisson_models
         pop = poisson_solved["pop"]
@@ -449,7 +498,7 @@ class TestAlphas:
     def test_solved_rr_alphas_near_one(self, rr_solved, rr_models):
         dm, wm, sm = rr_models
         pop = rr_solved["pop"]
-        a1, se1, a2, se2 = popdyn.alpha_pair(pop, dm, wm, sm, np.random.default_rng(0), 400_000)
+        a1, se1, a2, se2 = popdyn.alpha_pair(pop, dm, wm, sm, np.random.default_rng(0), 400_000)[0]
         # population self-correlation inflates errors beyond iid MC bars a bit
         assert abs(a1 - 1.0) < max(3 * se1, 0.01)
         assert abs(a2 - 1.0) < max(3 * se2, 0.005)
@@ -458,22 +507,22 @@ class TestAlphas:
         dm, wm, sm = rr_models
         pop = copy.deepcopy(rr_solved["pop"])
         pop.lam *= 2.0
-        a1, _, _, _ = popdyn.alpha_pair(pop, dm, wm, sm, np.random.default_rng(1), 100_000)
+        a1, _, _, _ = popdyn.alpha_pair(pop, dm, wm, sm, np.random.default_rng(1), 100_000)[0]
         assert a1 < 1.0
 
     def test_alpha2_linear_in_theta(self, rr_solved, rr_models):
         dm, wm, sm = rr_models
         pop = copy.deepcopy(rr_solved["pop"])
-        _, _, base, _ = popdyn.alpha_pair(pop, dm, wm, sm, np.random.default_rng(2), 100_000)
+        _, _, base, _ = popdyn.alpha_pair(pop, dm, wm, sm, np.random.default_rng(2), 100_000)[0]
         pop.theta *= 2.0
-        _, _, doubled, _ = popdyn.alpha_pair(pop, dm, wm, sm, np.random.default_rng(2), 100_000)
+        _, _, doubled, _ = popdyn.alpha_pair(pop, dm, wm, sm, np.random.default_rng(2), 100_000)[0]
         assert abs(doubled - 2.0 * base) < 1e-12
 
     def test_alpha2_vanishes_at_large_lambda(self, rr_solved, rr_models):
         dm, wm, sm = rr_models
         pop = copy.deepcopy(rr_solved["pop"])
         pop.lam = 1e6
-        _, _, a2, _ = popdyn.alpha_pair(pop, dm, wm, sm, np.random.default_rng(3), 10_000)
+        _, _, a2, _ = popdyn.alpha_pair(pop, dm, wm, sm, np.random.default_rng(3), 10_000)[0]
         assert a2 < 1e-4
 
     def test_non_positive_denominator(self, rr_solved, rr_models):
@@ -500,7 +549,7 @@ class TestSolve:
         set_alphas(monkeypatch, 50_000, 0.05)
         out = []
         for _ in range(2):
-            pop, q, lam, diag = popdyn.solve(
+            pop, q, lam, diag, _ = popdyn.solve(
                 6.0, dm, wm, sm, 5000, np.random.default_rng(99), 6.685781102320185, 0.9376042707519016
             )
             out.append((pop.omega.copy(), pop.h.copy(), q, lam,
@@ -517,7 +566,7 @@ class TestSolve:
         dm = ensembles.truncated_poisson(3.0, 8)
         lam, ov = analytic.signal_and_overlap(6.0, dm, W1, GAUSS)
         q = float(np.sqrt(ov))
-        _, _, _, diag = popdyn.solve(
+        _, _, _, diag, _ = popdyn.solve(
             6.0, dm, W1, GAUSS, n_pop,
             derive_rng(1004, 0, "popdyn"), lam, q,
         )
@@ -533,17 +582,18 @@ class TestSolve:
         assert diag["final_equilibration"]["moment_se"] == se
 
     def test_unreachable_tolerance_raises_after_one_pass(self, rr_models, monkeypatch):
-        # one equilibration and one alpha pair, then the error names both
-        # alphas with their standard errors; no second pass
+        # one equilibration and one alpha pair on one full-node pass, then
+        # the error names both alphas with their standard errors; no second
+        # pass
         calls = []
-        for name in ("equilibrate", "alpha_pair"):
+        for name in ("equilibrate", "alpha_pair", "_full_nodes"):
             fn = getattr(popdyn, name)
             monkeypatch.setattr(popdyn, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
         rep = analytic.rr_report(4, 1.0, 4.0)
         set_alphas(monkeypatch, 10_000, 1e-9)
         with pytest.raises(AlphaMismatch, match=r"alpha1=\S+ \+/- \S+, alpha2=\S+ \+/- \S+"):
             popdyn.solve(4.0, *rr_models, 2000, np.random.default_rng(0), rep.lambda_top, np.sqrt(rep.overlap_sq))
-        assert calls == ["equilibrate", "alpha_pair"]
+        assert calls == ["equilibrate", "alpha_pair", "_full_nodes"]
 
     def test_solve_rejects_theta_zero(self, rr_models):
         dm, wm, sm = rr_models
