@@ -436,23 +436,21 @@ def run_densities(cfg: ExperimentConfig) -> dict:
     models = build_models(cfg)
     pop, _, _, _, nodes = _solve(cfg, 0, cfg.theta[0], models, cfg.density_samples)
     header = _header(cfg)
-    top, ov = observables.component_densities(*nodes, cfg.density_samples)
+    top, ov, k = observables.component_densities(*nodes, cfg.density_samples)
     # before the writers: its temporary on top of what they leave in the heap would set the peak memory
     moments = observables.overlap_moments(ov)
-    marg = observables.marginals(pop)
+    # degree-1 updates write omega = lambda bit for bit, so the atom is counted exactly, not binned
+    atom_mass = float(np.mean(pop.omega == pop.lam))
     observables.write_histogram_csv(top, os.path.join(cfg.out_dir, "rho_top_hist.csv"), header)
     observables.write_histogram_csv(ov, os.path.join(cfg.out_dir, "rho_ov_hist.csv"), header)
-    observables.write_samples_csv(top, os.path.join(cfg.out_dir, "rho_top_samples.csv"), header)
-    observables.write_samples_csv(ov, os.path.join(cfg.out_dir, "rho_ov_samples.csv"), header)
-    stride = max(1, pop.n_pop // 10_000)
-    observables.write_cdf_csv(marg["omega_x"], marg["omega_cdf"],
-                              os.path.join(cfg.out_dir, "omega_cdf.csv"), header, stride)
-    observables.write_cdf_csv(marg["h_x"], marg["h_cdf"],
-                              os.path.join(cfg.out_dir, "h_cdf.csv"), header, stride)
+    observables.write_samples_csv(top, k, os.path.join(cfg.out_dir, "rho_top_samples.csv"), header)
+    observables.write_samples_csv(ov, k, os.path.join(cfg.out_dir, "rho_ov_samples.csv"), header)
+    observables.write_cdf_csv(pop.omega, os.path.join(cfg.out_dir, "omega_cdf.csv"), header)
+    observables.write_cdf_csv(pop.h, os.path.join(cfg.out_dir, "h_cdf.csv"), header)
     print(f"overlap_mean={moments.mean!r}")
     print(f"overlap_sq={moments.overlap_sq!r}")
-    print(f"omega_atom_mass={marg['atom_mass']!r}")
-    return {"rho_top": top, "rho_ov": ov, "marginals": marg, "moments": moments}
+    print(f"omega_atom_mass={atom_mass!r}")
+    return {"rho_top": top, "rho_ov": ov, "k": k, "moments": moments, "atom_mass": atom_mass}
 
 
 SWEEP_FIELDS = SUMMARY_FIELDS + ["analytic_lambda_theta", "analytic_overlap_sq", "theta_crit", "theta_b"]

@@ -130,17 +130,9 @@ class DegreeModel:
     def _draw(self) -> _Draw:
         return _Draw(self.probs)
 
-    @cached_property
-    def _rdraw(self) -> _Draw:
-        return _Draw(self.r)
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw degrees i.i.d. from p_k."""
         return self._draw(rng, size)
-
-    def sample_corrected(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw degrees i.i.d. from the size-biased table r_k."""
-        return self._rdraw(rng, size)
 
 
 def truncated_poisson(cbar: float, k_max: int) -> DegreeModel:

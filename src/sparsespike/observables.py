@@ -1,10 +1,11 @@
 """Distributional observables of an equilibrated population: component and
-overlap-component densities with the degree of each sample, marginal CDFs
-of omega and h, and overlap moments.
+overlap-component densities with the degree of each sample, overlap
+moments, and the CSV writers of a densities run: histograms and samples
+of the densities, empirical CDFs of omega and h.
 
 The densities read a prefix of the full-node draws (k, x, u) that
 ``popdyn.solve`` checks its alphas on, so a run gathers its full nodes
-once; the marginals read the solved population itself.
+once.
 """
 
 from __future__ import annotations
@@ -13,59 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .popdyn import Population
-
-
-@dataclass(frozen=True)
-class DensityEstimate:
-    """Monte Carlo density sample, each sample tagged with its degree k, and
-    its histogram."""
-
-    samples: np.ndarray
-    k_tags: np.ndarray
-    bin_edges: np.ndarray
-    masses: np.ndarray
-
-
-def _build_density(samples: np.ndarray, k_tags: np.ndarray) -> DensityEstimate:
-    counts, edges = np.histogram(samples, bins="fd")
-    return DensityEstimate(samples=samples, k_tags=k_tags, bin_edges=edges, masses=counts / counts.sum())
-
 
 def component_densities(
     k: np.ndarray,
     x: np.ndarray,
     u: np.ndarray,
     n_samples: int,
-) -> tuple[DensityEstimate, DensityEstimate]:
-    """The top-eigenvector and overlap component densities from the first
-    ``n_samples`` of a full-node pass's draws (``popdyn.alpha_pair``):
-    u_top = ({hW/w}_k + theta q X) / (lambda - {W^2/w}_k), with k drawn from
-    p_k and kept as the sample's tag, and u_ov = X u_top on the same draws,
-    as the overlap components x_i v_i of one instance pair with its
-    components v_i. u_ov is written over those spike draws."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The top-eigenvector and overlap component samples (u_top, u_ov, k)
+    from the first ``n_samples`` of a full-node pass's draws
+    (``popdyn.alpha_pair``): u_top = ({hW/w}_k + theta q X) / (lambda -
+    {W^2/w}_k), with k drawn from p_k and returned as the samples' degrees,
+    and u_ov = X u_top on the same draws, as the overlap components x_i v_i
+    of one instance pair with its components v_i. u_ov is written over
+    those spike draws."""
     k, x, u = k[:n_samples], x[:n_samples], u[:n_samples]
-    return _build_density(u, k), _build_density(np.multiply(x, u, out=x), k)
-
-
-def marginals(pop: Population) -> dict:
-    """Empirical CDFs of omega and h from the stored pairs.
-
-    Degree-1 updates write omega = lambda bit-exactly, so the omega atom at
-    lambda is counted by exact comparison rather than binning.
-    """
-    omega_sorted = np.sort(pop.omega)
-    h_sorted = np.sort(pop.h)
-    n = pop.n_pop
-    grid = np.arange(1, n + 1) / n
-    atom_mass = float(np.mean(pop.omega == pop.lam))
-    return {
-        "omega_x": omega_sorted,
-        "omega_cdf": grid,
-        "h_x": h_sorted,
-        "h_cdf": grid.copy(),
-        "atom_mass": atom_mass,
-    }
+    return u, np.multiply(x, u, out=x), k
 
 
 @dataclass(frozen=True)
@@ -83,8 +47,7 @@ class OverlapMoments:
     overlap_sq_se: float
 
 
-def overlap_moments(density: DensityEstimate) -> OverlapMoments:
-    u = density.samples
+def overlap_moments(u: np.ndarray) -> OverlapMoments:
     n = u.size
     mean = float(u.mean())
     mean_se = float(u.std() / np.sqrt(n))
@@ -120,22 +83,30 @@ def _write_rows(path: str, header_lines, names: tuple, columns: tuple) -> None:
             fh.write("".join(parts))
 
 
-def write_histogram_csv(density: DensityEstimate, path: str, header_lines=()) -> None:
-    edges = np.asarray(density.bin_edges, float)
-    _write_rows(path, header_lines, ("bin_left", "bin_right", "mass"),
-                (edges[:-1], edges[1:], np.asarray(density.masses, float)))
+def write_histogram_csv(samples: np.ndarray, path: str, header_lines=()) -> None:
+    """The histogram of ``samples`` on numpy's Freedman-Diaconis bins, as
+    (bin_left, bin_right, mass) rows."""
+    counts, edges = np.histogram(samples, bins="fd")
+    _write_rows(path, header_lines, ("bin_left", "bin_right", "mass"), (edges[:-1], edges[1:], counts / counts.sum()))
 
 
 # Samples a samples CSV holds: the first this many of the density's draws.
 _SAMPLES_CAP = 100_000
 
+# Rows a CDF CSV holds: about this many, every stride-th of the sorted values.
+_CDF_ROWS = 10_000
 
-def write_samples_csv(density: DensityEstimate, path: str, header_lines=()) -> None:
+
+def write_samples_csv(samples: np.ndarray, k: np.ndarray, path: str, header_lines=()) -> None:
+    """The first ``_SAMPLES_CAP`` samples with their degrees, as (u, k) rows."""
     _write_rows(path, header_lines, ("u", "k"),
-                (np.asarray(density.samples[:_SAMPLES_CAP], float),
-                 np.asarray(density.k_tags[:_SAMPLES_CAP]).astype(np.int64)))
+                (np.asarray(samples[:_SAMPLES_CAP], float), np.asarray(k[:_SAMPLES_CAP]).astype(np.int64)))
 
 
-def write_cdf_csv(xs: np.ndarray, ys: np.ndarray, path: str, header_lines=(), stride: int = 1) -> None:
-    _write_rows(path, header_lines, ("x", "cdf"),
-                (np.asarray(xs, float)[::stride], np.asarray(ys, float)[::stride]))
+def write_cdf_csv(values: np.ndarray, path: str, header_lines=()) -> None:
+    """The empirical CDF of ``values``: the i-th smallest of n against i/n,
+    every stride-th row from the first, stride = max(1, n // ``_CDF_ROWS``)."""
+    x = np.sort(np.asarray(values, float))
+    n = x.size
+    stride = max(1, n // _CDF_ROWS)
+    _write_rows(path, header_lines, ("x", "cdf"), (x[::stride], np.arange(1, n + 1, stride) / n))

@@ -135,12 +135,12 @@ def test_criterion_4_density_agreement(poisson_full_solve, poisson_diag_batch):
     pop = poisson_full_solve["pop"]
     dm, wm, sm = poisson_full_solve["models"]
     _, nodes = popdyn.alpha_pair(pop, dm, wm, sm, derive_rng(SEED, 1, "rho_top"), 200_000)
-    top, ov = observables.component_densities(*nodes, 200_000)
+    top, ov, _ = observables.component_densities(*nodes, 200_000)
     emp_top = np.concatenate([rep.v_top for _, rep in poisson_diag_batch])
     emp_ov = np.concatenate([a.x * rep.v_top for a, rep in poisson_diag_batch])
-    ks_top = stats.ks_2samp(top.samples, emp_top).statistic
-    ks_ov = stats.ks_2samp(ov.samples, emp_ov).statistic
-    u2 = top.samples**2
+    ks_top = stats.ks_2samp(top, emp_top).statistic
+    ks_ov = stats.ks_2samp(ov, emp_ov).statistic
+    u2 = top**2
     u2_se = u2.std() / np.sqrt(u2.size)
     norm_ok = abs(u2.mean() - 1.0) <= 3 * u2_se
     ok = ks_top <= 0.05 and ks_ov <= 0.05 and norm_ok

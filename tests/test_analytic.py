@@ -485,3 +485,9 @@ class TestFloor:
         dm = ensembles.truncated_poisson(4.0, 20)
         floor = analytic.admissible_lambda_floor(dm, 1.0)
         assert floor < analytic.signal_and_overlap(6.0, dm, W1, GAUSS)[0]
+
+
+@pytest.mark.parametrize("c", [0, 1])
+def test_input_checks(c):
+    with pytest.raises(ValueError, match="random-regular closed forms need c >= 2"):
+        analytic.rr_report(c, 1.0, 2.0)

@@ -11,7 +11,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from sparsespike import cli, popdyn, spectral
+from sparsespike import cli, ensembles, popdyn, spectral
 from sparsespike.errors import ConfigError, GenerationError, SolverError, SparseSpikeError
 from conftest import set_alphas
 
@@ -193,10 +193,25 @@ class TestConfigParsing:
         # a c_grid entry would label one table law with different c values
         ({"mode": "sweep", "degree": {"kind": "table", "probs": [0.0, 0.5, 0.5]}, "c_grid": [3, 4]},
          "a 'table' degree law has no parameter for a c_grid entry to set"),
+        ({"mode": "analytic"}, "missing or invalid field 'degree'"),
+        ({"mode": "analytic", "degree": [["kind", "regular"], ["c", 4]]}, "missing or invalid field 'degree'"),
+        ({"mode": "popdyn", "degree": RR4, "theta": [4.0, 0.0]}, "popdyn mode solves the spiked phase"),
+        ({"mode": "densities", "degree": RR4, "theta": 0.0}, "densities mode solves the spiked phase"),
+        ({"mode": "analytic", "degree": RR4, "weight": {"kind": "uniform"}}, "unknown weight kind 'uniform'"),
+        ({"mode": "analytic", "degree": RR4, "spike": {"kind": "laplace"}}, "unknown spike kind 'laplace'"),
     ])
     def test_rejects_bad_fields(self, raw, fragment):
         with pytest.raises(ConfigError, match=fragment):
             cli.parse_config(raw)
+
+    def test_custom_table_weight(self):
+        # the weight law a config's custom_table builds is ensembles.weight_table's
+        cfg = cli.parse_config({"mode": "analytic", "degree": PO3,
+                                "weight": {"kind": "custom_table", "values": [0.5, 1.5], "probs": [0.5, 0.5]}})
+        got = cli.build_models(cfg)[1]
+        expected = ensembles.weight_table([0.5, 1.5], [0.5, 0.5])
+        assert got.values.tobytes() == expected.values.tobytes() and got.probs.tobytes() == expected.probs.tobytes()
+        assert (got.second_moment_w, got.zeta) == (expected.second_moment_w, expected.zeta) == (1.25, 1.5)
 
     def test_structural_at_the_edge_accepted(self):
         # equality is admissible; regular constant-weight noise reads c w, so any value exits 2
@@ -620,7 +635,7 @@ class TestDensitiesMode:
         monkeypatch.setattr(popdyn, "solve", lambda *a: solved.append(solve(*a)) or solved[-1])
         cfg = cli.parse_config({"mode": "densities", "degree": PO3, "theta": [6.0], "out_dir": str(tmp_path),
                                 "seed": 4, "density_samples": 50_000, "popdyn": TOY_POPDYN})
-        u = cli.run_densities(cfg)["rho_top"].samples
+        u = cli.run_densities(cfg)["rho_top"]
         assert passes == gathers == [50_000] and u.size == 50_000
         assert solved[0][3]["history"][0]["alpha1"] == pytest.approx(np.mean(u * u), rel=1e-12)
 

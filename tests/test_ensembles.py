@@ -1,5 +1,7 @@
 """Degree, weight, and spike model construction, derived tables, and sampling."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -113,9 +115,10 @@ class TestDegreeModel:
         assert pvalue > 1e-3
 
     def test_corrected_sampling_chi_square(self):
+        # the bucketed draw of the size-biased table r_k
         model = ensembles.truncated_poisson(4.0, 20)
         rng = np.random.default_rng(1)
-        draws = model.sample_corrected(rng, size=100_000)
+        draws = ensembles._Draw(model.r)(rng, size=100_000)
         assert draws.min() >= 1
         counts = np.bincount(draws, minlength=21).astype(float)
         expected = 100_000 * model.r
@@ -158,7 +161,8 @@ EXACT_DRAW_MODELS = {
 class TestBucketedDraw:
     """Array draws read a per-cell table; they must equal the plain
     inverse-CDF search on the same uniforms, bit for bit, except that no
-    draw lands past the last degree of positive mass."""
+    draw lands past the last degree of positive mass. The corrected cases
+    draw a model's size-biased table r_k through the same lookup."""
 
     @pytest.mark.parametrize("name", EXACT_DRAW_MODELS)
     @pytest.mark.parametrize("corrected", [False, True])
@@ -170,7 +174,7 @@ class TestBucketedDraw:
             assert cdf[-1] < 1.0
         u = np.tile(_adversarial_uniforms(cdf), 8)  # past 2^16 draws: several lookup pieces
         assert u.size > 2**16
-        draw = model.sample_corrected if corrected else model.sample
+        draw = ensembles._Draw(table) if corrected else model.sample
         got = draw(_FixedUniforms(u), size=u.size)
         expected = np.minimum(np.searchsorted(cdf, u, side="right"), np.flatnonzero(table)[-1])
         assert got.dtype == expected.dtype
@@ -181,7 +185,7 @@ class TestBucketedDraw:
     def test_same_draws_and_generator_state(self, name, corrected):
         model = EXACT_DRAW_MODELS[name]()
         cdf = np.cumsum(model.r if corrected else model.probs)
-        draw = model.sample_corrected if corrected else model.sample
+        draw = ensembles._Draw(model.r) if corrected else model.sample
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
         for size in (0, 1, 16_384, 3 * 2**15 + 7):
             assert np.array_equal(draw(rng, size=size), np.searchsorted(cdf, ref.random(size), side="right"))
@@ -228,7 +232,7 @@ class TestCdfEndsAtOne:
     def test_degree_draws(self, model, corrected):
         table = model.r if corrected else model.probs
         last = np.flatnonzero(table)[-1]
-        draw = model.sample_corrected if corrected else model.sample
+        draw = ensembles._Draw(table) if corrected else model.sample
         assert np.array_equal(draw(_TopUniform(), size=3), [last] * 3)
 
     def test_weight_and_spike_draws(self):
@@ -392,3 +396,21 @@ class TestSpikeModel:
         model = ensembles.SpikeModel(kind="custom", sigma_x2=1.0 + 5e-13,
                                      values=np.array([-1.0, 1.0]), probs=np.array([0.5, 0.5]))
         assert model.sigma_x2 == 1.0 + 5e-13
+
+
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: ensembles.degree_table([]), "need a non-empty 1-d probability table"),
+    (lambda: ensembles.degree_table([[0.5, 0.5]]), "need a non-empty 1-d probability table"),
+    (lambda: ensembles.degree_table([0.5, -0.1, 0.6]), "probabilities must be finite and non-negative"),
+    (lambda: ensembles.degree_table([0.0, 0.0]), "probabilities sum to zero"),
+    (lambda: ensembles.weight_table([1.0, 2.0], [1.0]), "values/probabilities size mismatch"),
+    (lambda: ensembles.degree_table([1.0, 0.0]).r, "degree-corrected table undefined: mean degree is zero"),
+    (lambda: ensembles.truncated_poisson(0.0, 5), "cbar must be positive"),
+    (lambda: ensembles.sample_degree_sequence(ensembles.regular(3), 1, np.random.default_rng(0)),
+     "need at least two nodes"),
+    (lambda: ensembles.rademacher_weight(0.0), "scale must be positive"),
+], ids=["empty_table", "2d_table", "negative_prob", "zero_sum", "size_mismatch", "r_of_zero_mean",
+        "cbar", "one_node", "rademacher_scale"])
+def test_input_checks(make, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        make()

@@ -236,3 +236,26 @@ class TestSpikedMatrix:
         bound = np.abs(g.to_dense()).sum(axis=1).max()
         assert np.all(np.abs(eigs) <= bound + 1e-12)
 
+
+
+def _empty_noise(n):
+    return graphgen.SparseSymmetric(n=n, edge_u=np.empty(0, np.int64), edge_v=np.empty(0, np.int64),
+                                    edge_w=np.empty(0))
+
+
+@pytest.mark.parametrize("make, exc, fragment", [
+    (lambda: graphgen.SparseSymmetric(n=3, edge_u=np.array([0, 1]), edge_v=np.array([1]), edge_w=np.ones(2)),
+     ValueError, "edge arrays must have equal length"),
+    (lambda: graphgen.SparseSymmetric(n=3, edge_u=np.array([1]), edge_v=np.array([0]), edge_w=np.ones(1)),
+     ValueError, "edges must be stored with u < v"),
+    (lambda: graphgen.configuration_model([0], np.random.default_rng(0)), InfeasibleSequence, "need at least two nodes"),
+    (lambda: graphgen.configuration_model([1, -1, 0], np.random.default_rng(0)), InfeasibleSequence, "negative degree"),
+    (lambda: graphgen.configuration_model([1, 1, 1], np.random.default_rng(0)), InfeasibleSequence, "odd stub count"),
+    (lambda: graphgen.SpikedMatrix(noise=_empty_noise(3), x=np.ones(2), theta=1.0),
+     ValueError, "spike length must equal matrix size"),
+    (lambda: graphgen.SpikedMatrix(noise=_empty_noise(3), x=np.ones(3), theta=-1.0),
+     ValueError, "theta must be non-negative"),
+], ids=["edge_lengths", "edge_order", "one_node", "negative_degree", "odd_stubs", "spike_length", "negative_theta"])
+def test_input_checks(make, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        make()

@@ -246,3 +246,11 @@ def test_poisson_transition_at_theta_crit(factor, poisson_models, poisson_struct
         assert ov2.mean() < 0.1
     else:
         assert abs(ov2.mean() - analytic.signal_and_overlap(theta, dm, wm, sm)[1]) < 0.05 + 3.0 * se
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_input_checks(n):
+    noise = graphgen.SparseSymmetric(n=n, edge_u=np.empty(0, np.int64), edge_v=np.empty(0, np.int64),
+                                     edge_w=np.empty(0))
+    with pytest.raises(ValueError, match="need N >= 2"):
+        spectral.analyze_instance(graphgen.SpikedMatrix(noise=noise, x=np.ones(n), theta=1.0))
