@@ -8,7 +8,7 @@ Everything here is a pure function of value inputs.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,9 +165,6 @@ class AnalyticReport:
     theta_b: float | None = None
     c_crit: float | None = None
     c_b: float | None = None
-
-    def as_flat_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def rr_report(c: int, sigma_x2: float, theta: float, w: float = 1.0) -> AnalyticReport:

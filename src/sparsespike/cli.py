@@ -333,7 +333,7 @@ ANALYTIC_FIELDS = [
 def run_analytic(cfg: ExperimentConfig) -> list:
     rows = []
     for c_value, _, rep in _analytic_grid(cfg):
-        row = {**rep.as_flat_dict(), "c": c_value}
+        row = {**asdict(rep), "c": c_value}
         rows.append(row)
         for key in ANALYTIC_FIELDS:
             if row.get(key) is not None:

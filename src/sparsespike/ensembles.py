@@ -258,30 +258,31 @@ class SpikeModel:
 
     Construction rejects non-centered laws: every implemented threshold
     formula assumes E[X] = 0, and a silently shifted spike would produce
-    wrong thresholds rather than an error. For the same reason a custom
-    table's ``sigma_x2`` must be its variance (to 1e-12 relative).
+    wrong thresholds rather than an error. A custom table states its law
+    once: its ``sigma_x2`` is the table's variance, and giving one raises.
     """
 
     kind: str
-    sigma_x2: float
+    sigma_x2: float | None = None
     values: np.ndarray | None = None
     probs: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "rademacher", "custom"):
             raise ValueError(f"SpikeModel: unknown kind {self.kind!r}")
-        if not (np.isfinite(self.sigma_x2) and self.sigma_x2 > 0):
-            raise ValueError("SpikeModel: variance must be finite and positive")
+        mean = 0.0
         if self.kind == "custom":
+            if self.sigma_x2 is not None:
+                raise ValueError("SpikeModel: a custom table's variance is its own; sigma_x2 must not be given")
             v, p = _finite_table(self.values, self.probs, "SpikeModel")
             mean = float((v * p).sum())
-            if abs(mean) > 1e-12:
-                raise ValueError(f"SpikeModel: law must be centered, got E[X]={mean:g}")
-            var = float((v * v * p).sum()) - mean**2
-            if abs(self.sigma_x2 - var) > 1e-12 * var:
-                raise ValueError(f"SpikeModel: sigma_x2={self.sigma_x2:g} but the table's variance is {var:g}")
+            object.__setattr__(self, "sigma_x2", float((v * v * p).sum()) - mean**2)
             object.__setattr__(self, "values", v)
             object.__setattr__(self, "probs", p)
+        if self.sigma_x2 is None or not (np.isfinite(self.sigma_x2) and self.sigma_x2 > 0):
+            raise ValueError("SpikeModel: variance must be finite and positive")
+        if abs(mean) > 1e-12:
+            raise ValueError(f"SpikeModel: law must be centered, got E[X]={mean:g}")
 
     @cached_property
     def _draw(self) -> _Draw:
@@ -310,6 +311,4 @@ def rademacher_spike(sigma_x2: float = 1.0) -> SpikeModel:
 
 
 def custom_spike(values, probs) -> SpikeModel:
-    v, p = _finite_table(values, probs, "SpikeModel")
-    var = float((v * v * p).sum()) - float((v * p).sum()) ** 2
-    return SpikeModel(kind="custom", sigma_x2=var, values=v, probs=p)
+    return SpikeModel(kind="custom", values=values, probs=probs)

@@ -4,7 +4,7 @@ weights, and the rank-one spike, kept factored as (vector, strength).
 The noise matrix is held in compressed sparse row form with both edge
 orientations stored; the spike is never materialized densely outside the
 small-N dense oracle paths. ``scipy.sparse`` is imported when the first
-CSR operator is built, so importing this module does not load scipy.
+CSR matrix is built, so importing this module does not load scipy.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class SparseSymmetric:
-    """Symmetric weighted sparse matrix with zero diagonal.
-
-    Stored as undirected edges (edge_u[i] < edge_v[i]) with one weight per
-    edge, mirrored into a CSR operator on demand.
+    """Symmetric weighted sparse matrix with zero diagonal, as data: the
+    undirected edges (edge_u[i] < edge_v[i]), one weight per edge, and their
+    CSR matrix with both orientations, built on demand. ``SpikedMatrix`` is
+    the operator that multiplies by it.
     """
 
     n: int
@@ -58,39 +58,35 @@ class SparseSymmetric:
         data = np.concatenate([self.edge_w, self.edge_w])
         return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.n,):
-            raise ValueError(f"vector of length {self.n} expected, got shape {v.shape}")
-        return self.csr.dot(v)
-
-    def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
-
 
 def _pairing_defects(u: np.ndarray, v: np.ndarray, n: int):
-    """Indices of defective pairs in a stub pairing: self-loops plus every
-    duplicate beyond the first occurrence of each undirected edge."""
-    a = np.minimum(u, v)
-    b = np.maximum(u, v)
-    code = a.astype(np.int64) * n + b
+    """Indices of defective pairs in a stub pairing (self-loops plus every
+    duplicate beyond the first occurrence of each undirected edge), and the
+    pairing's sorted edge codes ``min * n + max``."""
+    code = np.minimum(u, v).astype(np.int64) * n + np.maximum(u, v)
     order = np.argsort(code, kind="stable")
     sorted_code = code[order]
     dup = np.zeros(code.size, dtype=bool)
     dup[order[1:]] = sorted_code[1:] == sorted_code[:-1]
-    return np.flatnonzero((u == v) | dup)
+    return np.flatnonzero((u == v) | dup), sorted_code
 
 
-def _is_simple(u: np.ndarray, v: np.ndarray, n: int) -> bool:
-    """The event ``_pairing_defects(u, v, n).size == 0``, cheapest test first.
+def _simple_codes(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray | None:
+    """The sorted edge codes ``min * n + max`` of a simple pairing, or None
+    where ``_pairing_defects`` finds a defect; cheapest test first.
 
     Most rejected pairings hold a self-loop, which one comparison finds;
     only loop-free pairings pay for sorting the edge codes in place."""
     if (u == v).any():
-        return False
+        return None
     code = np.minimum(u, v).astype(np.int64, copy=False) * n + np.maximum(u, v)
     code.sort()
-    return not (code[1:] == code[:-1]).any()
+    return None if (code[1:] == code[:-1]).any() else code
+
+
+def _graph(n: int, code: np.ndarray) -> SparseSymmetric:
+    """The unit-weight graph of sorted edge codes, its edges in (min, max) order."""
+    return SparseSymmetric(n=n, edge_u=code // n, edge_v=code % n, edge_w=np.ones(code.size))
 
 
 # Stub pairings a restart may draw before the sequence counts as near-infeasible.
@@ -129,7 +125,7 @@ def configuration_model(degrees, rng: np.random.Generator) -> SparseSymmetric:
 
     stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
     if stubs.size == 0:
-        return SparseSymmetric(n=n, edge_u=np.empty(0, np.int64), edge_v=np.empty(0, np.int64), edge_w=np.empty(0, float))
+        return _graph(n, np.empty(0, np.int64))
 
     nu = float((degrees * (degrees - 1)).sum()) / total
     # -log P(simple); switch to repair while expected restarts are still
@@ -138,8 +134,9 @@ def configuration_model(degrees, rng: np.random.Generator) -> SparseSymmetric:
         for _ in range(_RESTART_BUDGET):
             perm = rng.permutation(stubs)
             u, v = perm[0::2], perm[1::2]
-            if _is_simple(u, v, n):
-                return _edges_to_graph(n, u, v)
+            code = _simple_codes(u, v, n)
+            if code is not None:
+                return _graph(n, code)
         raise RestartBudgetExhausted(
             f"no simple pairing in {_RESTART_BUDGET} restarts; degree sequence near-infeasible"
         )
@@ -147,9 +144,9 @@ def configuration_model(degrees, rng: np.random.Generator) -> SparseSymmetric:
     perm = rng.permutation(stubs)
     u, v = perm[0::2].copy(), perm[1::2].copy()
     for _ in range(10_000):
-        bad = _pairing_defects(u, v, n)
+        bad, code = _pairing_defects(u, v, n)
         if bad.size == 0:
-            return _edges_to_graph(n, u, v)
+            return _graph(n, code)
         partners = rng.integers(0, u.size, size=bad.size)
         # cross-swap endpoints: (a,b),(c,d) -> (a,d),(c,b); degrees unchanged
         for e, f in zip(bad, partners):
@@ -159,22 +156,10 @@ def configuration_model(degrees, rng: np.random.Generator) -> SparseSymmetric:
     raise RestartBudgetExhausted("edge-swap repair failed to reach a simple graph")
 
 
-def _edges_to_graph(n: int, u: np.ndarray, v: np.ndarray) -> SparseSymmetric:
-    a = np.minimum(u, v)
-    b = np.maximum(u, v)
-    order = np.lexsort((b, a))
-    return SparseSymmetric(
-        n=n,
-        edge_u=a[order],
-        edge_v=b[order],
-        edge_w=np.ones(a.size, dtype=float),
-    )
-
-
 def assign_weights(graph: SparseSymmetric, weight_model: WeightModel, rng: np.random.Generator) -> SparseSymmetric:
     """One i.i.d. weight per undirected edge, identical in both orientations."""
     w = weight_model.sample(rng, size=graph.n_edges)
-    return SparseSymmetric(n=graph.n, edge_u=graph.edge_u, edge_v=graph.edge_v, edge_w=np.asarray(w, float))
+    return SparseSymmetric(n=graph.n, edge_u=graph.edge_u, edge_v=graph.edge_v, edge_w=w)
 
 
 @dataclass(frozen=True)
@@ -203,13 +188,13 @@ class SpikedMatrix:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n,):
             raise ValueError(f"vector of length {self.n} expected, got shape {v.shape}")
-        out = self.noise.matvec(v)
+        out = self.noise.csr.dot(v)
         if self.theta != 0.0:
             out = out + (self.theta / self.n) * self.x * float(self.x @ v)
         return out
 
     def to_dense(self) -> np.ndarray:
-        a = self.noise.to_dense()
+        a = self.noise.csr.toarray()
         if self.theta != 0.0:
             a = a + (self.theta / self.n) * np.outer(self.x, self.x)
         return a
@@ -223,5 +208,5 @@ def assemble_spiked(
 ) -> SpikedMatrix:
     """Sample the spike vector and attach it to a noise matrix."""
     x = spike_model.sample(rng, size=noise.n)
-    return SpikedMatrix(noise=noise, x=np.asarray(x, float), theta=float(theta))
+    return SpikedMatrix(noise=noise, x=x, theta=float(theta))
 

@@ -84,9 +84,13 @@ def _write_rows(path: str, header_lines, names: tuple, columns: tuple) -> None:
 
 
 def write_histogram_csv(samples: np.ndarray, path: str, header_lines=()) -> None:
-    """The histogram of ``samples`` on numpy's Freedman-Diaconis bins, as
-    (bin_left, bin_right, mass) rows."""
-    counts, edges = np.histogram(samples, bins="fd")
+    """The histogram of ``samples`` on numpy's ``bins="fd"`` count (width 2
+    IQR n^(-1/3) over [min, max], one bin at width 0; NaN samples take the
+    cap and fail in np.histogram as under "fd"), at most ``_MAX_BINS``
+    bins, as (bin_left, bin_right, mass) rows."""
+    width = 2.0 * np.subtract(*np.percentile(samples, [75, 25])) * samples.size ** (-1.0 / 3.0)
+    bins = np.fmin(np.ceil(np.ptp(samples) / width), _MAX_BINS) if width else 1
+    counts, edges = np.histogram(samples, bins=int(bins))
     _write_rows(path, header_lines, ("bin_left", "bin_right", "mass"), (edges[:-1], edges[1:], counts / counts.sum()))
 
 
@@ -95,6 +99,9 @@ _SAMPLES_CAP = 100_000
 
 # Rows a CDF CSV holds: about this many, every stride-th of the sorted values.
 _CDF_ROWS = 10_000
+
+# Bins a histogram CSV holds at most.
+_MAX_BINS = 10_000
 
 
 def write_samples_csv(samples: np.ndarray, k: np.ndarray, path: str, header_lines=()) -> None:

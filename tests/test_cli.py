@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -199,6 +200,7 @@ class TestConfigParsing:
         ({"mode": "densities", "degree": RR4, "theta": 0.0}, "densities mode solves the spiked phase"),
         ({"mode": "analytic", "degree": RR4, "weight": {"kind": "uniform"}}, "unknown weight kind 'uniform'"),
         ({"mode": "analytic", "degree": RR4, "spike": {"kind": "laplace"}}, "unknown spike kind 'laplace'"),
+        ({"mode": "analytic", "degree": {**PO3, "k_max": 0}}, "k_max must be >= 1"),
     ])
     def test_rejects_bad_fields(self, raw, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -324,8 +326,8 @@ class TestAnalyticMode:
         assert cli.main([path, "--out-dir", str(tmp_path)]) == 0
         for row in _csv_rows(tmp_path / "analytic.csv"):
             rep = cli.analytic.rr_report(4, 1.0, float(row["theta"]), 0.7)
-            for name, value in rep.as_flat_dict().items():
-                assert float(row[name]) == value
+            for name, value in asdict(rep).items():
+                assert (row[name] == "") if value is None else (float(row[name]) == value)
             assert (row["lambda_theta"] == "") == (rep.lambda_theta is None)
         assert float(row["theta_b"]) == pytest.approx(0.8083, abs=1e-4)
 
@@ -670,6 +672,12 @@ class TestMainExitCodes:
         path.write_bytes(b"\xff{}")
         assert cli.main([str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_poisson_k_max_zero(self, tmp_path, capsys):
+        # a truncated Poisson law needs a degree above 0 in its table
+        path = write_config(tmp_path, mode="analytic", degree={**PO3, "k_max": 0})
+        assert cli.main([path, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: k_max must be >= 1\n"
 
     def test_config_error(self, tmp_path):
         path = write_config(tmp_path, mode="warp", degree=RR4)

@@ -363,16 +363,15 @@ class TestSpikeModel:
         assert model.sigma_x2 == 4.0
 
     def test_non_centered_rejected(self):
-        with pytest.raises(ValueError):
-            ensembles.SpikeModel(kind="custom", sigma_x2=1.0,
-                                 values=np.array([0.0, 1.0]), probs=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="law must be centered"):
+            ensembles.SpikeModel(kind="custom", values=np.array([0.0, 1.0]), probs=np.array([0.5, 0.5]))
 
     @pytest.mark.parametrize("values", [[np.nan, 1.0], [-np.inf, np.inf], [-np.inf, 1.0], [[-1.0, 1.0]]],
                              ids=["nan", "both_inf", "minus_inf", "2-d"])
     def test_custom_rejects_bad_values(self, values):
         # the table check WeightModel runs: a centred-looking NaN or 2-d table is no law
         with pytest.raises(ValueError, match="SpikeModel: bad support values"):
-            ensembles.SpikeModel(kind="custom", sigma_x2=1.0, values=np.array(values), probs=np.array([0.5, 0.5]))
+            ensembles.SpikeModel(kind="custom", values=np.array(values), probs=np.array([0.5, 0.5]))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown kind 'laplace'"):
@@ -388,14 +387,15 @@ class TestSpikeModel:
         with pytest.raises(ValueError):
             ensembles.gaussian_spike(0.0)
 
-    def test_custom_variance_must_match_table(self):
-        with pytest.raises(ValueError, match="variance"):
-            ensembles.SpikeModel(kind="custom", sigma_x2=5.0,
-                                 values=np.array([-1.0, 1.0]), probs=np.array([0.5, 0.5]))
-        # a relative mismatch within 1e-12 is rounding, not a different law
-        model = ensembles.SpikeModel(kind="custom", sigma_x2=1.0 + 5e-13,
+    def test_custom_table_takes_no_sigma_x2(self):
+        # a custom table's variance is its own: a second statement of it
+        # raises, even where it agrees with the table
+        for sigma_x2 in (1.0, 5.0):
+            with pytest.raises(ValueError, match="a custom table's variance is its own"):
+                ensembles.SpikeModel(kind="custom", sigma_x2=sigma_x2,
                                      values=np.array([-1.0, 1.0]), probs=np.array([0.5, 0.5]))
-        assert model.sigma_x2 == 1.0 + 5e-13
+        model = ensembles.SpikeModel(kind="custom", values=np.array([-2.0, 1.0]), probs=np.array([1.0, 2.0]))
+        assert model.sigma_x2 == 2.0
 
 
 @pytest.mark.parametrize("make, fragment", [
@@ -409,8 +409,9 @@ class TestSpikeModel:
     (lambda: ensembles.sample_degree_sequence(ensembles.regular(3), 1, np.random.default_rng(0)),
      "need at least two nodes"),
     (lambda: ensembles.rademacher_weight(0.0), "scale must be positive"),
+    (lambda: ensembles.truncated_poisson(3.0, 0), "k_max must be >= 1"),
 ], ids=["empty_table", "2d_table", "negative_prob", "zero_sum", "size_mismatch", "r_of_zero_mean",
-        "cbar", "one_node", "rademacher_scale"])
+        "cbar", "one_node", "rademacher_scale", "k_max_zero"])
 def test_input_checks(make, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         make()

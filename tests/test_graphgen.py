@@ -64,7 +64,7 @@ class TestConfigurationModel:
     def test_empty_graph(self):
         g = graphgen.configuration_model([0, 0, 0], np.random.default_rng(0))
         assert g.n_edges == 0
-        assert g.matvec(np.ones(3)).tolist() == [0.0, 0.0, 0.0]
+        assert g.csr.dot(np.ones(3)).tolist() == [0.0, 0.0, 0.0]
 
     def test_regular_six_takes_repair(self, monkeypatch):
         # nu = 5 is past the restart rule's bound: no pairing is tested the
@@ -72,7 +72,7 @@ class TestConfigurationModel:
         def restart_test(u, v, n):
             raise AssertionError("restart path taken")
 
-        monkeypatch.setattr(graphgen, "_is_simple", restart_test)
+        monkeypatch.setattr(graphgen, "_simple_codes", restart_test)
         degrees = np.full(2000, 6)
         g = graphgen.configuration_model(degrees, np.random.default_rng(4))
         assert_simple(g)
@@ -81,8 +81,9 @@ class TestConfigurationModel:
 
 class TestSimplePairing:
     def test_matches_pairing_defects(self):
-        """``_is_simple`` is the event "no defect" on pairings with loops only,
-        multi-edges only, both, and neither."""
+        """``_simple_codes`` gives codes exactly on the event "no defect", on
+        pairings with loops only, multi-edges only, both, and neither; the
+        codes it gives are the sorted codes ``_pairing_defects`` gives."""
         rng = np.random.default_rng(4)
         seen = set()
         for _ in range(2000):
@@ -96,7 +97,11 @@ class TestSimplePairing:
             codes = np.minimum(u, v) * n + np.maximum(u, v)
             multi = np.unique(codes[u != v]).size < int((u != v).sum())
             seen.add((loop, multi))
-            assert graphgen._is_simple(u, v, n) == (graphgen._pairing_defects(u, v, n).size == 0)
+            code = graphgen._simple_codes(u, v, n)
+            bad, sorted_code = graphgen._pairing_defects(u, v, n)
+            assert (code is not None) == (bad.size == 0)
+            if code is not None:
+                assert np.array_equal(code, sorted_code)
         assert seen == {(False, False), (True, False), (False, True), (True, True)}
 
     @pytest.mark.parametrize("model,n", [
@@ -107,20 +112,23 @@ class TestSimplePairing:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_restart_matches_reference_loop(self, model, n, seed):
         """Same accepted pairing and same generator state afterwards as a
-        restart loop that tests every pairing with ``_pairing_defects``."""
+        restart loop that tests every pairing with ``_pairing_defects``, whose
+        edges are put in (min, max) order by an explicit lexsort: sorting
+        the edge codes gives that order."""
         degrees = ensembles.sample_degree_sequence(model, n, np.random.default_rng(100 + seed))
         stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
         ref_rng = np.random.default_rng(seed)
         while True:
             perm = ref_rng.permutation(stubs)
             u, v = perm[0::2], perm[1::2]
-            if graphgen._pairing_defects(u, v, n).size == 0:
+            if graphgen._pairing_defects(u, v, n)[0].size == 0:
                 break
-        ref = graphgen._edges_to_graph(n, u, v)
+        a, b = np.minimum(u, v), np.maximum(u, v)
+        order = np.lexsort((b, a))
         rng = np.random.default_rng(seed)
         g = graphgen.configuration_model(degrees, rng)
-        assert np.array_equal(g.edge_u, ref.edge_u)
-        assert np.array_equal(g.edge_v, ref.edge_v)
+        assert np.array_equal(g.edge_u, a[order])
+        assert np.array_equal(g.edge_v, b[order])
         assert rng.random() == ref_rng.random()
 
     def test_restart_is_uniform(self):
@@ -153,7 +161,7 @@ class TestWeights:
         g = graphgen.assign_weights(
             g, ensembles.weight_table([-1.0, 2.0], [0.5, 0.5]), np.random.default_rng(1)
         )
-        dense = g.to_dense()
+        dense = g.csr.toarray()
         assert np.array_equal(dense, dense.T)
         assert np.all(np.diag(dense) == 0.0)
 
@@ -169,7 +177,7 @@ class TestSpikedMatrix:
         g = graphgen.configuration_model(np.full(50, 3), np.random.default_rng(0))
         a = graphgen.assemble_spiked(g, ensembles.gaussian_spike(1.0), 0.0, np.random.default_rng(1))
         v = np.random.default_rng(2).standard_normal(50)
-        assert np.array_equal(a.matvec(v), g.matvec(v))
+        assert np.array_equal(a.matvec(v), g.csr.dot(v))
 
     def test_rank_one_two_by_two(self):
         noise = graphgen.SparseSymmetric(n=2, edge_u=np.empty(0, np.int64),
@@ -232,8 +240,9 @@ class TestSpikedMatrix:
         rng = np.random.default_rng(13)
         g = graphgen.configuration_model(np.full(40, 4), rng)
         g = graphgen.assign_weights(g, ensembles.weight_table([-2.0, 1.0], [0.5, 0.5]), rng)
-        eigs = np.linalg.eigvalsh(g.to_dense())
-        bound = np.abs(g.to_dense()).sum(axis=1).max()
+        dense = g.csr.toarray()
+        eigs = np.linalg.eigvalsh(dense)
+        bound = np.abs(dense).sum(axis=1).max()
         assert np.all(np.abs(eigs) <= bound + 1e-12)
 
 
@@ -251,11 +260,15 @@ def _empty_noise(n):
     (lambda: graphgen.configuration_model([0], np.random.default_rng(0)), InfeasibleSequence, "need at least two nodes"),
     (lambda: graphgen.configuration_model([1, -1, 0], np.random.default_rng(0)), InfeasibleSequence, "negative degree"),
     (lambda: graphgen.configuration_model([1, 1, 1], np.random.default_rng(0)), InfeasibleSequence, "odd stub count"),
+    # not graphical, and nu = 182/38 ~ 4.79 sends it to repair, which never reaches a simple graph
+    (lambda: graphgen.configuration_model([6, 6, 6, 6, 6, 6, 2], np.random.default_rng(0)), RestartBudgetExhausted,
+     "edge-swap repair failed to reach a simple graph"),
     (lambda: graphgen.SpikedMatrix(noise=_empty_noise(3), x=np.ones(2), theta=1.0),
      ValueError, "spike length must equal matrix size"),
     (lambda: graphgen.SpikedMatrix(noise=_empty_noise(3), x=np.ones(3), theta=-1.0),
      ValueError, "theta must be non-negative"),
-], ids=["edge_lengths", "edge_order", "one_node", "negative_degree", "odd_stubs", "spike_length", "negative_theta"])
+], ids=["edge_lengths", "edge_order", "one_node", "negative_degree", "odd_stubs", "repair_exhausted", "spike_length",
+        "negative_theta"])
 def test_input_checks(make, exc, fragment):
     with pytest.raises(exc, match=fragment):
         make()

@@ -319,6 +319,27 @@ class TestWriterBytes:
         _csv_writer_reference(tmp_path / "ref.csv", self.HEADER, ["bin_left", "bin_right", "mass"], rows)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    def test_histogram_bins_capped(self, tmp_path):
+        # 123456789.125 among 52 standard normals: bins="fd" would take about
+        # 1.7e8 bins, 1.4 GB of edges alone; the writer takes _MAX_BINS of
+        # them and peaks at about 2.8 MB, mostly the text of 8,192 rows
+        samples = np.random.default_rng(2).standard_normal(53)
+        samples[12] = 123456789.125
+        tracemalloc.start()
+        try:
+            observables.write_histogram_csv(samples, str(tmp_path / "got.csv"), self.HEADER)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        counts, edges = np.histogram(samples, bins=observables._MAX_BINS)
+        rows = [[repr(float(a)), repr(float(b)), repr(float(c / samples.size))]
+                for a, b, c in zip(edges[:-1], edges[1:], counts)]
+        _csv_writer_reference(tmp_path / "ref.csv", self.HEADER, ["bin_left", "bin_right", "mass"], rows)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        assert got.count(b"\r\n") == 1 + observables._MAX_BINS
+        assert peak < 8 * 2**20
+
     @pytest.mark.parametrize("cap", [7, 100_000])
     def test_samples(self, tmp_path, samples, cap, monkeypatch):
         monkeypatch.setattr(observables, "_SAMPLES_CAP", cap)

@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from sparsespike import analytic, ensembles, graphgen, spectral
 from sparsespike.cli import derive_rng
@@ -54,6 +55,29 @@ class TestTopEigenpair:
         a = small_instance(0, n=200)
         monkeypatch.setattr(spectral, "_MAX_ITER", 3)
         with pytest.raises(NotConverged):
+            spectral.analyze_instance(a)
+
+    def test_arpack_error_is_not_converged(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackError(-9999)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+        with pytest.raises(NotConverged, match="ARPACK after 0 matvecs: ARPACK error -9999"):
+            spectral.analyze_instance(small_instance(0, n=200))
+
+    def test_residual_above_tol_is_not_converged(self, monkeypatch):
+        # eigenvalues returned 1e-6 off the 4-regular Perron value 4 leave
+        # relative residuals 1e-6 / 4 = 2.5e-7, far above _TOL
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def shifted(*args, **kwargs):
+            evals, evecs = eigsh(*args, **kwargs)
+            return evals + 1e-6, evecs
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", shifted)
+        g = graphgen.configuration_model(np.full(200, 4), np.random.default_rng(0))
+        a = graphgen.assemble_spiked(g, ensembles.gaussian_spike(1.0), 0.0, np.random.default_rng(1))
+        with pytest.raises(NotConverged, match=r"residual 2\.500e-07 after \d+ matvecs"):
             spectral.analyze_instance(a)
 
     def test_norm_contract(self):
