@@ -120,6 +120,8 @@ def _checked_config(raw: dict) -> ExperimentConfig:
             raise ConfigError("c_grid is empty")
         if len(set(cfg.c_grid)) < len(cfg.c_grid):
             raise ConfigError(f"c_grid has a repeated value: {cfg.c_grid}")
+        if cfg.lambda_structural is not None and len(cfg.c_grid) > 1:
+            raise ConfigError(f"lambda_structural is one degree law's eigenvalue; c_grid has {len(cfg.c_grid)} entries")
     if cfg.mode == "densities" and len(cfg.theta) > 1:
         raise ConfigError(f"densities mode samples one theta, got {len(cfg.theta)} values")
     if cfg.mode in ("popdyn", "densities") and any(t <= 0 for t in cfg.theta):

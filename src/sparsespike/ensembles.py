@@ -13,49 +13,16 @@ from math import lgamma, log
 
 import numpy as np
 
-# Cells of the bucketed inverse-CDF draw. A power of two, so u * _CELLS is exact
-# and u lies in cell floor(u * _CELLS) = j exactly when j/_CELLS <= u < (j+1)/_CELLS.
-_CELLS = 4096
-
-# Draws per piece of an array draw's temporaries (the cell lookup here,
-# the gather's member terms in popdyn): they are formed this many
-# draws at a time, so their memory does not grow with the draw.
-_PIECE = 1 << 15
-
-
-class _Draw:
-    """Inverse-CDF draws of indices into a probability table p, equal to
-    ``searchsorted(cdf, u, side="right")`` on ``u = rng.random(size)``.
-
-    A cumsum can end one ulp below 1.0, where a uniform draw would land
-    past the table, so ``cdf`` is set to exactly 1.0 from the last positive
-    p on; no other draw changes. ``cells`` holds the search's answer for
-    every u in each of ``_CELLS`` cells, or -1 where a CDF entry lies inside
-    the cell and the answer depends on u: an array draw reads its cell's
-    answer and searches only in such cells, ``_PIECE`` draws at a time.
-    """
-
-    def __init__(self, p: np.ndarray):
-        cdf = np.cumsum(p)
-        cdf[np.flatnonzero(p)[-1]:] = 1.0
-        edges = np.arange(_CELLS + 1) / _CELLS
-        lo = np.searchsorted(cdf, edges[:-1], side="right")
-        cells = np.where(np.searchsorted(cdf, edges[1:], side="left") == lo, lo, -1)
-        cdf.flags.writeable = False
-        cells.flags.writeable = False
-        self.cdf, self.cells = cdf, cells
-
-    def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random(size)
-        out = np.empty(u.size, np.intp)
-        for lo in range(0, u.size, _PIECE):
-            up = u[lo:lo + _PIECE]
-            op = out[lo:lo + _PIECE]
-            self.cells.take((up * _CELLS).astype(np.intp), out=op)
-            split = op < 0
-            if split.any():
-                op[split] = np.searchsorted(self.cdf, up[split], side="right")
-        return out
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The read-only CDF of a probability table p for inverse-CDF draws
+    ``searchsorted(cdf, rng.random(size), side="right")``. A cumsum can end
+    one ulp below 1.0, where a uniform draw would land past the table, so
+    the CDF is set to exactly 1.0 from the last positive p on; no other
+    draw changes."""
+    cdf = np.cumsum(p)
+    cdf[np.flatnonzero(p)[-1]:] = 1.0
+    cdf.flags.writeable = False
+    return cdf
 
 
 def _integer(value, name: str) -> int:
@@ -127,12 +94,12 @@ class DegreeModel:
         return r
 
     @cached_property
-    def _draw(self) -> _Draw:
-        return _Draw(self.probs)
+    def _cdf(self) -> np.ndarray:
+        return _cdf(self.probs)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw degrees i.i.d. from p_k."""
-        return self._draw(rng, size)
+        return np.searchsorted(self._cdf, rng.random(size), side="right")
 
 
 def truncated_poisson(cbar: float, k_max: int) -> DegreeModel:
@@ -217,13 +184,11 @@ class WeightModel:
         object.__setattr__(self, "zeta", float(np.abs(v).max()))
 
     @cached_property
-    def _draw(self) -> _Draw:
-        return _Draw(self.probs)
+    def _cdf(self) -> np.ndarray:
+        return _cdf(self.probs)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.values.size == 1:
-            return np.full(size, self.values[0])
-        return self.values[self._draw(rng, size)]
+        return self.values[np.searchsorted(self._cdf, rng.random(size), side="right")]
 
 
 def constant_weight(w: float) -> WeightModel:
@@ -285,8 +250,8 @@ class SpikeModel:
             raise ValueError(f"SpikeModel: law must be centered, got E[X]={mean:g}")
 
     @cached_property
-    def _draw(self) -> _Draw:
-        return _Draw(self.probs)
+    def _cdf(self) -> np.ndarray:
+        return _cdf(self.probs)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # the draws are scaled in place: the same multiplies, no second array
@@ -298,7 +263,7 @@ class SpikeModel:
             out -= 1.0
             out *= np.sqrt(self.sigma_x2)
         else:
-            out = self.values[self._draw(rng, size)]
+            out = self.values[np.searchsorted(self._cdf, rng.random(size), side="right")]
         return out
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .ensembles import _PIECE, DegreeModel, SpikeModel, WeightModel
+from .ensembles import DegreeModel, SpikeModel, WeightModel
 from .errors import AlphaMismatch, MaxSweepsExceeded, NonPositiveDenominator, NonPositiveOmega
 
 MOMENT_KEYS = ("mean_omega", "var_omega", "mean_h", "var_h")
@@ -83,6 +83,11 @@ _RELAX_SWEEPS = 60
 _PROBES = 12
 _GROWTH_SWEEPS = 30
 _GROWTH_READ = 20
+
+# Draws per piece of a long pass: the gather's member terms, the full-node
+# spike term and the alpha terms are formed this many draws at a time, so
+# their temporaries do not grow with the pass.
+_PIECE = 1 << 15
 
 
 def _ratios(omega, h, out=None):
@@ -235,7 +240,6 @@ def equilibrate(
             return {
                 "sweeps": sweeps,
                 "lambda_bumps": 0,  # lambda never moves; bench/tracing.py reads the key
-                "traces": {key: np.asarray(val) for key, val in traces.items()},
                 "moment_se": se,
             }
     raise MaxSweepsExceeded(f"no plateau within {_MAX_SWEEPS} sweeps")
@@ -338,7 +342,7 @@ def solve(
         )
     entry = {"lambda": pop.lam, "q": pop.q, "alpha1": a1, "alpha2": a2, "alpha1_se": se1, "alpha2_se": se2,
              "sweeps": eq["sweeps"], "moment_se": eq["moment_se"]}
-    return pop, pop.q, pop.lam, {"history": [entry], "rounds": 1, "final_equilibration": eq}, nodes
+    return pop, pop.q, pop.lam, {"history": [entry], "rounds": 1}, nodes
 
 
 def structural_lambda(

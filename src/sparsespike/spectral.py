@@ -65,7 +65,7 @@ class EigReport:
     iterations: int
 
 
-def _top_pairs(a: SpikedMatrix, rng):
+def _top_pairs(a: SpikedMatrix, rng: np.random.Generator):
     """The two largest-algebraic eigenpairs, in descending order.
 
     Returns (eigenvalues, unit eigenvectors as columns, relative residuals,
@@ -75,8 +75,6 @@ def _top_pairs(a: SpikedMatrix, rng):
     n = a.n
     if n < 2:
         raise ValueError("need N >= 2")
-    if rng is None:
-        rng = np.random.default_rng(0x5EED)
     matvecs = 0
 
     def counted(v):
@@ -115,7 +113,7 @@ def _top_pairs(a: SpikedMatrix, rng):
     return evals, evecs, residuals, matvecs
 
 
-def analyze_instance(a: SpikedMatrix, rng=None) -> EigReport:
+def analyze_instance(a: SpikedMatrix, rng: np.random.Generator) -> EigReport:
     """Solve one instance end to end: top and second eigenpairs from one
     solve, gauge-fixed overlap statistics."""
     evals, evecs, residuals, matvecs = _top_pairs(a, rng)

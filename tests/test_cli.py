@@ -171,7 +171,7 @@ class TestConfigParsing:
          "lambda_structural=4.2 is below the spectral edge 4.25883741616"),
         ({"mode": "sweep", **PO35_RADEMACHER, "lambda_structural": 4.2, "n": 300, "instances": 2},
          "lambda_structural=4.2 is below the spectral edge 4.25883741616"),
-        ({"mode": "sweep", "degree": PO3, "c_grid": [3, 5], "lambda_structural": 4.3},
+        ({"mode": "sweep", "degree": PO3, "c_grid": [5], "lambda_structural": 4.3},
          "lambda_structural=4.3 is below the spectral edge 4.42650712585"),
         # a law or popdyn block must be an object, as degree is, not a list of pairs
         ({"mode": "analytic", "degree": RR4, "weight": [["kind", "constant"], ["w", 1.0]]},
@@ -201,6 +201,9 @@ class TestConfigParsing:
         ({"mode": "analytic", "degree": RR4, "weight": {"kind": "uniform"}}, "unknown weight kind 'uniform'"),
         ({"mode": "analytic", "degree": RR4, "spike": {"kind": "laplace"}}, "unknown spike kind 'laplace'"),
         ({"mode": "analytic", "degree": {**PO3, "k_max": 0}}, "k_max must be >= 1"),
+        # one structural eigenvalue would be read at every c_grid entry
+        ({"mode": "analytic", "degree": {**PO3, "k_max": 20}, "c_grid": [3, 4], "lambda_structural": 5.2547},
+         "lambda_structural is one degree law's eigenvalue; c_grid has 2 entries"),
     ])
     def test_rejects_bad_fields(self, raw, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -532,7 +535,7 @@ def test_structural_eigenvalue_once_per_c(tmp_path, monkeypatch, mode):
 
 @pytest.mark.parametrize("fields", [
     {"degree": RR4, "c_grid": [3, 4], "theta": [0.5, 2.0, 4.0]},
-    {"degree": {"kind": "truncated_poisson", "cbar": 3.5, "k_max": 12}, "c_grid": [3.5, 4],
+    {"degree": {"kind": "truncated_poisson", "cbar": 3.5, "k_max": 12}, "c_grid": [4],
      "lambda_structural": 4.9, "theta": [0.0, 1.0, 4.0]},
 ])
 def test_analytic_and_sweep_share_the_analytic_columns(tmp_path, fields):
@@ -543,7 +546,7 @@ def test_analytic_and_sweep_share_the_analytic_columns(tmp_path, fields):
         prefix = "analytic_" if mode == "sweep" else ""
         texts[mode] = [(r["c"], r["theta"], r["theta_crit"], r["theta_b"], r[prefix + "lambda_theta"],
                         r[prefix + "overlap_sq"]) for r in _csv_rows(out / f"{mode}.csv")]
-    assert len(texts["analytic"]) == 6
+    assert len(texts["analytic"]) == len(fields["c_grid"]) * len(fields["theta"])
     assert texts["analytic"] == texts["sweep"]
 
 

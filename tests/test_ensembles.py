@@ -114,20 +114,6 @@ class TestDegreeModel:
         _, pvalue = stats.chisquare(obs, exp)
         assert pvalue > 1e-3
 
-    def test_corrected_sampling_chi_square(self):
-        # the bucketed draw of the size-biased table r_k
-        model = ensembles.truncated_poisson(4.0, 20)
-        rng = np.random.default_rng(1)
-        draws = ensembles._Draw(model.r)(rng, size=100_000)
-        assert draws.min() >= 1
-        counts = np.bincount(draws, minlength=21).astype(float)
-        expected = 100_000 * model.r
-        keep = expected >= 5
-        obs = np.concatenate([counts[keep][:-1], [counts[keep][-1] + counts[~keep].sum()]])
-        exp = np.concatenate([expected[keep][:-1], [expected[keep][-1] + expected[~keep].sum()]])
-        _, pvalue = stats.chisquare(obs, exp)
-        assert pvalue > 1e-3
-
 
 class _FixedUniforms:
     """Stands in for a Generator whose ``random(size)`` returns given values."""
@@ -141,11 +127,9 @@ class _FixedUniforms:
 
 
 def _adversarial_uniforms(cdf):
-    """0, the largest double below 1, every CDF entry and every cell edge
-    j/4096 with both floating-point neighbours, clipped to [0, 1)."""
-    points = np.concatenate([cdf, np.arange(4096) / 4096])
-    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], points,
-                        np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+    """0, the largest double below 1, and every CDF entry with both
+    floating-point neighbours, clipped to [0, 1)."""
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
     return np.unique(u[(u >= 0.0) & (u < 1.0)])
 
 
@@ -159,47 +143,48 @@ EXACT_DRAW_MODELS = {
 
 
 class TestBucketedDraw:
-    """Array draws read a per-cell table; they must equal the plain
-    inverse-CDF search on the same uniforms, bit for bit, except that no
-    draw lands past the last degree of positive mass. The corrected cases
-    draw a model's size-biased table r_k through the same lookup."""
+    """Draws are the plain inverse-CDF search on the same uniforms, bit for
+    bit, except that no draw lands past the last degree of positive mass.
+    The size-biased cases draw a model's table r_k as a degree law of its
+    own: a zero at k = 0 and a cumsum of other rounding."""
 
     @pytest.mark.parametrize("name", EXACT_DRAW_MODELS)
-    @pytest.mark.parametrize("corrected", [False, True])
-    def test_adversarial_uniforms(self, name, corrected):
+    @pytest.mark.parametrize("size_biased", [False, True])
+    def test_adversarial_uniforms(self, name, size_biased):
         model = EXACT_DRAW_MODELS[name]()
-        table = model.r if corrected else model.probs
-        cdf = np.cumsum(table)
-        if name == "cumsum_below_one":
+        if size_biased:
+            model = ensembles.degree_table(model.r)
+        cdf = np.cumsum(model.probs)
+        if name == "cumsum_below_one" and not size_biased:
             assert cdf[-1] < 1.0
-        u = np.tile(_adversarial_uniforms(cdf), 8)  # past 2^16 draws: several lookup pieces
-        assert u.size > 2**16
-        draw = ensembles._Draw(table) if corrected else model.sample
-        got = draw(_FixedUniforms(u), size=u.size)
-        expected = np.minimum(np.searchsorted(cdf, u, side="right"), np.flatnonzero(table)[-1])
+        u = _adversarial_uniforms(cdf)
+        got = model.sample(_FixedUniforms(u), size=u.size)
+        expected = np.minimum(np.searchsorted(cdf, u, side="right"), np.flatnonzero(model.probs)[-1])
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("name", EXACT_DRAW_MODELS)
-    @pytest.mark.parametrize("corrected", [False, True])
-    def test_same_draws_and_generator_state(self, name, corrected):
+    @pytest.mark.parametrize("size_biased", [False, True])
+    def test_same_draws_and_generator_state(self, name, size_biased):
         model = EXACT_DRAW_MODELS[name]()
-        cdf = np.cumsum(model.r if corrected else model.probs)
-        draw = ensembles._Draw(model.r) if corrected else model.sample
+        if size_biased:
+            model = ensembles.degree_table(model.r)
+        cdf = np.cumsum(model.probs)
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
         for size in (0, 1, 16_384, 3 * 2**15 + 7):
-            assert np.array_equal(draw(rng, size=size), np.searchsorted(cdf, ref.random(size), side="right"))
+            assert np.array_equal(model.sample(rng, size=size), np.searchsorted(cdf, ref.random(size), side="right"))
         # a one-draw call, as the parity repair makes, takes the generator's next scalar uniform
-        assert draw(rng, size=1)[0] == np.searchsorted(cdf, ref.random(), side="right")
+        assert model.sample(rng, size=1)[0] == np.searchsorted(cdf, ref.random(), side="right")
         assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("model", [
         ensembles.weight_table([0.5, 1.5, 1.0], [0.2, 0.3, 0.5]),
         ensembles.rademacher_weight(0.5),
         ensembles.custom_spike([-2.0, -1.0, 1.0, 2.0], [0.1, 0.4, 0.4, 0.1]),
-    ], ids=["weight_table", "rademacher_weight", "custom_spike"])
+        ensembles.constant_weight(-0.7),
+    ], ids=["weight_table", "rademacher_weight", "custom_spike", "constant_weight"])
     def test_tables_draw_their_values(self, model):
-        # weight and spike tables draw through the same lookup as degrees:
+        # weight and spike tables draw as degrees do, a one-point law too:
         # the values a plain search picks on the same uniforms, bit for bit
         cdf = np.cumsum(model.probs)
         assert cdf[-1] == 1.0
@@ -228,12 +213,12 @@ class TestCdfEndsAtOne:
         ensembles.degree_table([0.1] * 10),
         ensembles.degree_table([0.1] * 10 + [0.0, 0.0]),
     ], ids=["poisson_3_8", "poisson_4_20", "tenths", "tenths_zero_tail"])
-    @pytest.mark.parametrize("corrected", [False, True])
-    def test_degree_draws(self, model, corrected):
-        table = model.r if corrected else model.probs
-        last = np.flatnonzero(table)[-1]
-        draw = ensembles._Draw(table) if corrected else model.sample
-        assert np.array_equal(draw(_TopUniform(), size=3), [last] * 3)
+    @pytest.mark.parametrize("size_biased", [False, True])
+    def test_degree_draws(self, model, size_biased):
+        if size_biased:
+            model = ensembles.degree_table(model.r)
+        last = np.flatnonzero(model.probs)[-1]
+        assert np.array_equal(model.sample(_TopUniform(), size=3), [last] * 3)
 
     def test_weight_and_spike_draws(self):
         assert np.cumsum([0.1] * 10)[-1] < 1.0

@@ -106,7 +106,7 @@ class TestRhoOv:
         emp = []
         for i in range(5):
             a = make_instance(dm, wm, sm, 1000, pop.theta, seed=3141, index=i)
-            rep = spectral.analyze_instance(a)
+            rep = spectral.analyze_instance(a, np.random.default_rng(0))
             emp.append(rep.overlap)
         emp_mean = float(np.mean(emp))
         emp_se = float(np.std(emp, ddof=1) / np.sqrt(len(emp)))

@@ -28,7 +28,8 @@ class TestTopEigenpair:
         # [[0, 1], [1, 0]]: top pair (1, (1, 1) / sqrt(2))
         noise = graphgen.SparseSymmetric(n=2, edge_u=np.array([0]), edge_v=np.array([1]),
                                          edge_w=np.array([1.0]))
-        rep = spectral.analyze_instance(graphgen.SpikedMatrix(noise=noise, x=np.array([1.0, -2.0]), theta=0.0))
+        a = graphgen.SpikedMatrix(noise=noise, x=np.array([1.0, -2.0]), theta=0.0)
+        rep = spectral.analyze_instance(a, np.random.default_rng(0))
         lam, v = rep.lambda_top, rep.v_top
         assert abs(lam - 1.0) < 1e-12
         assert abs(abs(v[0]) - abs(v[1])) < 1e-8
@@ -38,7 +39,7 @@ class TestTopEigenpair:
         # every component of a 4-regular graph carries the Perron value 4
         g = graphgen.configuration_model(np.full(2000, 4), np.random.default_rng(0))
         a = graphgen.assemble_spiked(g, ensembles.gaussian_spike(1.0), 0.0, np.random.default_rng(1))
-        rep = spectral.analyze_instance(a)
+        rep = spectral.analyze_instance(a, np.random.default_rng(0))
         assert abs(rep.lambda_top - 4.0) < 1e-8
         assert abs(rep.v_top @ rep.v_top - 2000.0) < 1e-9 * 2000
 
@@ -47,7 +48,7 @@ class TestTopEigenpair:
         a = small_instance(seed)
         dense = a.to_dense()
         evals = np.linalg.eigvalsh(dense)
-        rep = spectral.analyze_instance(a)
+        rep = spectral.analyze_instance(a, np.random.default_rng(0))
         assert abs(rep.lambda_top - evals[-1]) < 1e-9
         assert abs(rep.lambda_second - evals[-2]) < 1e-9
 
@@ -55,7 +56,7 @@ class TestTopEigenpair:
         a = small_instance(0, n=200)
         monkeypatch.setattr(spectral, "_MAX_ITER", 3)
         with pytest.raises(NotConverged):
-            spectral.analyze_instance(a)
+            spectral.analyze_instance(a, np.random.default_rng(0))
 
     def test_arpack_error_is_not_converged(self, monkeypatch):
         def failing(*args, **kwargs):
@@ -63,7 +64,7 @@ class TestTopEigenpair:
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
         with pytest.raises(NotConverged, match="ARPACK after 0 matvecs: ARPACK error -9999"):
-            spectral.analyze_instance(small_instance(0, n=200))
+            spectral.analyze_instance(small_instance(0, n=200), np.random.default_rng(0))
 
     def test_residual_above_tol_is_not_converged(self, monkeypatch):
         # eigenvalues returned 1e-6 off the 4-regular Perron value 4 leave
@@ -78,11 +79,11 @@ class TestTopEigenpair:
         g = graphgen.configuration_model(np.full(200, 4), np.random.default_rng(0))
         a = graphgen.assemble_spiked(g, ensembles.gaussian_spike(1.0), 0.0, np.random.default_rng(1))
         with pytest.raises(NotConverged, match=r"residual 2\.500e-07 after \d+ matvecs"):
-            spectral.analyze_instance(a)
+            spectral.analyze_instance(a, np.random.default_rng(0))
 
     def test_norm_contract(self):
         a = small_instance(1)
-        rep = spectral.analyze_instance(a)
+        rep = spectral.analyze_instance(a, np.random.default_rng(0))
         lam, v = rep.lambda_top, rep.v_top
         assert abs(v @ v - a.n) < 1e-9 * a.n
         dense = a.to_dense()
@@ -96,7 +97,7 @@ class TestSecondEigenvalue:
                                          edge_w=np.array([-1.0]))
         a = graphgen.SpikedMatrix(noise=noise, x=np.array([2.0, 1.0]), theta=1.0)
         assert np.array_equal(a.to_dense(), np.diag([2.0, 0.5]))
-        rep = spectral.analyze_instance(a)
+        rep = spectral.analyze_instance(a, np.random.default_rng(0))
         assert abs(rep.lambda_top - 2.0) < 1e-12
         assert abs(rep.lambda_second - 0.5) < 1e-10
 
@@ -104,14 +105,14 @@ class TestSecondEigenvalue:
         # above threshold the structural value c=4 becomes the second eigenvalue
         a = make_instance(ensembles.regular(4), ensembles.constant_weight(1.0),
                           ensembles.gaussian_spike(1.0), 2000, 4.0, seed=21)
-        rep = spectral.analyze_instance(a)
+        rep = spectral.analyze_instance(a, np.random.default_rng(0))
         assert rep.lambda_top > 4.5
         assert abs(rep.lambda_second - 4.0) < 0.15
 
     def test_deflation_consistency(self):
         a = small_instance(2)
         evals = np.linalg.eigvalsh(a.to_dense())
-        rep = spectral.analyze_instance(a)
+        rep = spectral.analyze_instance(a, np.random.default_rng(0))
         assert rep.lambda_top >= rep.lambda_second
         assert abs(rep.lambda_top - evals[-1]) < 1e-9
         assert abs(rep.lambda_second - evals[-2]) < 1e-9
@@ -125,7 +126,7 @@ class TestSecondEigenvalue:
             edge_w=np.array([1.0, 1.0]),
         )
         a = graphgen.SpikedMatrix(noise=noise, x=np.array([1.0, -1.0, 0.5, 0.25]), theta=0.0)
-        rep = spectral.analyze_instance(a)
+        rep = spectral.analyze_instance(a, np.random.default_rng(0))
         assert abs(rep.lambda_top - 1.0) < 1e-10
         assert abs(rep.lambda_second - 1.0) < 1e-10
 
@@ -140,7 +141,7 @@ class TestSmallN:
         noise = graphgen.SparseSymmetric(n=n, edge_u=u, edge_v=v, edge_w=rng.standard_normal(u.size))
         a = graphgen.SpikedMatrix(noise=noise, x=rng.standard_normal(n), theta=1.5)
         evals = np.linalg.eigvalsh(a.to_dense())
-        rep = spectral.analyze_instance(a)
+        rep = spectral.analyze_instance(a, np.random.default_rng(0))
         assert abs(rep.lambda_top - evals[-1]) < 1e-12
         assert abs(rep.lambda_second - evals[-2]) < 1e-12
         assert max(rep.residual_top, rep.residual_second) <= 1e-10
@@ -151,7 +152,7 @@ class TestSmallN:
         noise = graphgen.SparseSymmetric(n=2, edge_u=np.array([0]), edge_v=np.array([1]),
                                          edge_w=np.array([1.0]))
         a = graphgen.SpikedMatrix(noise=noise, x=np.array([1.0, 1.0]), theta=2.0)
-        rep = spectral.analyze_instance(a)
+        rep = spectral.analyze_instance(a, np.random.default_rng(0))
         assert abs(rep.lambda_top - 3.0) < 1e-12
         assert abs(rep.lambda_second + 1.0) < 1e-12
         assert abs(rep.overlap - 1.0) < 1e-12
@@ -220,7 +221,7 @@ class TestFullSpectrum:
 class TestObservables:
     def test_variational_dominance(self):
         a = small_instance(5, n=120)
-        lam = spectral.analyze_instance(a).lambda_top
+        lam = spectral.analyze_instance(a, np.random.default_rng(0)).lambda_top
         rng = np.random.default_rng(0)
         for _ in range(100):
             u = rng.standard_normal(120)
@@ -236,19 +237,19 @@ class TestObservables:
         x = rng.standard_normal(n)
         x *= np.sqrt(n) / np.linalg.norm(x)
         a = graphgen.SpikedMatrix(noise=noise, x=x, theta=5.0)
-        rep = spectral.analyze_instance(a)
+        rep = spectral.analyze_instance(a, np.random.default_rng(0))
         assert abs(rep.overlap - float(x @ x) / n) < 1e-8
         assert abs(rep.overlap - 1.0) < 1e-8
 
     def test_gauge_non_negative(self):
         for seed in range(5):
             a = small_instance(seed, theta=0.0)
-            rep = spectral.analyze_instance(a)
+            rep = spectral.analyze_instance(a, np.random.default_rng(0))
             assert rep.overlap >= 0.0
 
     def test_component_products(self):
         a = small_instance(9)
-        rep = spectral.analyze_instance(a)
+        rep = spectral.analyze_instance(a, np.random.default_rng(0))
         products = a.x * rep.v_top
         assert abs(products.mean() - rep.overlap) < 1e-12
         assert abs(rep.v_top @ rep.v_top - a.n) < 1e-8 * a.n
@@ -277,4 +278,4 @@ def test_input_checks(n):
     noise = graphgen.SparseSymmetric(n=n, edge_u=np.empty(0, np.int64), edge_v=np.empty(0, np.int64),
                                      edge_w=np.empty(0))
     with pytest.raises(ValueError, match="need N >= 2"):
-        spectral.analyze_instance(graphgen.SpikedMatrix(noise=noise, x=np.ones(n), theta=1.0))
+        spectral.analyze_instance(graphgen.SpikedMatrix(noise=noise, x=np.ones(n), theta=1.0), np.random.default_rng(0))
